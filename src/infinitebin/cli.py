@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     except (SizeLimitError, CouplingHorizonError) as exc:
         sys.stderr.write(f"limit exceeded: {exc}\n")
         return EXIT_LIMIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: unwritable --out path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

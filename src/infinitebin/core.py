@@ -142,9 +142,22 @@ class Configuration:
     @classmethod
     def from_json(cls, text: str) -> "Configuration":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("configuration JSON must be an object")
         if obj.get("tail", TAIL_POLICY) != TAIL_POLICY:
             raise ValueError(f"unsupported tail policy {obj.get('tail')!r}")
-        return cls(int(obj["front"]), tuple(obj["window"]))
+        front, window = obj.get("front"), obj.get("window")
+        if not (_is_int(front) and isinstance(window, list)
+                and all(_is_int(c) for c in window)):
+            raise ValueError(
+                'configuration JSON needs "front": integer and '
+                '"window": list of integers'
+            )
+        return cls(front, tuple(window))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 #: The canonical start state: one ball per bin up to front 0.

@@ -11,12 +11,13 @@ that good + bad + frontier = 1 exactly (up to floating-point rounding).
 
 Two engines share the transition algebra:
 
-- a lumped dynamic program over goodness-vector states (`stopping_tree_masses`
-  and its per-monomial-coefficient variant `stopping_tree_counts`), which
-  merges all words with identical future behaviour and scales to lengths
-  where the word tree itself is astronomically large;
-- an explicit depth-first walk (`walk_minimal_words`) that visits individual
-  words and streams resolved leaves to a consumer, for modest bounds.
+- one lumped level loop over goodness-vector states, which merges all
+  words with identical future behaviour and scales to lengths where the
+  word tree itself is astronomically large, run in two weight algebras:
+  float letter masses (`stopping_tree_masses`) and exact integer
+  coefficients of p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`);
+- an explicit depth-first walk (`walk_minimal_words`), the emitting engine
+  for modest bounds and the cross-check of the lumped loop.
 
 Goodness-vector state: a live word w of horizon d is represented by the
 boolean vector of its per-placement outcomes over the 2^(d-1) test
@@ -49,6 +50,9 @@ DEFAULT_NODE_BUDGET = 3_000_000
 #: Rows unpacked per chunk when streaming a bucket through transitions;
 #: bounds transient memory at depth_cap (2^15 columns) to ~130 MB of bools.
 _CHUNK_ROWS = 4096
+
+#: Record kinds of the unresolved (frontier) weight.
+_FRONTIER_KINDS = ("tail", "live", "capped", "pruned")
 
 
 def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
@@ -109,21 +113,12 @@ def _dedupe(packed: np.ndarray, weights: np.ndarray):
     return packed[order[starts]], sums
 
 
-def _birth_row(depth: int) -> np.ndarray:
-    """Packed goodness vector of the single-letter word of this horizon.
-
-    The word (a) advances exactly from the flat placement (pattern 0).
-    """
-    v = np.zeros((1, 1 << (depth - 1)), dtype=bool)
-    v[0, 0] = True
-    return np.packbits(v, axis=1)
-
-
-def _stash(pending: dict, key, V: np.ndarray, w: np.ndarray, depth: int) -> None:
+def _stash(pending: dict, e: int, V: np.ndarray, w: np.ndarray,
+           depth: int) -> None:
     """Depth-reduce rows and append them (packed) to the pending buckets.
 
-    ``key`` is the bucket key minus the depth component: () for the mass
-    engine, (exponent,) for the coefficient engine.
+    Buckets are keyed (depth, e), with e the state's monomial exponent
+    (always 0 in the mass algebra).
     """
     d = depth
     while d > 1 and V.shape[0]:
@@ -133,44 +128,46 @@ def _stash(pending: dict, key, V: np.ndarray, w: np.ndarray, depth: int) -> None
             break
         hold = ~eq
         if hold.any():
-            bucket = pending.setdefault((d, *key), ([], []))
+            bucket = pending.setdefault((d, e), ([], []))
             bucket[0].append(np.packbits(V[hold], axis=1))
             bucket[1].append(w[hold])
         V = V[eq][:, :half]
         w = w[eq]
         d -= 1
     if V.shape[0]:
-        bucket = pending.setdefault((d, *key), ([], []))
+        bucket = pending.setdefault((d, e), ([], []))
         bucket[0].append(np.packbits(V, axis=1))
         bucket[1].append(w)
 
 
-def _settle(pending: dict, max_states: int, priority):
+def _settle(pending: dict, max_states: int, q_ref: float, record, n: int):
     """Dedupe pending buckets, then drop lowest-priority states over the cap.
 
-    ``priority`` maps (bucket key, weight array) to the pruning score; the
-    dropped mass (sum of raw weights) is returned for frontier accounting.
+    A state in bucket (depth, e) with weight w has priority w * q_ref**e,
+    which is its weight under Geometric(1 - q_ref) up to the level's common
+    factor (the raw weight when e = 0).  Dropped weight is reported as
+    ``record("pruned", n, e, weight)``, summed per e in bucket-key order.
     Ties at the threshold are resolved deterministically in bucket-key,
-    then row-byte, order.
+    then row-byte, order.  Returns (kept buckets in key order, states
+    before pruning, states dropped).
     """
     buckets = {}
-    total = 0
     for key in sorted(pending):
         rows_list, w_list = pending[key]
-        rows, sums = _dedupe(np.concatenate(rows_list), np.concatenate(w_list))
-        buckets[key] = (rows, sums)
-        total += len(sums)
+        buckets[key] = _dedupe(np.concatenate(rows_list), np.concatenate(w_list))
+    total = sum(len(sums) for _rows, sums in buckets.values())
     if total <= max_states:
-        return buckets, 0.0, total
-    scores = {key: priority(key, b[1]) for key, b in buckets.items()}
-    wall = np.concatenate([scores[key] for key in sorted(buckets)])
+        return buckets, total, 0
+    scores = {
+        key: sums * q_ref ** key[1] for key, (_rows, sums) in buckets.items()
+    }
+    wall = np.concatenate(list(scores.values()))
     n_drop = total - max_states
     thresh = np.partition(wall, n_drop - 1)[n_drop - 1]
     n_keep_eq = max_states - int((wall > thresh).sum())
     kept = {}
-    dropped = 0.0
-    for key in sorted(buckets):
-        rows, sums = buckets[key]
+    dropped: dict = {}
+    for key, (rows, sums) in buckets.items():
         score = scores[key]
         keep = score > thresh
         eq = score == thresh
@@ -179,10 +176,13 @@ def _settle(pending: dict, max_states: int, priority):
             keep[take] = True
             n_keep_eq -= len(take)
         if not keep.all():
-            dropped += float(sums[~keep].sum())
+            e = key[1]
+            dropped[e] = dropped.get(e, 0.0) + float(sums[~keep].sum())
         if keep.any():
             kept[key] = (rows[keep], sums[keep])
-    return kept, dropped, total
+    for e, w in dropped.items():
+        record("pruned", n, e, w)
+    return kept, total, n_drop
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,99 @@ def _check_bounds(L: int, A: int) -> None:
         raise ValueError(f"max letter must be >= 1, got {A}")
 
 
+def _stopping_tree(
+    weights: list,
+    shifts: list,
+    tail_weight: float,
+    tail_shift: int,
+    L: int,
+    A: int,
+    record,
+    *,
+    q_ref: float,
+    max_states: int,
+    depth_cap: int,
+    birth_floor: float,
+) -> tuple:
+    """The lumped stopping-tree level loop, in either weight algebra.
+
+    Prepending letter a multiplies a state's weight by ``weights[a]`` and
+    adds ``shifts[a]`` to its exponent e; a branch that needs a letter
+    beyond A is worth its weight times ``tail_weight`` at exponent
+    e + ``tail_shift``.  Every piece of weight leaving the tree is reported
+    as ``record(kind, n, e, weight)`` with n the word length and kind one
+    of good, bad, tail, live, capped or pruned (the last four are
+    frontier).  Pruning ranks states by weight * q_ref**e.  Returns
+    (peak live states per level before pruning, states pruned).
+    """
+    record("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
+    pending: dict = {}
+    for a in range(1, A + 1):
+        w = weights[a]
+        if w <= 0.0:
+            continue
+        if a == 1:
+            record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
+        elif a > depth_cap or w < birth_floor:
+            record("capped", 1, shifts[a], w)
+        else:  # (a) advances exactly from the flat placement (pattern 0)
+            _stash(pending, shifts[a], np.eye(1, 1 << (a - 1), dtype=bool),
+                   np.array([w]), a)
+    buckets, peak, pruned = _settle(pending, max_states, q_ref, record, 1)
+
+    for level in range(2, L + 1):
+        if not buckets:
+            break
+        live: dict = {}
+        for (_d, e), (_rows, wts) in buckets.items():
+            live[e] = live.get(e, 0.0) + float(wts.sum())
+        for e, w in live.items():
+            record("tail", level - 1, e + tail_shift, w * tail_weight)
+        pending = {}
+        for (d, e), (rows, wts) in buckets.items():
+            ncols = 1 << (d - 1)
+            for lo in range(0, rows.shape[0], _CHUNK_ROWS):
+                V = np.unpackbits(
+                    rows[lo : lo + _CHUNK_ROWS], axis=1, count=ncols
+                ).astype(bool)
+                wc = wts[lo : lo + _CHUNK_ROWS]
+                for a in range(1, A + 1):
+                    w = weights[a]
+                    if w <= 0.0:
+                        continue
+                    d2 = max(a, d - 1, 1)
+                    e2 = e + shifts[a]
+                    if d2 > depth_cap:
+                        record("capped", level, e2, float(wc.sum()) * w)
+                        continue
+                    cw = wc * w
+                    Vs = V
+                    alive = cw >= birth_floor
+                    if not alive.all():
+                        record("capped", level, e2, float(cw[~alive].sum()))
+                        cw = cw[alive]
+                        Vs = V[alive]
+                    C = Vs[:, image_table(d2, a, d)]
+                    g = C.all(axis=1)
+                    b = ~C.any(axis=1)
+                    if g.any():
+                        record(GOOD, level, e2, float(cw[g].sum()))
+                    if b.any():
+                        record(BAD, level, e2, float(cw[b].sum()))
+                    keep = ~(g | b)
+                    if keep.any():
+                        _stash(pending, e2, C[keep], cw[keep], d2)
+        buckets, total, n_pruned = _settle(
+            pending, max_states, q_ref, record, level
+        )
+        peak = max(peak, total)
+        pruned += n_pruned
+
+    for (_d, e), (_rows, wts) in buckets.items():
+        record("live", L, e, float(wts.sum()))
+    return peak, pruned
+
+
 def stopping_tree_masses(
     pmf_vec: np.ndarray,
     tail_mass: float,
@@ -243,94 +336,22 @@ def stopping_tree_masses(
     _check_bounds(L, A)
     if len(pmf_vec) < A + 1:
         raise ValueError("pmf_vec must cover letters 1..A")
-    good_parts: list = []
-    bad_parts: list = []
-    tail_parts: list = [float(tail_mass)]  # first letter beyond alphabet
-    live_parts: list = []
-    capped_parts: list = []
-    pruned_parts: list = []
-    peak = 0
-
-    def priority(key, weights):
-        return weights
-
-    pending: dict = {}
-    for a in range(1, A + 1):
-        w = float(pmf_vec[a])
-        if w <= 0.0:
-            continue
-        if a == 1:
-            good_parts.append(w)  # (1) advances from every placement
-            continue
-        if a > depth_cap or w < birth_floor:
-            capped_parts.append(w)
-            continue
-        _stash(pending, (), np.unpackbits(
-            _birth_row(a), axis=1, count=1 << (a - 1)).astype(bool),
-            np.array([w]), a)
-    buckets, dropped, total = _settle(pending, max_states, priority)
-    peak = max(peak, total)
-    if dropped:
-        pruned_parts.append(dropped)
-
-    for _level in range(2, L + 1):
-        if not buckets:
-            break
-        live = sum(float(b[1].sum()) for b in buckets.values())
-        tail_parts.append(live * tail_mass)
-        pending = {}
-        for (d,) in sorted(buckets):
-            rows, wts = buckets[(d,)]
-            ncols = 1 << (d - 1)
-            for lo in range(0, rows.shape[0], _CHUNK_ROWS):
-                V = np.unpackbits(
-                    rows[lo : lo + _CHUNK_ROWS], axis=1, count=ncols
-                ).astype(bool)
-                wc = wts[lo : lo + _CHUNK_ROWS]
-                for a in range(1, A + 1):
-                    w = float(pmf_vec[a])
-                    if w <= 0.0:
-                        continue
-                    d2 = max(a, d - 1, 1)
-                    if d2 > depth_cap:
-                        capped_parts.append(float(wc.sum()) * w)
-                        continue
-                    cw = wc * w
-                    Vs = V
-                    if birth_floor > 0.0:
-                        alive = cw >= birth_floor
-                        if not alive.all():
-                            capped_parts.append(float(cw[~alive].sum()))
-                            cw = cw[alive]
-                            Vs = V[alive]
-                            if cw.size == 0:
-                                continue
-                    C = Vs[:, image_table(d2, a, d)]
-                    g = C.all(axis=1)
-                    b = ~C.any(axis=1)
-                    if g.any():
-                        good_parts.append(float(cw[g].sum()))
-                    if b.any():
-                        bad_parts.append(float(cw[b].sum()))
-                    keep = ~(g | b)
-                    if keep.any():
-                        _stash(pending, (), C[keep], cw[keep], d2)
-        buckets, dropped, total = _settle(pending, max_states, priority)
-        peak = max(peak, total)
-        if dropped:
-            pruned_parts.append(dropped)
-
-    live_parts.extend(float(b[1].sum()) for b in buckets.values())
+    parts: dict = {kind: [] for kind in (GOOD, BAD, *_FRONTIER_KINDS)}
+    peak, _pruned = _stopping_tree(
+        [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
+        float(tail_mass), 0, L, A,
+        lambda kind, n, e, w: parts[kind].append(w),
+        q_ref=1.0, max_states=max_states, depth_cap=depth_cap,
+        birth_floor=birth_floor,
+    )
     return MassSplit(
-        good=math.fsum(good_parts),
-        bad=math.fsum(bad_parts),
-        frontier=math.fsum(
-            tail_parts + live_parts + capped_parts + pruned_parts
-        ),
-        frontier_tail=math.fsum(tail_parts),
-        frontier_live=math.fsum(live_parts),
-        frontier_capped=math.fsum(capped_parts),
-        pruned_mass=math.fsum(pruned_parts),
+        good=math.fsum(parts[GOOD]),
+        bad=math.fsum(parts[BAD]),
+        frontier=math.fsum(w for kind in _FRONTIER_KINDS for w in parts[kind]),
+        frontier_tail=math.fsum(parts["tail"]),
+        frontier_live=math.fsum(parts["live"]),
+        frontier_capped=math.fsum(parts["capped"]),
+        pruned_mass=math.fsum(parts["pruned"]),
         peak_states=peak,
     )
 
@@ -350,7 +371,7 @@ def mass_rounding_bound(L: int, A: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# coefficient engine: one enumeration, evaluated at many geometric p
+# count algebra: one enumeration, evaluated at many geometric p
 # ---------------------------------------------------------------------------
 
 
@@ -424,110 +445,21 @@ def stopping_tree_counts(
     good = np.zeros((L + 1, E + 1))
     bad = np.zeros((L + 1, E + 1))
     frontier = np.zeros((L + 1, E + 1))
-    frontier[0, A] = 1.0  # first letter beyond alphabet
-    q_ref = 1.0 - reference_p
-    pruned_states = 0
+    tables = {GOOD: good, BAD: bad}
 
-    def priority(key, weights):
-        # same level everywhere, so p_ref^n is a common factor
-        return weights * q_ref ** key[1]
+    def record(kind, n, e, w):
+        tables.get(kind, frontier)[n, e] += w
 
-    pending: dict = {}
-    for a in range(1, A + 1):
-        if a == 1:
-            good[1, 0] += 1.0
-            continue
-        if a > depth_cap:
-            frontier[1, a - 1] += 1.0
-            continue
-        _stash(pending, (a - 1,), np.unpackbits(
-            _birth_row(a), axis=1, count=1 << (a - 1)).astype(bool),
-            np.array([1.0]), a)
-    pruned_births: dict = {}
-    buckets, _dropped, _total = _settle_counts(
-        pending, max_states, priority, pruned_births
+    _peak, pruned_states = _stopping_tree(
+        [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
+        q_ref=1.0 - reference_p, max_states=max_states, depth_cap=depth_cap,
+        birth_floor=0.0,
     )
-    pruned_states += sum(int(c.size) for c in pruned_births.values())
-    for (d, e), counts in pruned_births.items():
-        frontier[1, e] += float(counts.sum())
-    for level in range(2, L + 1):
-        if not buckets:
-            break
-        for (d, e) in sorted(buckets):
-            frontier[level - 1, e + A] += float(buckets[(d, e)][1].sum())
-        pending = {}
-        for (d, e) in sorted(buckets):
-            rows, wts = buckets[(d, e)]
-            ncols = 1 << (d - 1)
-            for lo in range(0, rows.shape[0], _CHUNK_ROWS):
-                V = np.unpackbits(
-                    rows[lo : lo + _CHUNK_ROWS], axis=1, count=ncols
-                ).astype(bool)
-                wc = wts[lo : lo + _CHUNK_ROWS]
-                for a in range(1, A + 1):
-                    d2 = max(a, d - 1, 1)
-                    e2 = e + a - 1
-                    if d2 > depth_cap:
-                        frontier[level, e2] += float(wc.sum())
-                        continue
-                    C = V[:, image_table(d2, a, d)]
-                    g = C.all(axis=1)
-                    b = ~C.any(axis=1)
-                    if g.any():
-                        good[level, e2] += float(wc[g].sum())
-                    if b.any():
-                        bad[level, e2] += float(wc[b].sum())
-                    keep = ~(g | b)
-                    if keep.any():
-                        _stash(pending, (e2,), C[keep], wc[keep], d2)
-        pruned: dict = {}
-        buckets, _dropped_count, _total = _settle_counts(
-            pending, max_states, priority, pruned
-        )
-        pruned_states += sum(int(c.size) for c in pruned.values())
-        for (d, e), counts in pruned.items():
-            frontier[level, e] += float(counts.sum())
-    for (d, e) in sorted(buckets):
-        frontier[L, e] += float(buckets[(d, e)][1].sum())
     return CountTables(
         good=good, bad=bad, frontier=frontier, L=L, A=A,
         pruned_states=pruned_states,
     )
 
-
-def _settle_counts(pending: dict, max_states: int, priority, pruned_out: dict):
-    """_settle variant that reports the dropped weights per bucket key."""
-    buckets = {}
-    total = 0
-    for key in sorted(pending):
-        rows_list, w_list = pending[key]
-        rows, sums = _dedupe(np.concatenate(rows_list), np.concatenate(w_list))
-        buckets[key] = (rows, sums)
-        total += len(sums)
-    if total <= max_states:
-        return buckets, 0.0, total
-    scores = {key: priority(key, b[1]) for key, b in buckets.items()}
-    wall = np.concatenate([scores[key] for key in sorted(buckets)])
-    n_drop = total - max_states
-    thresh = np.partition(wall, n_drop - 1)[n_drop - 1]
-    n_keep_eq = max_states - int((wall > thresh).sum())
-    kept = {}
-    dropped = 0.0
-    for key in sorted(buckets):
-        rows, sums = buckets[key]
-        score = scores[key]
-        keep = score > thresh
-        eq = score == thresh
-        if n_keep_eq > 0 and eq.any():
-            take = np.flatnonzero(eq)[:n_keep_eq]
-            keep[take] = True
-            n_keep_eq -= len(take)
-        if not keep.all():
-            pruned_out[key] = sums[~keep]
-            dropped += float(sums[~keep].sum())
-        if keep.any():
-            kept[key] = (rows[keep], sums[keep])
-    return kept, dropped, total
 
 
 # ---------------------------------------------------------------------------

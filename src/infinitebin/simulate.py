@@ -294,7 +294,6 @@ def coupling_convergence_check(
 
     need = K
     det, _h = _certified_fold(past, need, max_horizon)
-    balls = sum(det)
     ev = _Evolver(start)
     streak: int | None = (
         0 if ev.scenery(K) == tuple(reversed(det[-K:])) else None
@@ -309,34 +308,11 @@ def coupling_convergence_check(
         a = future[n]
         n += 1
         ev.step(a)
-        # incremental tracker update (same rule as words.tracker_step,
-        # with the certified ball count carried across steps)
-        if a <= balls:
-            acc = 0
-            j = len(det) - 1
-            while True:
-                acc += det[j]
-                if acc >= a:
-                    break
-                j -= 1
-            if j == len(det) - 1:
-                det.append(1)
-            else:
-                det[j + 1] += 1
-            balls += 1
-        elif a == balls + 1:
-            if det:
-                det[0] += 1
-            else:
-                det.append(1)
-            balls += 1
-        elif det:
-            balls -= det.pop(0)
+        _fold_determined((a,), det)
         while len(det) < K:
             need = max(2 * need, 2 * K)
             det, _h = _certified_fold(past, need, max_horizon)
             det, _shift = _fold_determined(future[:n], det)
-            balls = sum(det)
         if ev.scenery(K) == tuple(reversed(det[-K:])):
             if streak is None:
                 streak = n

@@ -238,29 +238,8 @@ def tracker_step(state: TrackerState, a: int) -> TrackerState:
     """
     if a < 1:
         raise ValueError("letter must be >= 1")
-    det = list(state.determined)
-    M = sum(det)
-    if a <= M:
-        acc = 0
-        j = len(det) - 1
-        while True:
-            acc += det[j]
-            if acc >= a:
-                break
-            j -= 1
-        if j == len(det) - 1:
-            det.append(1)
-            return TrackerState(tuple(det), state.front_shift + 1)
-        det[j + 1] += 1
-        return TrackerState(tuple(det), state.front_shift)
-    if a == M + 1:
-        if det:
-            det[0] += 1
-            return TrackerState(tuple(det), state.front_shift)
-        return TrackerState((1,), state.front_shift + 1)
-    if det:
-        det.pop(0)
-    return TrackerState(tuple(det), state.front_shift)
+    det, shift = _fold_determined((a,), list(state.determined))
+    return TrackerState(tuple(det), state.front_shift + shift)
 
 
 def tracker_run(word: Iterable[int]) -> TrackerState:
@@ -270,7 +249,10 @@ def tracker_run(word: Iterable[int]) -> TrackerState:
 
 
 def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
-    """Fast in-place tracker fold; returns (determined list, front_shift)."""
+    """In-place tracker fold; returns (determined list, front_shift).
+
+    The one implementation of the rule documented at ``tracker_step``.
+    """
     det = [] if det is None else det
     shift = 0
     M = sum(det)
@@ -299,15 +281,6 @@ def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
         elif det:
             M -= det.pop(0)
     return det, shift
-
-
-def certain_front_count(state: TrackerState) -> int | None:
-    """Front-bin count if certified (depth >= 1), else None.
-
-    When this is known, every next letter is decided: letters up to the
-    front count advance the front, all others cannot.
-    """
-    return state.determined[-1] if state.determined else None
 
 
 # ---------------------------------------------------------------------------

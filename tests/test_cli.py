@@ -164,6 +164,17 @@ def test_curve_rejects_zero_density(capsys):
     assert run_cli(capsys, "curve", "--grid", "0.5:0.2:0.1")[0] == 1
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    for argv in (
+        ["speed", "geom:0.5", "--len", "3", "--max-letter", "3"],
+        ["curve", "--grid", "0.5", "--len", "3", "--max-letter", "3"],
+    ):
+        code, _, err = run_cli(capsys, *argv, "--out", missing)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate / perfect / begraph
 # ---------------------------------------------------------------------------
@@ -190,6 +201,22 @@ def test_simulate_custom_start(capsys):
     )
     assert code == 0
     assert "speed_estimate=" in out
+
+
+def test_simulate_malformed_start_is_usage_error(capsys):
+    for start in (
+        '{"front": 0}',
+        '{"window": [1]}',
+        '{"front": "0", "window": [1]}',
+        '{"front": 0, "window": 3}',
+        '{"front": 0, "window": [1, "x"]}',
+        '[0, [1]]',
+    ):
+        code, _, err = run_cli(
+            capsys, "simulate", "geom:0.5", "--steps", "10", "--start", start,
+        )
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 def test_perfect_record_includes_histogram(tmp_path, capsys):

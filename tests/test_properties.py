@@ -11,7 +11,9 @@ from infinitebin import (
     classify,
     coupling_number,
     enumerate_minimal,
+    tracker_init,
     tracker_run,
+    tracker_step,
 )
 from infinitebin.distributions import FiniteSupport, Geometric
 
@@ -23,6 +25,17 @@ letters = st.integers(min_value=1, max_value=5)
 @settings(deadline=None)
 def test_tracker_never_overstates_coupling(word):
     assert tracker_run(word).depth <= coupling_number(word)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=30))
+@settings(deadline=None)
+def test_tracker_steps_fold_to_tracker_run(word):
+    state = tracker_init()
+    for a in word:
+        state = tracker_step(state, a)
+    run = tracker_run(word)
+    assert state.determined == run.determined
+    assert state.front_shift == run.front_shift
 
 
 @given(words, letters)

@@ -7,7 +7,12 @@ import pytest
 
 from infinitebin.core import MINIMAL_CONFIG
 from infinitebin.distributions import Dirac, Geometric, Uniform
-from infinitebin.enumeration import count_rounding_bound, mass_rounding_bound
+from infinitebin.enumeration import (
+    count_rounding_bound,
+    mass_rounding_bound,
+    stopping_tree_counts,
+    stopping_tree_masses,
+)
 from infinitebin.series import (
     bivariate_D,
     curve,
@@ -150,6 +155,30 @@ def test_curve_matches_direct_enumeration_when_exact():
         bracket = enumerate_minimal(Geometric(row.p), 6, 6, **EXACT)
         assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
         assert row.upper == pytest.approx(bracket.upper, abs=1e-11)
+
+
+def test_state_cap_pruning_keeps_brackets_certified():
+    L = A = 7
+    mu = Geometric(0.5)
+    assert stopping_tree_masses(
+        mu.pmf_vector(A), mu.tail(A), L, A, max_states=300).pruned_mass > 0.0
+    assert stopping_tree_counts(L, A, max_states=300).pruned_states > 0
+
+    exact = enumerate_minimal(mu, L, A, **EXACT)
+    cut = enumerate_minimal(mu, L, A, max_states=300)
+    slack = cut.rounding_bound
+    assert cut.lower <= exact.lower + slack
+    assert exact.upper <= cut.upper + slack
+    assert abs(cut.good_mass + cut.bad_mass + cut.frontier_mass - 1.0) <= slack
+
+    grid = [0.3, 0.5, 0.7]
+    full_rows = curve(grid, L, A, max_states=2_000_000)
+    for row, full in zip(curve(grid, L, A, max_states=300), full_rows):
+        slack = row.rounding_bound
+        assert row.lower <= full.lower + slack
+        assert full.upper <= row.upper + slack
+        total = row.good_mass + row.bad_mass + row.frontier_mass
+        assert abs(total - 1.0) <= slack
 
 
 def test_curve_rejects_bad_grids():

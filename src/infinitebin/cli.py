@@ -10,22 +10,24 @@ perfect    exact stationary samples via coupling from the past
 begraph    longest-path growth rate in the random directed graph
 verify     cross-check the three estimators against each other
 
-Every command is deterministic given ``--seed`` and the command arguments;
-``--threads`` only changes wall-clock time, never output bytes.  Exit
-codes: 0 success, 1 usage error, 2 verification failure, 3 size or
-horizon limit exceeded.
+Every command is deterministic given ``--seed`` and the command arguments.
+``--threads`` is accepted for compatibility and has no effect: every
+command runs on one thread.  ``--out`` is checked before the command does
+any work and written atomically: a command that fails leaves the file
+already at that path as it was.  Exit codes: 0 success, 1 usage error,
+2 verification failure, 3 size or horizon limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
-from infinitebin import begraph, rng, series, simulate, words
+from infinitebin import begraph, series, simulate, words
 from infinitebin.core import MINIMAL_CONFIG, Configuration
 from infinitebin.distributions import parse_mu
 from infinitebin.simulate import CouplingHorizonError
@@ -56,30 +58,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@contextmanager
-def _out_stream(path):
-    """Writable text stream: the given path, or stdout when path is None."""
+@contextlib.contextmanager
+def _atomic_out(path):
+    """The --out stream, opened before the command runs; None without --out.
+
+    An absent path or a regular file is written through a temp file beside
+    it, which replaces it when the command returns and is deleted if the
+    command raises, so a failed run leaves the old file as it was.  A
+    symlink, pipe or device (``/dev/stdout``) is written in place.  Either
+    way an unwritable path fails before any work.
+    """
     if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-def _record(op, mu_desc, params, estimate, stderr, seed, tau_histogram):
-    """One JSON result record with the fixed key set."""
-    return json.dumps(
-        {
-            "op": op,
-            "mu": mu_desc,
-            "params": params,
-            "estimate": estimate,
-            "stderr": stderr,
-            "seed": seed,
-            "tau_histogram": tau_histogram,
-        },
-        sort_keys=False,
+        yield None
+        return
+    in_place = os.path.islink(path) or (
+        os.path.exists(path) and not os.path.isfile(path)
     )
+    tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, path)
+    finally:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+def _write_record(out, op, mu_desc, params, estimate, stderr, seed,
+                  tau_histogram):
+    """Write one JSON result record with the fixed key set as a line."""
+    record = {
+        "op": op,
+        "mu": mu_desc,
+        "params": params,
+        "estimate": estimate,
+        "stderr": stderr,
+        "seed": seed,
+        "tau_histogram": tau_histogram,
+    }
+    out.write(json.dumps(record, sort_keys=False) + "\n")
 
 
 def _parse_word(text):
@@ -130,20 +153,12 @@ def _store_for(args):
     return WordStore(path) if path else None
 
 
-def _map_ordered(threads, fn, jobs):
-    """Run fn over jobs, results in job order regardless of thread count."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args):
+def cmd_classify(args, out):
     word = _parse_word(args.word)
     store = _store_for(args)
     result = store.classify(word) if store is not None else words.classify(word)
@@ -163,13 +178,12 @@ def cmd_classify(args):
     ]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
     return EXIT_OK
 
 
-def cmd_speed(args):
+def cmd_speed(args, out):
     mu = parse_mu(args.mu)
     if not mu.non_degenerate() and mu.support_min >= 2:
         k = mu.support_min
@@ -194,7 +208,7 @@ def cmd_speed(args):
     else:
         bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
     sys.stdout.write(str(bracket) + "\n")
-    if args.out is not None:
+    if out is not None:
         params = dict(bracket.params)
         params.update(
             lower=bracket.lower,
@@ -204,31 +218,27 @@ def cmd_speed(args):
             frontier_mass=bracket.frontier_mass,
             rounding_bound=bracket.rounding_bound,
         )
-        with _out_stream(args.out) as fh:
-            fh.write(
-                _record(
-                    "speed", mu.describe(), params,
-                    bracket.midpoint, 0.5 * bracket.width, None, None,
-                )
-                + "\n"
-            )
+        _write_record(
+            out, "speed", mu.describe(), params,
+            bracket.midpoint, 0.5 * bracket.width, None, None,
+        )
     return EXIT_OK
 
 
-def cmd_curve(args):
+def cmd_curve(args, out):
     grid = _parse_grid(args.grid)
     rows = series.curve(grid, args.len, args.max_letter)
-    with _out_stream(args.out) as fh:
-        fh.write("p,lower,upper,L,A,rounding_bound\n")
-        for row in rows:
-            fh.write(
-                f"{row.p:.10g},{row.lower:.17g},{row.upper:.17g},"
-                f"{args.len},{args.max_letter},{row.rounding_bound:.17g}\n"
-            )
+    fh = sys.stdout if out is None else out
+    fh.write("p,lower,upper,L,A,rounding_bound\n")
+    for row in rows:
+        fh.write(
+            f"{row.p:.10g},{row.lower:.17g},{row.upper:.17g},"
+            f"{args.len},{args.max_letter},{row.rounding_bound:.17g}\n"
+        )
     return EXIT_OK
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, out):
     mu = parse_mu(args.mu)
     start = (
         Configuration.from_json(args.start)
@@ -241,61 +251,49 @@ def cmd_simulate(args):
         f"stderr={stats.stderr:.3e} front_final={stats.front_final} "
         f"steps={stats.steps} seed={stats.seed}\n"
     )
-    if args.out is not None:
-        with _out_stream(args.out) as fh:
-            fh.write(
-                _record(
-                    "simulate", mu.describe(),
-                    {"steps": args.steps, "start": start.to_json()},
-                    stats.speed_estimate, stats.stderr, args.seed, None,
-                )
-                + "\n"
-            )
+    if out is not None:
+        _write_record(
+            out, "simulate", mu.describe(),
+            {"steps": args.steps, "start": start.to_json()},
+            stats.speed_estimate, stats.stderr, args.seed, None,
+        )
     return EXIT_OK
 
 
-def cmd_perfect(args):
+def cmd_perfect(args, out):
     mu = parse_mu(args.mu)
-    tail = simulate.tau_tail(
+    samples = simulate.perfect_samples(
         mu, args.K, args.replicas, args.seed, max_horizon=args.max_horizon
     )
-    first = simulate.perfect_sample(
-        mu, args.K, args.seed, replica=0, max_horizon=args.max_horizon
-    )
-    estimate = stderr = None
-    if args.estimate:
-        estimate, stderr = simulate.stationary_speed(
-            mu, args.replicas, args.K, args.seed, max_horizon=args.max_horizon
-        )
-    hist = [[int(t), int(c)] for t, c in tail.histogram()]
+    tail = simulate.TauTail(taus=tuple(s.tau for s in samples), K=args.K)
+    first = samples[0]
     sys.stdout.write(
         f"scenery[replica 0]={list(first.scenery)} tau={first.tau} "
         f"median_tau={tail.median:g} replicas={args.replicas}\n"
     )
-    if estimate is not None:
+    estimate = stderr = None
+    if args.estimate:
+        estimate, stderr = simulate.front_hit_rate(mu, samples, args.seed)
         sys.stdout.write(
             f"stationary_speed={estimate:.9f} stderr={stderr:.3e}\n"
         )
-    if args.out is not None:
-        with _out_stream(args.out) as fh:
-            fh.write(
-                _record(
-                    "perfect", mu.describe(),
-                    {
-                        "K": args.K,
-                        "replicas": args.replicas,
-                        "max_horizon": args.max_horizon,
-                        "scenery_first": list(first.scenery),
-                        "tau_first": first.tau,
-                    },
-                    estimate, stderr, args.seed, hist,
-                )
-                + "\n"
-            )
+    if out is not None:
+        hist = [[int(t), int(c)] for t, c in tail.histogram()]
+        _write_record(
+            out, "perfect", mu.describe(),
+            {
+                "K": args.K,
+                "replicas": args.replicas,
+                "max_horizon": args.max_horizon,
+                "scenery_first": list(first.scenery),
+                "tau_first": first.tau,
+            },
+            estimate, stderr, args.seed, hist,
+        )
     return EXIT_OK
 
 
-def cmd_begraph(args):
+def cmd_begraph(args, out):
     if args.trajectory:
         fronts = begraph.fk_coupling_trajectory(args.n, args.p, args.seed)
         terminal = int(fronts[-1])
@@ -303,20 +301,16 @@ def cmd_begraph(args):
             f"longest_path={terminal} n={args.n} p={args.p:g} "
             f"rate={terminal / args.n:.9f}\n"
         )
-        if args.out is not None:
-            with _out_stream(args.out) as fh:
-                fh.write(
-                    _record(
-                        "begraph", None,
-                        {
-                            "n": args.n,
-                            "p": args.p,
-                            "trajectory": [int(f) for f in fronts],
-                        },
-                        terminal / args.n, None, args.seed, None,
-                    )
-                    + "\n"
-                )
+        if out is not None:
+            _write_record(
+                out, "begraph", None,
+                {
+                    "n": args.n,
+                    "p": args.p,
+                    "trajectory": [int(f) for f in fronts],
+                },
+                terminal / args.n, None, args.seed, None,
+            )
         return EXIT_OK
     estimate, stderr = begraph.estimate_C(
         args.p, n=args.n, replicas=args.replicas, seed=args.seed
@@ -325,46 +319,18 @@ def cmd_begraph(args):
         f"C({args.p:g}) ~ {estimate:.9f} stderr={stderr:.3e} "
         f"(n={args.n}, replicas={args.replicas})\n"
     )
-    if args.out is not None:
-        with _out_stream(args.out) as fh:
-            fh.write("p,n,estimate,stderr,replicas,seed\n")
-            fh.write(
-                f"{args.p:.10g},{args.n},{estimate:.17g},{stderr:.17g},"
-                f"{args.replicas},{args.seed}\n"
-            )
+    if out is not None:
+        out.write("p,n,estimate,stderr,replicas,seed\n")
+        out.write(
+            f"{args.p:.10g},{args.n},{estimate:.17g},{stderr:.17g},"
+            f"{args.replicas},{args.seed}\n"
+        )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-
-def _stationary_blocked(mu, samples, seed, threads, max_horizon):
-    """stationary_speed with a fixed 16-block decomposition.
-
-    The block split is independent of the thread count, so results are
-    byte-identical for every --threads value.
-    """
-    probes = mu.letters_from_uniforms(
-        rng.stream(seed, rng.STREAM_PROBE).random(samples)
-    )
-    n_blocks = min(16, samples)
-    bounds = [round(i * samples / n_blocks) for i in range(n_blocks + 1)]
-
-    def block_hits(b):
-        hits = 0
-        for r in range(bounds[b], bounds[b + 1]):
-            sample = simulate.perfect_sample(
-                mu, 1, seed, replica=r, max_horizon=max_horizon
-            )
-            if probes[r] <= sample.scenery[0]:
-                hits += 1
-        return hits
-
-    hits = sum(_map_ordered(threads, block_hits, list(range(n_blocks))))
-    estimate = hits / samples
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / samples)
 
 
 # Two-sided 99.73% Student-t quantiles (the coverage of "3 sigma") by
@@ -389,19 +355,17 @@ def _verify_one(spec, args, steps, samples, bracket_len):
     mu = parse_mu(spec)
     bracket = series.enumerate_minimal(mu, bracket_len, bracket_len)
 
-    def forward_job(replica):
-        return simulate.run_forward(
+    fw = [
+        simulate.run_forward(
             mu, MINIMAL_CONFIG, steps, args.seed, replica=replica
         ).speed_estimate
-
-    fw = _map_ordered(args.threads, forward_job, list(range(5)))
+        for replica in range(5)
+    ]
     fw_mean = sum(fw) / len(fw)
     fw_var = sum((x - fw_mean) ** 2 for x in fw) / (len(fw) - 1)
     fw_se = math.sqrt(fw_var / len(fw))
 
-    st_mean, st_se = _stationary_blocked(
-        mu, samples, args.seed, args.threads, simulate.DEFAULT_MAX_HORIZON
-    )
+    st_mean, st_se = simulate.stationary_speed(mu, samples, 1, args.seed)
     floor = simulate.speed_floor(mu)
     # The forward stderr is estimated from few replicas, so the 99.73%
     # two-sided gate needs the Student-t quantile, not the normal 3; the
@@ -445,7 +409,7 @@ def _verify_one(spec, args, steps, samples, bracket_len):
     }
 
 
-def cmd_verify(args):
+def cmd_verify(args, out):
     budget = _parse_budget(args.budget)
     if args.panel != "default":
         raise _UsageError(f"unknown panel {args.panel!r}")
@@ -474,9 +438,8 @@ def cmd_verify(args):
             f"stationary={r['stationary']['estimate']:.6f}\n"
         )
     sys.stdout.write(("VERIFY PASS" if report["pass"] else "VERIFY FAIL") + "\n")
-    if args.out is not None:
-        with _out_stream(args.out) as fh:
-            fh.write(json.dumps(report, sort_keys=False) + "\n")
+    if out is not None:
+        out.write(json.dumps(report, sort_keys=False) + "\n")
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
@@ -490,7 +453,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0,
                         help="master seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes results")
+                        help="accepted for compatibility; has no effect "
+                             "(every command runs on one thread)")
     common.add_argument("--out", type=str, default=None,
                         help="write the structured result to this path")
     common.add_argument("--store", type=str, default=None,
@@ -565,8 +529,8 @@ def build_parser() -> _Parser:
                             "sampling on a panel of laws")
     p.add_argument("--panel", type=str, default="default")
     p.add_argument("--budget", type=str, default="60s",
-                   help="time budget like '60s'; scales sample sizes "
-                        "deterministically")
+                   help="work scale like '60s', not a time limit: sample "
+                        "sizes grow with it deterministically")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -577,7 +541,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise _UsageError("--threads must be >= 1")
-        return args.func(args)
+        with _atomic_out(args.out) as out:
+            return args.func(args, out)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

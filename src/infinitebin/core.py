@@ -113,10 +113,6 @@ class Configuration:
             ev.step(k)
         return ev.snapshot()
 
-    def shift(self, r: int) -> "Configuration":
-        """Move every ball r bins to the left (window unchanged)."""
-        return Configuration(self.front - r, self.window)
-
     # -- identity ---------------------------------------------------------
 
     def canonical(self) -> "Configuration":

@@ -227,6 +227,41 @@ def perfect_sample(
     return PerfectSample(scenery=tuple(reversed(det[-K:])), tau=tau, K=K)
 
 
+def perfect_samples(
+    mu: MoveDistribution,
+    K: int,
+    replicas: int,
+    seed: int,
+    *,
+    max_horizon: int = DEFAULT_MAX_HORIZON,
+) -> tuple:
+    """Perfect samples of replicas 0..replicas-1, each drawn once."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    _require_perfect_samplable(mu)
+    return tuple(
+        perfect_sample(mu, K, seed, replica=r, max_horizon=max_horizon)
+        for r in range(replicas)
+    )
+
+
+def front_hit_rate(mu: MoveDistribution, samples, seed: int) -> tuple:
+    """Fraction of samples whose front bin count admits a fresh probe letter.
+
+    The speed equals the probability that a fresh letter lands within the
+    stationary front bin count; sample r is scored against probe letter r
+    of one separate stream.  Returns (estimate, binomial stderr).
+    """
+    if not samples:
+        raise ValueError("need at least one perfect sample")
+    probes = mu.letters_from_uniforms(
+        rng.stream(seed, rng.STREAM_PROBE).random(len(samples))
+    )
+    hits = sum(1 for a, s in zip(probes, samples) if a <= s.scenery[0])
+    estimate = hits / len(samples)
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / len(samples))
+
+
 def stationary_speed(
     mu: MoveDistribution,
     samples: int,
@@ -237,27 +272,11 @@ def stationary_speed(
 ) -> tuple:
     """Unbiased speed estimate from perfect samples.
 
-    The speed equals the probability that a fresh letter lands within the
-    stationary front bin count; each replica draws a perfect sample (only
-    depth 1 of it is used) plus one fresh probe letter from a separate
-    stream.  Returns (estimate, binomial stderr).
+    Replicas 0..samples-1 are drawn at depth K (only depth 1 is used) and
+    scored by :func:`front_hit_rate`.  Returns (estimate, binomial stderr).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _require_perfect_samplable(mu)
-    probes = mu.letters_from_uniforms(
-        rng.stream(seed, rng.STREAM_PROBE).random(samples)
-    )
-    hits = 0
-    for r in range(samples):
-        sample = perfect_sample(
-            mu, K, seed, replica=r, max_horizon=max_horizon
-        )
-        if probes[r] <= sample.scenery[0]:
-            hits += 1
-    estimate = hits / samples
-    stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return estimate, stderr
+    drawn = perfect_samples(mu, K, samples, seed, max_horizon=max_horizon)
+    return front_hit_rate(mu, drawn, seed)
 
 
 def coupling_convergence_check(
@@ -367,11 +386,5 @@ def tau_tail(
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> TauTail:
     """Certified coupling horizons over independent replicas."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    _require_perfect_samplable(mu)
-    taus = [
-        perfect_sample(mu, K, seed, replica=r, max_horizon=max_horizon).tau
-        for r in range(replicas)
-    ]
-    return TauTail(taus=tuple(taus), K=K)
+    drawn = perfect_samples(mu, K, replicas, seed, max_horizon=max_horizon)
+    return TauTail(taus=tuple(s.tau for s in drawn), K=K)

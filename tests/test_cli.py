@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from infinitebin import cli
+from infinitebin import cli, series, simulate
+from infinitebin.distributions import parse_mu
 from infinitebin.store import STORE_PATH_ENV, WordStore
 
 
@@ -175,6 +176,44 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unwritable_out_path_fails_before_any_work(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("enumerated before checking --out")
+
+    monkeypatch.setattr(series, "enumerate_minimal", no_work)
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    code, out, err = run_cli(
+        capsys, "speed", "geom:0.5", "--len", "3", "--max-letter", "3",
+        "--out", missing,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_cli(capsys, "classify", "1,2", "--out", str(tmp_path))[0] == 1
+
+
+def test_failed_run_leaves_existing_out_file_untouched(tmp_path, capsys):
+    out_path = tmp_path / "perfect.json"
+    out_path.write_text("previous result\n")
+    code, _, _ = run_cli(
+        capsys, "perfect", "geom:0.5", "-K", "4", "--replicas", "10",
+        "--max-horizon", "1", "--out", str(out_path),
+    )
+    assert code == 3
+    assert out_path.read_text() == "previous result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["perfect.json"]
+
+
+def test_out_through_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, "classify", "1,2", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and target.read_text() == out
+
+
 # ---------------------------------------------------------------------------
 # simulate / perfect / begraph
 # ---------------------------------------------------------------------------
@@ -232,6 +271,38 @@ def test_perfect_record_includes_histogram(tmp_path, capsys):
     assert record["params"]["K"] == 2
     assert sum(c for _, c in record["tau_histogram"]) == 50
     assert record["estimate"] is not None and 0 <= record["estimate"] <= 1
+
+
+def test_perfect_draws_each_replica_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    draw = simulate.perfect_sample
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("replica"))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "perfect_sample", counting)
+    code, _, _ = run_cli(
+        capsys, "perfect", "geom:0.5", "-K", "2", "--replicas", "50",
+        "--estimate", "--seed", "3", "--out", str(tmp_path / "p.json"),
+    )
+    assert code == 0
+    assert sorted(calls) == list(range(50))
+
+
+def test_perfect_record_matches_library_estimators(tmp_path, capsys):
+    out_path = tmp_path / "perfect.json"
+    code, _, _ = run_cli(
+        capsys, "perfect", "geom:0.5", "-K", "2", "--replicas", "200",
+        "--estimate", "--seed", "4", "--out", str(out_path),
+    )
+    assert code == 0
+    record = json.loads(out_path.read_text())
+    mu = parse_mu("geom:0.5")
+    estimate, stderr = simulate.stationary_speed(mu, 200, 2, 4)
+    tail = simulate.tau_tail(mu, 2, 200, 4)
+    assert (record["estimate"], record["stderr"]) == (estimate, stderr)
+    assert record["tau_histogram"] == [[t, c] for t, c in tail.histogram()]
 
 
 def test_perfect_horizon_limit_exits_3(capsys):

@@ -62,16 +62,13 @@ class _UniformTape:
         return u
 
 
-def _classmax_run(n: int, p: float, gen, keep_values: bool,
-                  keep_fronts: bool):
-    """Stream the longest-path recursion with the class-max sampler."""
+def _classmax_values(n: int, p: float, gen) -> list:
+    """Longest-path length ending at each vertex, class-max sampler."""
     q = 1.0 - p
     tape = _UniformTape(gen)
     class_sizes: list = []
-    values: list | None = [] if keep_values else None
-    fronts: list | None = [] if keep_fronts else None
-    front = 0
-    for j in range(n):
+    values: list = []
+    for _j in range(n):
         value = 0
         for v in range(len(class_sizes) - 1, -1, -1):
             if tape.take() < 1.0 - q ** class_sizes[v]:
@@ -81,33 +78,34 @@ def _classmax_run(n: int, p: float, gen, keep_values: bool,
             class_sizes.append(1)
         else:
             class_sizes[value] += 1
-        if value > front:
-            front = value
-        if values is not None:
-            values.append(value)
-        if fronts is not None:
-            fronts.append(front)
-    return front, values, fronts
+        values.append(value)
+    return values
 
 
-def _bernoulli_run(n: int, p: float, gen, keep_values: bool,
-                   keep_fronts: bool):
+def _bernoulli_values(n: int, p: float, gen) -> list:
     """Per-pair thresholded uniforms; fixed tape enables p-coupling."""
     values = np.zeros(n, dtype=np.int64)
-    fronts: list | None = [] if keep_fronts else None
-    front = 0
     for j in range(1, n):
-        u = gen.random(j)
-        hit = u < p
+        hit = gen.random(j) < p
         if hit.any():
-            values[j] = int(values[:j][hit].max()) + 1
-            if values[j] > front:
-                front = int(values[j])
-        if fronts is not None:
-            fronts.append(front)
-    if fronts is not None:
-        fronts.insert(0, 0)
-    return front, (values.tolist() if keep_values else None), fronts
+            values[j] = values[:j][hit].max() + 1
+    return values.tolist()
+
+
+_SAMPLERS = {"classmax": _classmax_values, "bernoulli": _bernoulli_values}
+
+
+def _path_values(n: int, p: float, seed: int, method: str,
+                 replica: int) -> list:
+    """Validate, then sample one graph's per-vertex longest-path lengths."""
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    sampler = _SAMPLERS.get(method)
+    if sampler is None:
+        raise ValueError(f"unknown sampling method {method!r}")
+    return sampler(n, p, rng.stream(seed, rng.STREAM_GRAPH, replica))
 
 
 def longest_path(
@@ -120,19 +118,9 @@ def longest_path(
     replica: int = 0,
 ) -> LongestPathRun:
     """Sample one graph and compute its longest path length."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    gen = rng.stream(seed, rng.STREAM_GRAPH, replica)
-    if method == "classmax":
-        front, values, _ = _classmax_run(n, p, gen, keep_per_vertex, False)
-    elif method == "bernoulli":
-        front, values, _ = _bernoulli_run(n, p, gen, keep_per_vertex, False)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    values = _path_values(n, p, seed, method, replica)
     return LongestPathRun(
-        n=n, p=p, L_n=front,
+        n=n, p=p, L_n=max(values),
         per_vertex=tuple(values) if keep_per_vertex else None,
         seed=seed,
     )
@@ -154,18 +142,8 @@ def fk_coupling_trajectory(
     infinite-bin process with Geometric(p) letters started from a single
     ball.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    gen = rng.stream(seed, rng.STREAM_GRAPH, replica)
-    if method == "classmax":
-        _, _, fronts = _classmax_run(n, p, gen, False, True)
-    elif method == "bernoulli":
-        _, _, fronts = _bernoulli_run(n, p, gen, False, True)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return np.asarray(fronts, dtype=np.int64)
+    values = _path_values(n, p, seed, method, replica)
+    return np.maximum.accumulate(np.asarray(values, dtype=np.int64))
 
 
 def estimate_C(p: float, n: int = 100_000, replicas: int = 10,

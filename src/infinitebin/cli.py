@@ -43,7 +43,7 @@ EXIT_LIMIT = 3
 #: classify command (cost grows like 2^letter).
 _EXACT_COUPLING_LETTER_CAP = 12
 
-#: Default verification panel: two geometric and two uniform laws.
+#: The verification panel: two geometric and two uniform laws.
 VERIFY_PANEL = ("geom:0.5", "geom:0.8", "unif:2", "unif:3")
 
 
@@ -411,8 +411,6 @@ def _verify_one(spec, args, steps, samples, bracket_len):
 
 def cmd_verify(args, out):
     budget = _parse_budget(args.budget)
-    if args.panel != "default":
-        raise _UsageError(f"unknown panel {args.panel!r}")
     scale = budget / 60.0
     steps = max(2_000, int(100_000 * scale))
     samples = max(500, int(20_000 * scale))
@@ -423,7 +421,7 @@ def cmd_verify(args, out):
     ]
     report = {
         "op": "verify",
-        "panel": args.panel,
+        "panel": "default",
         "budget_s": budget,
         "seed": args.seed,
         "results": results,
@@ -526,8 +524,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="cross-check bracket, forward MC, and perfect "
-                            "sampling on a panel of laws")
-    p.add_argument("--panel", type=str, default="default")
+                            "sampling on four fixed laws")
     p.add_argument("--budget", type=str, default="60s",
                    help="work scale like '60s', not a time limit: sample "
                         "sizes grow with it deterministically")

@@ -19,8 +19,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-Word = tuple # alias used in signatures: a word is a sequence of letters >= 1
-
 TAIL_POLICY = "one_per_bin"
 
 
@@ -53,36 +51,7 @@ class Configuration:
         """Number of explicitly stored bins."""
         return len(self.window)
 
-    @property
-    def window_balls(self) -> int:
-        """Total balls stored in the window."""
-        return sum(self.window)
-
-    @property
-    def below(self) -> int:
-        """Index of the highest tail bin (first bin under the window)."""
-        return self.front - len(self.window)
-
     # -- queries ---------------------------------------------------------
-
-    def count_at_or_right(self, k: int) -> int:
-        """Number of balls in bins with index >= k."""
-        if k > self.front:
-            return 0
-        if k > self.below:
-            return sum(self.window[k - self.below - 1 :])
-        return self.window_balls + (self.below - k + 1)
-
-    def bin_of_kth_rightmost(self, k: int) -> int:
-        """Index of the bin holding the k-th rightmost ball (k >= 1)."""
-        if k < 1:
-            raise ValueError("rank must be >= 1")
-        acc = 0
-        for i in range(len(self.window) - 1, -1, -1):
-            acc += self.window[i]
-            if acc >= k:
-                return self.below + 1 + i
-        return self.below - (k - acc) + 1
 
     def scenery(self, K: int) -> tuple:
         """Counts of the K rightmost bins, front bin first.
@@ -168,11 +137,10 @@ class _Evolver:
     drift apart between them.
     """
 
-    __slots__ = ("window", "below", "front")
+    __slots__ = ("window", "front")
 
     def __init__(self, config: Configuration = MINIMAL_CONFIG) -> None:
         self.window = list(config.window)
-        self.below = config.front - len(config.window)
         self.front = config.front
 
     def step(self, k: int) -> bool:
@@ -198,7 +166,6 @@ class _Evolver:
         need = k - acc
         w[0:0] = [1] * need
         w[1] += 1
-        self.below -= need
         return False
 
     def scenery(self, K: int) -> tuple:

@@ -57,12 +57,6 @@ class MoveDistribution(ABC):
             v[j] = self.pmf(j)
         return v
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
-        """Draw letters using generator ``gen`` (int or int64 array)."""
-        if size is None:
-            return int(self.letters_from_uniforms(gen.random(1))[0])
-        return self.letters_from_uniforms(gen.random(size))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.describe()!r})"
 

@@ -27,10 +27,12 @@ agree, the outcome does not depend on the deepest test ball and the state
 is reduced to depth d-1, which maximises merging.
 
 Resource bounds, all frontier-accounted so brackets stay valid:
-length bound L and alphabet bound A (contract parameters), a depth cap on
-goodness vectors, a global cap on live lumped states per level (lowest
-weights dropped, deterministic tie handling), and a birth-weight floor
-below which children are not expanded.
+length bound L and alphabet bound A (contract parameters), a global cap on
+live lumped states per level (lowest weights dropped, deterministic tie
+handling), a birth-weight floor below which children are not expanded, and
+two fixed constants: a depth cap of 16 on goodness vectors
+(``_DEPTH_CAP``) and the walk's budget of 3,000,000 expanded nodes
+(``_NODE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ import numpy as np
 from infinitebin.words import BAD, GOOD, SizeLimitError
 
 DEFAULT_MAX_STATES = 50_000
-DEFAULT_DEPTH_CAP = 16
 DEFAULT_BIRTH_FLOOR = 1e-18
-DEFAULT_NODE_BUDGET = 3_000_000
+
+#: Fixed resource bounds: the deepest goodness vector expanded (deeper
+#: children are frontier, "capped") and the explicit walk's budget of
+#: expanded nodes.  Read at call time, so tests can patch them.
+_DEPTH_CAP = 16
+_NODE_BUDGET = 3_000_000
 
 #: Rows unpacked per chunk when streaming a bucket through transitions;
-#: bounds transient memory at depth_cap (2^15 columns) to ~130 MB of bools.
+#: bounds transient memory at _DEPTH_CAP (2^15 columns) to ~130 MB of bools.
 _CHUNK_ROWS = 4096
 
 #: Record kinds of the unresolved (frontier) weight.
@@ -234,7 +240,6 @@ def _stopping_tree(
     *,
     q_ref: float,
     max_states: int,
-    depth_cap: int,
     birth_floor: float,
 ) -> tuple:
     """The lumped stopping-tree level loop, in either weight algebra.
@@ -256,7 +261,7 @@ def _stopping_tree(
             continue
         if a == 1:
             record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
-        elif a > depth_cap or w < birth_floor:
+        elif a > _DEPTH_CAP or w < birth_floor:
             record("capped", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             _stash(pending, shifts[a], np.eye(1, 1 << (a - 1), dtype=bool),
@@ -285,7 +290,7 @@ def _stopping_tree(
                         continue
                     d2 = max(a, d - 1, 1)
                     e2 = e + shifts[a]
-                    if d2 > depth_cap:
+                    if d2 > _DEPTH_CAP:
                         record("capped", level, e2, float(wc.sum()) * w)
                         continue
                     cw = wc * w
@@ -323,7 +328,6 @@ def stopping_tree_masses(
     A: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
     birth_floor: float = DEFAULT_BIRTH_FLOOR,
 ) -> MassSplit:
     """Run the lumped stopping-tree DP with per-letter weights.
@@ -341,8 +345,7 @@ def stopping_tree_masses(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
         float(tail_mass), 0, L, A,
         lambda kind, n, e, w: parts[kind].append(w),
-        q_ref=1.0, max_states=max_states, depth_cap=depth_cap,
-        birth_floor=birth_floor,
+        q_ref=1.0, max_states=max_states, birth_floor=birth_floor,
     )
     return MassSplit(
         good=math.fsum(parts[GOOD]),
@@ -425,7 +428,6 @@ def stopping_tree_counts(
     *,
     reference_p: float = 0.5,
     max_states: int = DEFAULT_MAX_STATES,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> CountTables:
     """Enumerate once, recording integer monomial coefficients.
 
@@ -452,8 +454,7 @@ def stopping_tree_counts(
 
     _peak, pruned_states = _stopping_tree(
         [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
-        q_ref=1.0 - reference_p, max_states=max_states, depth_cap=depth_cap,
-        birth_floor=0.0,
+        q_ref=1.0 - reference_p, max_states=max_states, birth_floor=0.0,
     )
     return CountTables(
         good=good, bad=bad, frontier=frontier, L=L, A=A,
@@ -473,18 +474,15 @@ def walk_minimal_words(
     L: int,
     A: int,
     emit,
-    *,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> MassSplit:
     """Depth-first walk over individual words, emitting resolved leaves.
 
     Same accounting as stopping_tree_masses but without state merging, so
     each minimal word is visited once and handed to ``emit(word, verdict,
     weight)`` in deterministic order (letters prepended in increasing
-    order, depth-first).  Raises SizeLimitError past ``node_budget``
-    expanded nodes — the walk is for bounds where the word tree itself is
-    tractable; use the lumped engines otherwise.
+    order, depth-first).  Raises SizeLimitError past its fixed budget of
+    3,000,000 expanded nodes — the walk is for bounds where the word tree
+    itself is tractable; use the lumped engines otherwise.
     """
     _check_bounds(L, A)
     if len(pmf_vec) < A + 1:
@@ -505,7 +503,7 @@ def walk_minimal_words(
             if a == 1:
                 yield ((1,), 1, None, w)  # resolves immediately: all-true
                 continue
-            if a > depth_cap:
+            if a > _DEPTH_CAP:
                 capped_parts.append(w)
                 continue
             v = np.zeros(1 << (a - 1), dtype=bool)
@@ -527,9 +525,9 @@ def walk_minimal_words(
             live_parts.append(w)
             continue
         expanded += 1
-        if expanded > node_budget:
+        if expanded > _NODE_BUDGET:
             raise SizeLimitError(
-                f"word walk exceeded its budget of {node_budget} expanded "
+                f"word walk exceeded its budget of {_NODE_BUDGET} expanded "
                 f"nodes at length-bound {L}, alphabet {A}; use the lumped "
                 f"bracket engine for bounds this large"
             )
@@ -540,7 +538,7 @@ def walk_minimal_words(
             if wa <= 0.0:
                 continue
             d2 = max(a, d - 1, 1)
-            if d2 > depth_cap:
+            if d2 > _DEPTH_CAP:
                 capped_parts.append(w * wa)
                 continue
             child = v[image_table(d2, a, d)]

@@ -18,9 +18,7 @@ from infinitebin.core import Configuration
 from infinitebin.distributions import MoveDistribution, Uniform
 from infinitebin.enumeration import (
     DEFAULT_BIRTH_FLOOR,
-    DEFAULT_DEPTH_CAP,
     DEFAULT_MAX_STATES,
-    DEFAULT_NODE_BUDGET,
     MassSplit,
     count_rounding_bound,
     mass_rounding_bound,
@@ -106,9 +104,7 @@ def enumerate_minimal(
     emit=None,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
     birth_floor: float = DEFAULT_BIRTH_FLOOR,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SpeedBracket:
     """Bracket the speed by enumerating minimal words up to the bounds.
 
@@ -116,22 +112,20 @@ def enumerate_minimal(
     beyond is frontier mass (bracket width).  With ``emit`` given, an
     explicit depth-first walk visits each resolved minimal word once and
     calls ``emit(word, verdict, weight)`` — exact but exponential, so it
-    is budgeted; without ``emit`` a lumped state engine is used, which
-    reaches much larger bounds.
+    raises SizeLimitError past a fixed budget of 3,000,000 expanded nodes;
+    without ``emit`` a lumped state engine is used, which reaches much
+    larger bounds.  Both engines leave goodness vectors deeper than the
+    fixed depth cap of 16 unexpanded, as frontier mass.
     """
     pmf_vec = mu.pmf_vector(max_letter)
     tail = mu.tail(max_letter)
     _maybe_warn_degenerate(mu)
     if emit is not None:
-        split = walk_minimal_words(
-            pmf_vec, tail, max_len, max_letter, emit,
-            depth_cap=depth_cap, node_budget=node_budget,
-        )
+        split = walk_minimal_words(pmf_vec, tail, max_len, max_letter, emit)
     else:
         split = stopping_tree_masses(
             pmf_vec, tail, max_len, max_letter,
-            max_states=max_states, depth_cap=depth_cap,
-            birth_floor=birth_floor,
+            max_states=max_states, birth_floor=birth_floor,
         )
     return _bracket(split, mu.describe(), max_len, max_letter)
 
@@ -143,7 +137,6 @@ def bivariate_D(
     max_letter: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> tuple:
     """Partial sum of the bivariate minimal-good-word series, with bound.
 
@@ -165,7 +158,7 @@ def bivariate_D(
     tail = p * q ** max_letter / (1.0 - q) if q < 1.0 else 0.0
     split = stopping_tree_masses(
         pmf_vec, tail, max_len, max_letter,
-        max_states=max_states, depth_cap=depth_cap, birth_floor=0.0,
+        max_states=max_states, birth_floor=0.0,
     )
     unresolved_now = split.frontier_live + split.pruned_mass
     unresolved_next = split.frontier_tail + split.frontier_capped
@@ -199,7 +192,6 @@ def curve(
     max_letter: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> list:
     """Bracket the longest-path growth rate on a grid of edge densities.
 
@@ -218,8 +210,7 @@ def curve(
             raise ValueError(f"grid edge density must be in (0, 1], got {p}")
     reference_p = 0.5 * (min(ps) + max(ps))
     tables = stopping_tree_counts(
-        max_len, max_letter,
-        reference_p=reference_p, max_states=max_states, depth_cap=depth_cap,
+        max_len, max_letter, reference_p=reference_p, max_states=max_states,
     )
     bound = count_rounding_bound(max_len, max_letter)
     rows = []

@@ -105,20 +105,12 @@ def run_forward(
     n_blocks = min(32, steps)
     bounds = [round(i * steps / n_blocks) for i in range(n_blocks + 1)]
     block_speeds = []
-    done = 0
-    block_idx = 0
-    block_adv = 0
-    while done < steps:
-        want = min(_LETTER_CHUNK, steps - done)
-        letters = mu.letters_from_uniforms(gen.random(want)).tolist()
-        for a in letters:
-            block_adv += ev.step(a)
-            done += 1
-            if done == bounds[block_idx + 1]:
-                size = bounds[block_idx + 1] - bounds[block_idx]
-                block_speeds.append(block_adv / size)
-                block_adv = 0
-                block_idx += 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        block_adv = 0
+        for at in range(lo, hi, _LETTER_CHUNK):
+            u = gen.random(min(_LETTER_CHUNK, hi - at))
+            block_adv += sum(map(ev.step, mu.letters_from_uniforms(u).tolist()))
+        block_speeds.append(block_adv / (hi - lo))
     displacement = ev.front - front0
     if n_blocks >= 2:
         mean = sum(block_speeds) / n_blocks

@@ -212,10 +212,6 @@ class TrackerState:
     def depth(self) -> int:
         return len(self.determined)
 
-    @property
-    def balls(self) -> int:
-        return sum(self.determined)
-
 
 def tracker_init() -> TrackerState:
     """Empty knowledge: nothing determined yet."""

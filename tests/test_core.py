@@ -59,21 +59,8 @@ def test_deep_move_extends_window_with_unit_bins():
     # per bin below the window).  Move 4 places right of bin -2 into the
     # already-occupied bin -1.
     assert out.front == 0
-    assert out.count_at_or_right(out.front) == 2
+    assert out.scenery(1) == (2,)
     assert sum(out.window) == sum(config.window) + 1 + (out.depth - config.depth)
-
-
-def test_count_at_or_right_and_kth_rightmost():
-    config = Configuration(5, (1, 3, 2))
-    # window maps bins 3,4,5 -> 1,3,2 balls
-    assert config.count_at_or_right(5) == 2
-    assert config.count_at_or_right(4) == 5
-    assert config.count_at_or_right(3) == 6
-    assert config.bin_of_kth_rightmost(1) == 5
-    assert config.bin_of_kth_rightmost(2) == 5
-    assert config.bin_of_kth_rightmost(3) == 4
-    assert config.bin_of_kth_rightmost(6) == 3
-    assert config.bin_of_kth_rightmost(7) == 2  # one-per-bin tail
 
 
 def test_scenery_is_front_first_with_unit_padding():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from infinitebin import cli, enumeration
 from infinitebin.core import MINIMAL_CONFIG
 from infinitebin.distributions import Dirac, Geometric, Uniform
 from infinitebin.enumeration import (
@@ -12,6 +13,7 @@ from infinitebin.enumeration import (
     mass_rounding_bound,
     stopping_tree_counts,
     stopping_tree_masses,
+    walk_minimal_words,
 )
 from infinitebin.series import (
     bivariate_D,
@@ -21,7 +23,7 @@ from infinitebin.series import (
     uniform_speed_terms,
     weight,
 )
-from infinitebin.words import classify
+from infinitebin.words import SizeLimitError, classify
 
 EXACT = dict(max_states=2_000_000, birth_floor=0.0)
 
@@ -66,6 +68,30 @@ def test_walk_and_lumped_engines_agree_exactly():
         lumped = enumerate_minimal(mu, L, A, **EXACT)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
         assert walk.upper == pytest.approx(lumped.upper, abs=1e-13)
+
+
+def test_depth_cap_is_frontier_in_both_engines():
+    # Letters 17 and 18 need goodness vectors deeper than the depth cap.
+    mu, A = Geometric(0.3), 18
+    pmf = mu.pmf_vector(A)
+    for L in (1, 3):
+        lumped = stopping_tree_masses(pmf, mu.tail(A), L, A, **EXACT)
+        walk = walk_minimal_words(pmf, mu.tail(A), L, A, None)
+        assert lumped.frontier_capped == walk.frontier_capped > 0.0
+        if L == 1:
+            assert lumped.frontier_capped == pmf[17] + pmf[18]
+        for split in (lumped, walk):
+            total = split.good + split.bad + split.frontier
+            assert abs(total - 1.0) <= mass_rounding_bound(L, A)
+
+
+def test_walk_past_node_budget_is_a_size_limit(monkeypatch, tmp_path):
+    monkeypatch.setattr(enumeration, "_NODE_BUDGET", 10)
+    with pytest.raises(SizeLimitError):
+        enumerate_minimal(Geometric(0.5), 8, 8, emit=lambda *a: None)
+    argv = ["speed", "geom:0.5", "--len", "8", "--max-letter", "8",
+            "--store", str(tmp_path / "words.jsonl")]
+    assert cli.main(argv) == cli.EXIT_LIMIT
 
 
 def test_emitted_words_are_minimal_with_true_weights():

@@ -81,7 +81,7 @@ def test_test_set_shape_and_extremes():
         configs = patterns_for(h)
         assert len(configs) == 1 << (h - 1)
         for config in configs:
-            assert config.count_at_or_right(config.front) >= 1
+            assert config.scenery(1)[0] >= 1
         # all-zero bits: all h probed balls stacked in the front bin
         assert configs[0].scenery(1) == (h,)
         # all-one bits: one ball per bin

@@ -26,6 +26,16 @@ a gather of the parent's (``image_table``).  When the vector's two halves
 agree, the outcome does not depend on the deepest test ball and the state
 is reduced to depth d-1, which maximises merging.
 
+The lumped loop keeps vectors packed 8 placements to a byte, and builds
+each child packed from a cached run plan (``_run_plan``): a child byte
+whose 8 placements map to one byte-aligned run of the parent is copied
+from the parent's packed row, and only the other bytes are gathered bit by
+bit from the unpacked parent, in row blocks that fit in cache.  Good (all
+true), bad (none true) and equal halves are tested on the packed bytes.
+Each level walks every depth once: the states of one depth, whatever their
+exponent e, go through the letters together with a per-row e column, and
+their children are split back into (depth, e) buckets when stashed.
+
 Resource bounds, all frontier-accounted so brackets stay valid:
 length bound L and alphabet bound A (contract parameters), a global cap on
 live lumped states per level (lowest weights dropped, deterministic tie
@@ -37,8 +47,10 @@ two fixed constants: a depth cap of 16 on goodness vectors
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +65,15 @@ DEFAULT_BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
 
-#: Rows unpacked per chunk when streaming a bucket through transitions;
-#: bounds transient memory at _DEPTH_CAP (2^15 columns) to ~130 MB of bools.
+#: Rows unpacked per chunk when streaming a depth group through transitions;
+#: bounds transient memory at _DEPTH_CAP (2^15 columns) to about 130 MiB,
+#: nearly all of it the unpacked chunk (children stay packed).
 _CHUNK_ROWS = 4096
+
+#: Unpacked bytes per row block of the child bit gather: keeps the gathered
+#: bits of a block in cache, where a whole chunk's would take up to 64 MiB
+#: at _DEPTH_CAP.
+_GATHER_BYTES = 1 << 18
 
 #: Record kinds of the unresolved (frontier) weight.
 _FRONTIER_KINDS = ("tail", "live", "capped", "pruned")
@@ -119,31 +137,172 @@ def _dedupe(packed: np.ndarray, weights: np.ndarray):
     return packed[order[starts]], sums
 
 
-def _stash(pending: dict, e: int, V: np.ndarray, w: np.ndarray,
-           depth: int) -> None:
-    """Depth-reduce rows and append them (packed) to the pending buckets.
+class _RunPlan(NamedTuple):
+    """Byte-level form of one ``image_table`` for packed rows.
 
-    Buckets are keyed (depth, e), with e the state's monomial exponent
-    (always 0 in the mass algebra).
+    A child byte whose 8 table entries are one consecutive, byte-aligned
+    source run is a copy of parent byte ``copy_src[byte]`` (``copy_src`` is
+    None when no byte is such a run).  The other child bytes,
+    ``gather_dst``, are packed from the parent columns ``gather_cols``, 8
+    per byte (all of them, zero-padded, when the child has fewer than 8
+    columns), over the placeholder copies.  ``ones`` is the packed all-true
+    child row, viewed by ``_words``.
+    """
+
+    copy_src: np.ndarray | None
+    gather_dst: np.ndarray
+    gather_cols: np.ndarray
+    ones: np.ndarray
+
+
+def _run_plan(src_depth: int, letter: int, dst_depth: int) -> _RunPlan:
+    """The cached ``_RunPlan`` of ``image_table(src_depth, letter, dst_depth)``."""
+    key = (src_depth, letter, dst_depth)
+    plan = _RUN_PLANS.get(key)
+    if plan is None:
+        table = image_table(src_depth, letter, dst_depth)
+        groups = table.reshape(-1, min(table.size, 8))
+        run = (groups.shape[1] == 8) & (groups[:, 0] % 8 == 0) & (
+            groups == groups[:, :1] + np.arange(groups.shape[1])
+        ).all(axis=1)
+        plan = _RunPlan(
+            np.where(run, groups[:, 0] >> 3, 0) if run.any() else None,
+            np.flatnonzero(~run),
+            groups[~run].ravel(),
+            _words(np.packbits(np.ones((1, table.size), dtype=bool), axis=1)),
+        )
+        _RUN_PLANS[key] = plan
+    return plan
+
+
+_RUN_PLANS: dict = {}
+
+
+def _children(P: np.ndarray, V: np.ndarray, plan: _RunPlan) -> np.ndarray:
+    """Packed child rows of packed parent rows P (V: P unpacked).
+
+    Run bytes are copied from P; the rest are gathered from V in row
+    blocks of about ``_GATHER_BYTES`` and packed.
+    """
+    step = max(1, _GATHER_BYTES // V.shape[1])
+    blocks = [_pack(np.take(V[lo : lo + step], plan.gather_cols, axis=1))
+              for lo in range(0, V.shape[0], step)]
+    G = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if plan.copy_src is None:
+        return G
+    C = np.take(P, plan.copy_src, axis=1)
+    C[:, plan.gather_dst] = G
+    return C
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """np.packbits(bits, axis=1) of a C-contiguous bit matrix."""
+    if bits.shape[1] % 8:
+        return np.packbits(bits, axis=1)
+    # whole bytes per row: one flat pass avoids a per-row cost
+    return np.packbits(bits.ravel()).reshape(bits.shape[0], -1)
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Packed rows viewed as unsigned words (up to 8 bytes) for row compares."""
+    return rows.view(_WORD_TYPES[min(rows.shape[1], 8)])
+
+
+#: Word dtype by byte count; packed rows are 2^k bytes wide.
+_WORD_TYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _halves_equal(C: np.ndarray, depth: int) -> np.ndarray:
+    """Rows of packed depth-``depth`` vectors whose two halves agree."""
+    half = 1 << (depth - 2)
+    if half >= 8:
+        hb = half // 8
+        return (_words(C[:, :hb]) == _words(C[:, hb:])).all(axis=1)
+    x = C[:, 0]  # one byte: compare bit fields
+    return (x >> (8 - half)) == ((x >> (8 - 2 * half)) & ((1 << half) - 1))
+
+
+def _first_half(C: np.ndarray, depth: int) -> np.ndarray:
+    """Packed rows reduced to their first half (depth - 1), contiguous."""
+    half = 1 << (depth - 2)
+    if half >= 8:
+        return np.ascontiguousarray(C[:, : half // 8])
+    return C & np.uint8((0xFF << (8 - half)) & 0xFF)
+
+
+def _runs(e, n: int) -> tuple:
+    """(lo, hi, exponent) runs of n rows: one run when e is an int, else
+    the runs of the sorted per-row exponent array e."""
+    if isinstance(e, int):
+        return ((0, n, e),)
+    cuts = (np.flatnonzero(e[1:] != e[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return tuple(zip(starts, [*cuts, n], e[starts].tolist()))
+
+
+def _pick(e, mask: np.ndarray):
+    """Exponents of the rows selected by mask."""
+    return e if isinstance(e, int) else e[mask]
+
+
+def _record_sums(record, kind: str, n: int, e, w: np.ndarray,
+                 scale: float = 1.0) -> None:
+    """Report the weight of rows w, summed per exponent run, times scale."""
+    for lo, hi, ek in _runs(e, len(w)):
+        record(kind, n, ek, float(w[lo:hi].sum()) * scale)
+
+
+def _append(pending: dict, depth: int, e, rows: np.ndarray,
+            w: np.ndarray) -> None:
+    """Append rows of one depth to the pending (depth, e) buckets."""
+    for lo, hi, ek in _runs(e, len(w)):
+        bucket = pending.setdefault((depth, ek), ([], []))
+        bucket[0].append(rows[lo:hi])
+        bucket[1].append(w[lo:hi])
+
+
+def _stash(pending: dict, e, C: np.ndarray, w: np.ndarray,
+           depth: int) -> None:
+    """Depth-reduce packed rows and append them to the pending buckets.
+
+    Buckets are keyed (depth, e), with e the state's monomial exponent:
+    one int for all rows (always 0 in the mass algebra) or a sorted
+    per-row array, split into runs on appending.
     """
     d = depth
-    while d > 1 and V.shape[0]:
-        half = 1 << (d - 2)
-        eq = (V[:, :half] == V[:, half:]).all(axis=1)
+    while d > 1 and C.shape[0]:
+        eq = _halves_equal(C, d)
         if not eq.any():
             break
-        hold = ~eq
-        if hold.any():
-            bucket = pending.setdefault((d, e), ([], []))
-            bucket[0].append(np.packbits(V[hold], axis=1))
-            bucket[1].append(w[hold])
-        V = V[eq][:, :half]
-        w = w[eq]
+        if not eq.all():
+            hold = ~eq
+            _append(pending, d, _pick(e, hold), C[hold], w[hold])
+            C, w, e = C[eq], w[eq], _pick(e, eq)
+        C = _first_half(C, d)
         d -= 1
-    if V.shape[0]:
-        bucket = pending.setdefault((d, e), ([], []))
-        bucket[0].append(np.packbits(V, axis=1))
-        bucket[1].append(w)
+    if C.shape[0]:
+        _append(pending, d, e, C, w)
+
+
+def _depth_groups(buckets: dict):
+    """Pop ``buckets`` depth by depth, yielding (depth, rows, weights, e).
+
+    The (depth, e) buckets of one depth are concatenated in e order; e is
+    an int when the depth has one bucket, else a per-row exponent column.
+    """
+    for d, keys in itertools.groupby(list(buckets), key=lambda key: key[0]):
+        keys = list(keys)
+        parts = [buckets.pop(key) for key in keys]
+        if len(keys) == 1:
+            yield d, *parts[0], keys[0][1]
+            continue
+        yield (
+            d,
+            np.concatenate([rows for rows, _w in parts]),
+            np.concatenate([wts for _r, wts in parts]),
+            np.repeat(np.array([key[1] for key in keys], dtype=np.int32),
+                      [len(wts) for _r, wts in parts]),
+        )
 
 
 def _settle(pending: dict, max_states: int, q_ref: float, record, n: int):
@@ -264,8 +423,8 @@ def _stopping_tree(
         elif a > _DEPTH_CAP or w < birth_floor:
             record("capped", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
-            _stash(pending, shifts[a], np.eye(1, 1 << (a - 1), dtype=bool),
-                   np.array([w]), a)
+            row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
+            _stash(pending, shifts[a], row, np.array([w]), a)
     buckets, peak, pruned = _settle(pending, max_states, q_ref, record, 1)
 
     for level in range(2, L + 1):
@@ -277,13 +436,15 @@ def _stopping_tree(
         for e, w in live.items():
             record("tail", level - 1, e + tail_shift, w * tail_weight)
         pending = {}
-        for (d, e), (rows, wts) in buckets.items():
-            ncols = 1 << (d - 1)
+        for d, rows, wts, es in _depth_groups(buckets):
             for lo in range(0, rows.shape[0], _CHUNK_ROWS):
-                V = np.unpackbits(
-                    rows[lo : lo + _CHUNK_ROWS], axis=1, count=ncols
-                ).astype(bool)
+                P = rows[lo : lo + _CHUNK_ROWS]
                 wc = wts[lo : lo + _CHUNK_ROWS]
+                e = es
+                if not isinstance(es, int):
+                    ec = es[lo : lo + _CHUNK_ROWS]
+                    e = int(ec[0]) if ec[0] == ec[-1] else ec
+                V = np.unpackbits(P, axis=1, count=1 << (d - 1))
                 for a in range(1, A + 1):
                     w = weights[a]
                     if w <= 0.0:
@@ -291,25 +452,33 @@ def _stopping_tree(
                     d2 = max(a, d - 1, 1)
                     e2 = e + shifts[a]
                     if d2 > _DEPTH_CAP:
-                        record("capped", level, e2, float(wc.sum()) * w)
+                        _record_sums(record, "capped", level, e2, wc, w)
                         continue
                     cw = wc * w
-                    Vs = V
+                    Pa, Va = P, V
                     alive = cw >= birth_floor
                     if not alive.all():
-                        record("capped", level, e2, float(cw[~alive].sum()))
-                        cw = cw[alive]
-                        Vs = V[alive]
-                    C = Vs[:, image_table(d2, a, d)]
-                    g = C.all(axis=1)
-                    b = ~C.any(axis=1)
+                        dead = ~alive
+                        _record_sums(record, "capped", level, _pick(e2, dead),
+                                     cw[dead])
+                        if not alive.any():
+                            continue
+                        cw, Pa, Va = cw[alive], P[alive], V[alive]
+                        e2 = _pick(e2, alive)
+                    plan = _run_plan(d2, a, d)
+                    C = _children(Pa, Va, plan)
+                    words = _words(C)
+                    g = (words == plan.ones).all(axis=1)
+                    b = ~words.any(axis=1)
                     if g.any():
-                        record(GOOD, level, e2, float(cw[g].sum()))
+                        _record_sums(record, GOOD, level, _pick(e2, g), cw[g])
                     if b.any():
-                        record(BAD, level, e2, float(cw[b].sum()))
+                        _record_sums(record, BAD, level, _pick(e2, b), cw[b])
                     keep = ~(g | b)
-                    if keep.any():
-                        _stash(pending, e2, C[keep], cw[keep], d2)
+                    if keep.all():
+                        _stash(pending, e2, C, cw, d2)
+                    elif keep.any():
+                        _stash(pending, _pick(e2, keep), C[keep], cw[keep], d2)
         buckets, total, n_pruned = _settle(
             pending, max_states, q_ref, record, level
         )

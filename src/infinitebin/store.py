@@ -4,7 +4,10 @@ One JSON record per line: {"word": [...], "verdict": "...", "minimal": ...}
 (minimal is null for neither-words).  Records are immutable once written;
 re-classifying a cached word returns the cached verdict, and attempting to
 record a contradicting verdict is an error.  The textual line-per-record
-format is chosen for append safety and diff-ability.
+format is chosen for append safety and diff-ability: a final line without
+its newline that does not parse is an append cut short by a crash, skipped
+on load and cut off by the next append, while any other malformed line is
+an error.
 """
 
 from __future__ import annotations
@@ -64,20 +67,32 @@ class WordStore:
     def __init__(self, path):
         self.path = Path(path)
         self._records: dict = {}
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = WordStoreRecord.from_line(line)
-                    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                        raise ValueError(
-                            f"{self.path}:{lineno}: bad cache record: {exc}"
-                        ) from exc
-                    self._check_consistent(rec)
-                    self._records[rec.word] = rec
+        #: Byte offset of a torn final line (an append cut short by a
+        #: crash), cut off by the next add; None when there is none.
+        self._torn_at: int | None = None
+        #: The file ends in a complete record that lacks its newline.
+        self._unterminated = False
+        if not self.path.exists():
+            return
+        with self.path.open("rb") as fh:
+            offset = 0
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    text = line.decode("utf-8").strip()
+                    rec = WordStoreRecord.from_line(text) if text else None
+                except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                    if not line.endswith(b"\n"):  # the last line, torn
+                        self._torn_at = offset
+                        break
+                    raise ValueError(
+                        f"{self.path}:{lineno}: bad cache record: {exc}"
+                    ) from exc
+                offset += len(line)
+                if rec is None:
+                    continue
+                self._check_consistent(rec)
+                self._records[rec.word] = rec
+                self._unterminated = not line.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -103,7 +118,11 @@ class WordStore:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(rec.to_line() + "\n")
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+            fh.write(("\n" if self._unterminated else "") + rec.to_line() + "\n")
+        self._torn_at = None
+        self._unterminated = False
         self._records[rec.word] = rec
 
     def classify(self, word) -> Classification:

@@ -1,8 +1,11 @@
 """Speed brackets, the bivariate series, the growth curve, and the old
 signed series."""
 
+import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from infinitebin import cli, enumeration
@@ -83,6 +86,85 @@ def test_depth_cap_is_frontier_in_both_engines():
         for split in (lumped, walk):
             total = split.good + split.bad + split.frontier
             assert abs(total - 1.0) <= mass_rounding_bound(L, A)
+
+
+def _count_tables_digest(tables) -> str:
+    digest = hashlib.sha256()
+    for table in (tables.good, tables.bad, tables.frontier):
+        digest.update(np.ascontiguousarray(table, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# Exact outputs of the lumped engine, recorded before its inner loop was
+# rewritten on packed rows; any change in summation order or pruning shows.
+PINNED_MASSES = [
+    # pruning at max_states=300
+    ((0.5, 7, 7, {"max_states": 300}),
+     ("0x1.23c59fa000000p-1", "0x1.9c91bb1700000p-2", "0x1.be305a9000000p-6",
+      "0x1.de8cb8c120000p-7", "0x1.8a069ef600000p-7", "0x0.0p+0",
+      "0x1.3cd5d68e00000p-11", 1014)),
+    # birth floor
+    ((0.8, 10, 10, {}),
+     ("0x1.a5c2db1aef619p-1", "0x1.68f3cd08482dep-3", "0x1.8d17f497e820dp-20",
+      "0x1.127f0f7a1c347p-23", "0x1.6ac812365603bp-20",
+      "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
+    # depth cap
+    ((0.3, 3, 18, {}),
+     ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
+      "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4ffp-3", "0x1.b86f546bfcd70p-9",
+      "0x0.0p+0", 1253)),
+]
+
+
+def test_engine_outputs_are_pinned():
+    for (p, L, A, caps), expected in PINNED_MASSES:
+        mu = Geometric(p)
+        split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A, **caps)
+        fields = tuple(getattr(split, f.name) for f in dataclasses.fields(split))
+        assert tuple(
+            v.hex() if isinstance(v, float) else v for v in fields
+        ) == expected, (p, L, A, caps)
+    # pruning across many exponents
+    tables = stopping_tree_counts(7, 7, max_states=300)
+    assert tables.good.shape == (8, 50)
+    assert _count_tables_digest(tables) == (
+        "3a6e68ad093a4ff202307494f7736dd36623dff3d46ec5851d2167b5400d1710")
+    assert tables.pruned_states == 2919
+
+
+def _kernel_keys():
+    keys = {(max(a, d - 1, 1), a, d) for d in range(2, 13) for a in range(1, 14)}
+    cap = enumeration._DEPTH_CAP
+    keys |= {(max(a, d - 1), a, d)
+             for d, a in [(cap, 1), (cap, 2), (cap, 9), (cap, cap), (3, cap)]}
+    return sorted(keys)
+
+
+def test_packed_children_match_bool_gather():
+    rng = np.random.default_rng(20260418)
+    for d2, a, d in _kernel_keys():
+        rows = 8 if d > 12 else 48
+        V = rng.random((rows, 1 << (d - 1))) < rng.random((rows, 1))
+        V[0], V[1] = True, False  # children all-true and all-false
+        child = np.ascontiguousarray(V[:, enumeration.image_table(d2, a, d)])
+        plan = enumeration._run_plan(d2, a, d)
+        P = np.packbits(V, axis=1)
+        C = enumeration._children(P, np.unpackbits(P, axis=1, count=V.shape[1]),
+                                  plan)
+        assert np.array_equal(C, np.packbits(child, axis=1)), (d2, a, d)
+        words = enumeration._words(C)
+        assert np.array_equal((words == plan.ones).all(axis=1), child.all(axis=1))
+        assert np.array_equal(~words.any(axis=1), ~child.any(axis=1))
+        # halves: force equal halves on every other row
+        half = child.shape[1] // 2
+        if half:
+            child[::2, half:] = child[::2, :half]
+            C = np.packbits(child, axis=1)
+            eq = enumeration._halves_equal(C, d2)
+            assert np.array_equal(
+                eq, (child[:, :half] == child[:, half:]).all(axis=1)), (d2, a, d)
+            assert np.array_equal(enumeration._first_half(C, d2),
+                                  np.packbits(child[:, :half], axis=1))
 
 
 def test_walk_past_node_budget_is_a_size_limit(monkeypatch, tmp_path):
@@ -205,6 +287,22 @@ def test_state_cap_pruning_keeps_brackets_certified():
         assert full.upper <= row.upper + slack
         total = row.good_mass + row.bad_mass + row.frontier_mass
         assert abs(total - 1.0) <= slack
+
+
+def test_birth_floor_keeps_brackets_certified():
+    # At this floor every child of the rarer letters falls below it, so
+    # whole chunks end as capped frontier.
+    L = A = 7
+    mu = Geometric(0.5)
+    exact = enumerate_minimal(mu, L, A, **EXACT)
+    for floor in (1e-3, 0.05):
+        split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A,
+                                     birth_floor=floor)
+        slack = mass_rounding_bound(L, A)
+        assert split.frontier_capped > 0.0
+        assert split.good <= exact.lower + slack
+        assert exact.upper <= 1.0 - split.bad + slack
+        assert abs(split.good + split.bad + split.frontier - 1.0) <= slack
 
 
 def test_curve_rejects_bad_grids():

@@ -57,6 +57,37 @@ def test_store_rejects_corrupt_files(tmp_path):
         WordStore(path)
 
 
+GOOD_LINE = '{"word": [1], "verdict": "good", "minimal": true}\n'
+TORN_LINE = '{"word": [2, 2], "verdict": "nei'
+
+
+def test_store_skips_and_truncates_a_torn_final_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD_LINE + TORN_LINE)
+    store = WordStore(path)
+    assert len(store) == 1 and store.lookup((2, 2)) is None
+    store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
+    assert path.read_text() == GOOD_LINE + (
+        '{"word": [3], "verdict": "bad", "minimal": false}\n')
+    assert len(WordStore(path)) == 2
+
+
+def test_store_rejects_a_malformed_line_ending_in_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD_LINE + TORN_LINE + "\n")
+    with pytest.raises(ValueError, match=":2: bad cache record"):
+        WordStore(path)
+
+
+def test_store_terminates_a_complete_final_line_before_appending(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD_LINE.rstrip("\n"))
+    store = WordStore(path)
+    assert len(store) == 1
+    store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
+    assert len(WordStore(path)) == 2
+
+
 def test_classify_through_store_caches(tmp_path):
     path = tmp_path / "cache.jsonl"
     store = WordStore(path)

@@ -50,7 +50,6 @@ from infinitebin.series import (
     bivariate_D,
     curve,
     enumerate_minimal,
-    old_series_partial,
     uniform_speed_terms,
     weight,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "bivariate_D",
     "curve",
     "uniform_speed_terms",
-    "old_series_partial",
     "RunStats",
     "PerfectSample",
     "TauTail",

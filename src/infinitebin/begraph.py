@@ -45,40 +45,44 @@ class LongestPathRun:
     seed: int
 
 
-class _UniformTape:
-    """Sequential uniforms drawn in chunks from one replica stream."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def take(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(_UNIFORM_CHUNK)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-
 def _classmax_values(n: int, p: float, gen) -> list:
-    """Longest-path length ending at each vertex, class-max sampler."""
+    """Longest-path length ending at each vertex, class-max sampler.
+
+    Each uniform tests one class, top value first; vertex j + 1 starts
+    scanning at the uniform after the one that settled vertex j.  ``thr[v]``
+    caches 1 - (1-p)^size[v] from the table ``hit`` of powers seen so far.
+    """
     q = 1.0 - p
-    tape = _UniformTape(gen)
-    class_sizes: list = []
-    values: list = []
-    for _j in range(n):
-        value = 0
-        for v in range(len(class_sizes) - 1, -1, -1):
-            if tape.take() < 1.0 - q ** class_sizes[v]:
-                value = v + 1
+    hit = [0.0, 1.0 - q ** 1]  # hit[m] = 1 - q^m, grown as classes grow
+    sizes = [1]
+    thr = [hit[1]]
+    values = [0]  # vertex 1 has no earlier vertex
+    left = n - 1
+    v = 1  # the next uniform tests class v - 1
+    while left:
+        # every vertex left takes at least one uniform
+        for u in gen.random(min(_UNIFORM_CHUNK, left)).tolist():
+            if u < thr[v - 1]:
+                value = v
+            elif v > 1:
+                v -= 1
+                continue
+            else:
+                value = 0
+            values.append(value)
+            if value == len(sizes):
+                sizes.append(1)
+                thr.append(hit[1])
+            else:
+                m = sizes[value] + 1
+                sizes[value] = m
+                if m == len(hit):
+                    hit.append(1.0 - q ** m)
+                thr[value] = hit[m]
+            left -= 1
+            if not left:
                 break
-        if value == len(class_sizes):
-            class_sizes.append(1)
-        else:
-            class_sizes[value] += 1
-        values.append(value)
+            v = len(sizes)
     return values
 
 

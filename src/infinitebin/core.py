@@ -78,8 +78,7 @@ class Configuration:
     def apply_word(self, word: Iterable[int]) -> "Configuration":
         """Apply a word's moves left to right (empty word = identity)."""
         ev = _Evolver(self)
-        for k in word:
-            ev.step(k)
+        ev.run(word)
         return ev.snapshot()
 
     # -- identity ---------------------------------------------------------
@@ -145,28 +144,45 @@ class _Evolver:
 
     def step(self, k: int) -> bool:
         """Apply the rank-k move; return True iff the front advanced."""
-        if k < 1:
-            raise ValueError("letter must be >= 1")
+        return self.run((k,)) == 1
+
+    def run(self, letters: Iterable[int]) -> int:
+        """Apply the moves of ``letters`` in order; return how many of them
+        advanced the front.
+
+        The one implementation of the move rule.  A letter < 1 raises
+        ``ValueError`` with the moves before it applied.
+        """
         w = self.window
-        acc = 0
-        idx = len(w) - 1
-        while True:
-            acc += w[idx]
-            if acc >= k or idx == 0:
-                break
-            idx -= 1
-        if acc >= k:
-            if idx == len(w) - 1:
-                w.append(1)
-                self.front += 1
-                return True
-            w[idx + 1] += 1
-            return False
-        # ball located in the tail: materialize bins down to it, then add
-        need = k - acc
-        w[0:0] = [1] * need
-        w[1] += 1
-        return False
+        top = len(w) - 1
+        advances = 0
+        try:
+            for k in letters:
+                acc = w[top]
+                if k <= acc:
+                    # the k-th rightmost ball sits in the front bin
+                    if k < 1:
+                        raise ValueError("letter must be >= 1")
+                    w.append(1)
+                    top += 1
+                    advances += 1
+                    continue
+                idx = top
+                while idx:
+                    idx -= 1
+                    acc += w[idx]
+                    if acc >= k:
+                        w[idx + 1] += 1
+                        break
+                else:
+                    # ball located in the tail: materialize bins down to it
+                    need = k - acc
+                    w[0:0] = [1] * need
+                    w[1] += 1
+                    top += need
+        finally:
+            self.front += advances
+        return advances
 
     def scenery(self, K: int) -> tuple:
         w = self.window
@@ -183,6 +199,5 @@ def final_move_advances(config: Configuration, word: Sequence[int]) -> bool:
     if not word:
         raise ValueError("empty word has no final move")
     ev = _Evolver(config)
-    for k in word[:-1]:
-        ev.step(k)
+    ev.run(word[:-1])
     return ev.step(word[-1])

@@ -3,11 +3,13 @@
 Every random quantity in this package is drawn from a counter-based Philox
 stream keyed by ``(seed, purpose, replica)``.  Streams are prefix-stable:
 reading n uniforms and later re-reading n+m from a fresh generator with the
-same key yields the same first n values, which is what lets the
-perfect-simulation code re-read past letters by index instead of storing
-them.  Identical keys give bit-identical streams on a fixed numpy build;
-distribution inversion uses libm, so letter streams are documented as
-reproducible per platform.
+same key yields the same first n values, and n uniforms drawn over several
+calls equal n drawn in one.  So a sampler may draw in blocks of any size
+without changing the value at any index: perfect simulation stores each
+replica's past letters, drawing a block ahead of the horizon it needs, and
+forward runs and graph samplers draw in fixed chunks.  Identical keys give
+bit-identical streams on a fixed numpy build; distribution inversion uses
+libm, so letter streams are documented as reproducible per platform.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from infinitebin.core import Configuration
 from infinitebin.distributions import MoveDistribution, Uniform
 from infinitebin.enumeration import (
     DEFAULT_BIRTH_FLOOR,
@@ -236,55 +235,3 @@ def uniform_speed_terms(k: int, max_len: int, **engine_opts) -> SpeedBracket:
     if k < 2:
         raise ValueError(f"uniform support bound must be >= 2, got {k}")
     return enumerate_minimal(Uniform(k), max_len, k, **engine_opts)
-
-
-def old_series_partial(
-    mu: MoveDistribution,
-    start: Configuration,
-    max_len: int,
-    max_letter: int,
-) -> float:
-    """Partial sum of the older signed speed series from a fixed start.
-
-    Sums eps(word, start) * weight(word) over all words of length up to
-    max_len with letters up to max_letter, where eps compares the word's
-    advance indicator against that of the word minus its first letter.
-    The sum telescopes to
-
-        G_L + mu((A, inf)) * (G_1 + ... + G_{L-1}),
-
-    with G_n the probability that a length-n word of in-alphabet letters
-    advances the front from ``start``; the G_n are computed by an exact
-    dynamic program over front-relative configurations.  No convergence
-    certificate is attached — this representation is kept for comparison
-    experiments; brackets come from enumerate_minimal.
-    """
-    A = max_letter
-    L = max_len
-    if L < 1 or A < 1:
-        raise ValueError("truncation bounds must be >= 1")
-    if not isinstance(start, Configuration):
-        raise TypeError("start must be a Configuration")
-    # distribution over front-relative configurations after n letters
-    states = {start.canonical().window: 1.0}
-    g_levels = []
-    for _n in range(1, L + 1):
-        g_parts = []
-        for window, prob in states.items():
-            front_count = window[-1]
-            g_parts.append(prob * mu.cdf(min(A, front_count)))
-        g_levels.append(math.fsum(g_parts))
-        if _n == L:
-            break
-        nxt: dict = {}
-        for window, prob in states.items():
-            base = Configuration(0, window)
-            for a in range(1, A + 1):
-                w = mu.pmf(a)
-                if w == 0.0:
-                    continue
-                key = base.apply_move(a).canonical().window
-                nxt[key] = nxt.get(key, 0.0) + prob * w
-        states = nxt
-    tail = mu.tail(A)
-    return g_levels[-1] + tail * math.fsum(g_levels[:-1])

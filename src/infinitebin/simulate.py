@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from infinitebin import rng
 from infinitebin.core import Configuration, _Evolver
 from infinitebin.distributions import MoveDistribution
 from infinitebin.words import _fold_determined
 
 _LETTER_CHUNK = 1 << 16
+#: Past letters a replica draws at once.  Most certified horizons are far
+#: shorter, and one inversion call costs about the same for 1 or 64 letters.
+_PAST_BLOCK = 64
 
 DEFAULT_MAX_HORIZON = 1 << 24
 
@@ -109,7 +110,7 @@ def run_forward(
         block_adv = 0
         for at in range(lo, hi, _LETTER_CHUNK):
             u = gen.random(min(_LETTER_CHUNK, hi - at))
-            block_adv += sum(map(ev.step, mu.letters_from_uniforms(u).tolist()))
+            block_adv += ev.run(mu.letters_from_uniforms(u).tolist())
         block_speeds.append(block_adv / (hi - lo))
     displacement = ev.front - front0
     if n_blocks >= 2:
@@ -150,27 +151,28 @@ class PerfectSample:
 class _PastLetters:
     """Lazily extended, absolutely-indexed past letter stream.
 
-    Index i holds the letter at time -i.  Letters are generated once and
-    re-read on every horizon retry — the fixed-randomness requirement of
-    coupling from the past.
+    Index i holds the letter at time -i.  Letters are generated once, a
+    block of at least ``_PAST_BLOCK`` at a time, and re-read on every
+    horizon retry — the fixed-randomness requirement of coupling from the
+    past.  Streams are prefix-stable, so the block size does not change
+    which letter sits at which index.
     """
 
     def __init__(self, mu: MoveDistribution, seed: int, replica: int):
         self._mu = mu
         self._gen = rng.stream(seed, rng.STREAM_PAST, replica)
-        self._buf = np.empty(0, dtype=np.int64)
+        self._buf: list = []
 
     def fold(self, horizon: int):
         """Tracker fold of the letters from time -horizon+1 through 0.
 
         Returns a fresh (determined counts, front shift) pair.
         """
-        if horizon > len(self._buf):
-            fresh = self._mu.letters_from_uniforms(
-                self._gen.random(horizon - len(self._buf))
-            )
-            self._buf = np.concatenate([self._buf, fresh])
-        return _fold_determined(self._buf[horizon - 1 :: -1].tolist())
+        buf = self._buf
+        if horizon > len(buf):
+            fresh = self._gen.random(max(horizon, _PAST_BLOCK) - len(buf))
+            buf.extend(self._mu.letters_from_uniforms(fresh).tolist())
+        return _fold_determined(buf[horizon - 1 :: -1])
 
 
 def _horizons(max_horizon: int):

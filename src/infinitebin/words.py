@@ -178,8 +178,7 @@ def coupling_number(word: Sequence[int]) -> int:
     for bits in range(1 << (h - 1)):
         deepest = pattern_positions(h, bits)[-1]
         ev = _Evolver(pattern_config(h, bits))
-        for k in word:
-            ev.step(k)
+        ev.run(word)
         certified = ev.front - deepest
         cap = certified if cap is None else min(cap, certified)
         sceneries.append(ev)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from infinitebin import (
     tracker_run,
     tracker_step,
 )
+from infinitebin.core import _Evolver
 from infinitebin.distributions import FiniteSupport, Geometric
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8).map(tuple)
@@ -95,6 +97,59 @@ def test_json_round_trip(x):
 def test_front_moves_forward_by_at_most_one_per_letter(x, word):
     y = x.apply_word(word)
     assert x.front <= y.front <= x.front + len(word)
+
+
+def _reference_move(window: list, k: int) -> bool:
+    """The move rule written out letter by letter, as a check on the
+    evolver: add a ball right of the k-th rightmost ball, materializing
+    one-ball tail bins when k reaches below the window."""
+    balls = 0
+    for idx in range(len(window) - 1, -1, -1):
+        balls += window[idx]
+        if balls >= k:
+            if idx == len(window) - 1:
+                window.append(1)
+                return True
+            window[idx + 1] += 1
+            return False
+    window[0:0] = [1] * (k - balls)
+    window[1] += 1
+    return False
+
+
+# Letters up to 12 often reach below windows of at most 5 bins of at most 4
+# balls, so the tail path (the window grows on the left) is taken too.
+deep_words = st.lists(st.integers(min_value=1, max_value=12), max_size=40)
+
+
+@given(configs, deep_words)
+@settings(deadline=None)
+def test_run_equals_folding_step(x, word):
+    ran, stepped = _Evolver(x), _Evolver(x)
+    advances = ran.run(word)
+    assert advances == sum(stepped.step(k) for k in word)
+    reference = list(x.window)
+    assert advances == sum(_reference_move(reference, k) for k in word)
+    assert ran.window == stepped.window == reference
+    assert ran.front == stepped.front == x.front + advances
+    assert x.apply_word(word) == ran.snapshot()
+
+
+@given(configs, deep_words, deep_words)
+@settings(deadline=None)
+def test_letter_zero_is_rejected_by_every_entry(x, before, after):
+    word = before + [0] + after
+    with pytest.raises(ValueError, match="letter must be >= 1"):
+        _Evolver(x).step(0)
+    ev = _Evolver(x)
+    with pytest.raises(ValueError, match="letter must be >= 1"):
+        ev.run(word)
+    # the moves before the bad letter stay applied, as when folding step
+    prefix = _Evolver(x)
+    prefix.run(before)
+    assert (ev.front, ev.window) == (prefix.front, prefix.window)
+    with pytest.raises(ValueError, match="letter must be >= 1"):
+        x.apply_word(word)
 
 
 finite_laws = st.lists(

@@ -1,5 +1,4 @@
-"""Speed brackets, the bivariate series, the growth curve, and the old
-signed series."""
+"""Speed brackets, the bivariate series and the growth curve."""
 
 import dataclasses
 import hashlib
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from infinitebin import cli, enumeration
-from infinitebin.core import MINIMAL_CONFIG
 from infinitebin.distributions import Dirac, Geometric, Uniform
 from infinitebin.enumeration import (
     count_rounding_bound,
@@ -22,7 +20,6 @@ from infinitebin.series import (
     bivariate_D,
     curve,
     enumerate_minimal,
-    old_series_partial,
     uniform_speed_terms,
     weight,
 )
@@ -315,7 +312,7 @@ def test_curve_rejects_bad_grids():
 
 
 # ---------------------------------------------------------------------------
-# uniform-law terms and the old signed series
+# uniform-law terms
 # ---------------------------------------------------------------------------
 
 
@@ -333,16 +330,3 @@ def test_uniform_terms_match_uniform_law():
     assert viaterms.lower == direct.lower
     assert viaterms.upper == direct.upper
 
-
-def test_old_series_partial_near_bracket_midpoint():
-    mu = Geometric(0.8)
-    bracket = enumerate_minimal(mu, 8, 8)
-    value = old_series_partial(mu, MINIMAL_CONFIG, 8, 8)
-    assert abs(value - bracket.midpoint) < 0.05
-
-
-def test_old_series_partial_validation():
-    with pytest.raises(ValueError):
-        old_series_partial(Geometric(0.5), MINIMAL_CONFIG, 0, 3)
-    with pytest.raises(TypeError):
-        old_series_partial(Geometric(0.5), (1,), 3, 3)

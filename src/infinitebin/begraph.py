@@ -20,12 +20,12 @@ Two in-edge samplers are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from infinitebin import rng
+from infinitebin.simulate import _mean_stderr
 
 _UNIFORM_CHUNK = 1 << 14
 
@@ -161,14 +161,6 @@ def estimate_C(p: float, n: int = 100_000, replicas: int = 10,
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    rates = []
-    for r in range(replicas):
-        run = longest_path(n, p, seed, replica=r)
-        rates.append(run.L_n / n)
-    mean = sum(rates) / replicas
-    if replicas >= 2:
-        var = sum((x - mean) ** 2 for x in rates) / (replicas - 1)
-        stderr = math.sqrt(var / replicas)
-    else:
-        stderr = 0.0
-    return mean, stderr
+    return _mean_stderr(
+        [longest_path(n, p, seed, replica=r).L_n / n for r in range(replicas)]
+    )

@@ -43,6 +43,9 @@ EXIT_LIMIT = 3
 #: classify command (cost grows like 2^letter).
 _EXACT_COUPLING_LETTER_CAP = 12
 
+#: Most points a start:stop:step grid may have.
+_MAX_GRID_POINTS = 10**6
+
 #: The verification panel: two geometric and two uniform laws.
 VERIFY_PANEL = ("geom:0.5", "geom:0.8", "unif:2", "unif:3")
 
@@ -127,9 +130,16 @@ def _parse_grid(text):
             start, stop, step = (float(x) for x in parts)
         except ValueError as exc:
             raise _UsageError(f"bad grid {text!r}: {exc}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise _UsageError(f"bad grid {text!r}: need finite values")
         if step <= 0 or stop < start:
             raise _UsageError(f"bad grid {text!r}: need step > 0, stop >= start")
-        count = int(round((stop - start) / step)) + 1
+        # the 1e-9 forgives rounding in the division without passing stop
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_GRID_POINTS:  # also an overflow to inf
+            raise _UsageError(
+                f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+        count = math.floor(span) + 1
         return [round(start + i * step, 12) for i in range(count)]
     try:
         return [float(x) for x in text.split(",")]
@@ -197,16 +207,14 @@ def cmd_speed(args, out):
         )
         return EXIT_OK
     store = _store_for(args)
+    emit = None
     if store is not None:
         def emit(word, verdict, _weight):
             store.add(
                 WordStoreRecord(word=tuple(word), verdict=verdict, minimal=True)
             )
-        bracket = series.enumerate_minimal(
-            mu, args.len, args.max_letter, emit=emit
-        )
-    else:
-        bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
+    bracket = series.enumerate_minimal(mu, args.len, args.max_letter,
+                                       emit=emit)
     sys.stdout.write(str(bracket) + "\n")
     if out is not None:
         params = dict(bracket.params)
@@ -333,58 +341,42 @@ def cmd_begraph(args, out):
 # ---------------------------------------------------------------------------
 
 
-# Two-sided 99.73% Student-t quantiles (the coverage of "3 sigma") by
-# degrees of freedom, for gates whose stderr is itself estimated from a
-# small number of replicates.
-_T_GATE = {
-    2: 19.21, 3: 9.22, 4: 6.62, 5: 5.51, 6: 4.90, 7: 4.53, 8: 4.28,
-    9: 4.09, 10: 3.96, 12: 3.76, 15: 3.59, 20: 3.42, 29: 3.28,
-}
+#: Forward replicas per verified law.
+_FORWARD_REPLICAS = 5
 
-
-def _t_gate(dof: int) -> float:
-    if dof <= 0:
-        raise ValueError("need at least two replicates for a spread gate")
-    for cutoff in sorted(_T_GATE):
-        if dof <= cutoff:
-            return _T_GATE[cutoff]
-    return 3.0
+#: Two-sided 99.73% Student-t quantile (the coverage of "3 sigma") at the
+#: 4 degrees of freedom of a stderr estimated from the 5 forward replicas.
+_T_GATE = 6.62
 
 
 def _verify_one(spec, args, steps, samples, bracket_len):
     mu = parse_mu(spec)
     bracket = series.enumerate_minimal(mu, bracket_len, bracket_len)
 
-    fw = [
+    fw_mean, fw_se = simulate._mean_stderr([
         simulate.run_forward(
             mu, MINIMAL_CONFIG, steps, args.seed, replica=replica
         ).speed_estimate
-        for replica in range(5)
-    ]
-    fw_mean = sum(fw) / len(fw)
-    fw_var = sum((x - fw_mean) ** 2 for x in fw) / (len(fw) - 1)
-    fw_se = math.sqrt(fw_var / len(fw))
+        for replica in range(_FORWARD_REPLICAS)
+    ])
 
     st_mean, st_se = simulate.stationary_speed(mu, samples, 1, args.seed)
     floor = simulate.speed_floor(mu)
     # The forward stderr is estimated from few replicas, so the 99.73%
     # two-sided gate needs the Student-t quantile, not the normal 3; the
     # stationary stderr is the exact binomial formula and keeps 3.
-    fw_tol = _t_gate(len(fw) - 1) * fw_se
+    fw_tol = _T_GATE * fw_se
     st_tol = 3 * st_se
     slack = bracket.rounding_bound
+
+    def in_bracket(estimate, tol):
+        return (bracket.lower - tol - slack <= estimate
+                <= bracket.upper + tol + slack)
+
     checks = {
         "bracket_sane": 0.0 <= bracket.lower <= bracket.upper <= 1.0,
-        "forward_in_bracket": (
-            bracket.lower - fw_tol - slack
-            <= fw_mean
-            <= bracket.upper + fw_tol + slack
-        ),
-        "stationary_in_bracket": (
-            bracket.lower - st_tol - slack
-            <= st_mean
-            <= bracket.upper + st_tol + slack
-        ),
+        "forward_in_bracket": in_bracket(fw_mean, fw_tol),
+        "stationary_in_bracket": in_bracket(st_mean, st_tol),
         "estimators_agree": (
             abs(fw_mean - st_mean) <= math.hypot(fw_tol, st_tol) + 1e-12
         ),
@@ -400,7 +392,7 @@ def _verify_one(spec, args, steps, samples, bracket_len):
             "A": bracket_len,
         },
         "forward": {"estimate": fw_mean, "stderr": fw_se, "steps": steps,
-                    "seeds": len(fw)},
+                    "seeds": _FORWARD_REPLICAS},
         "stationary": {"estimate": st_mean, "stderr": st_se,
                        "samples": samples},
         "floor": floor,

@@ -61,40 +61,19 @@ class Configuration:
         """
         if K < 0:
             raise ValueError("scenery depth must be >= 0")
-        if K == 0:
-            return ()
-        if K <= len(self.window):
-            return tuple(reversed(self.window[len(self.window) - K :]))
-        return tuple(reversed(self.window)) + (1,) * (K - len(self.window))
+        return _scenery(self.window, K)
 
     # -- dynamics ---------------------------------------------------------
 
     def apply_move(self, k: int) -> "Configuration":
         """Add one ball right of the k-th rightmost ball."""
-        ev = _Evolver(self)
-        ev.step(k)
-        return ev.snapshot()
+        return self.apply_word((k,))
 
     def apply_word(self, word: Iterable[int]) -> "Configuration":
         """Apply a word's moves left to right (empty word = identity)."""
         ev = _Evolver(self)
         ev.run(word)
         return ev.snapshot()
-
-    # -- identity ---------------------------------------------------------
-
-    def canonical(self) -> "Configuration":
-        """Strip window entries that coincide with the tail policy."""
-        win = self.window
-        i = 0
-        while i < len(win) - 1 and win[i] == 1:
-            i += 1
-        return Configuration(self.front, win[i:]) if i else self
-
-    def same_configuration(self, other: "Configuration") -> bool:
-        """Equality of the represented states (window depth ignored)."""
-        a, b = self.canonical(), other.canonical()
-        return a.front == b.front and a.window == b.window
 
     # -- serialization ------------------------------------------------------
 
@@ -118,6 +97,14 @@ class Configuration:
                 '"window": list of integers'
             )
         return cls(front, tuple(window))
+
+
+def _scenery(window: Sequence[int], K: int) -> tuple:
+    """Counts of the K rightmost bins of ``window`` (bin counts left to
+    right), front bin first, padded with the one-ball-per-bin tail."""
+    if K <= len(window):
+        return tuple(reversed(window[len(window) - K :]))
+    return tuple(reversed(window)) + (1,) * (K - len(window))
 
 
 def _is_int(x) -> bool:
@@ -185,10 +172,7 @@ class _Evolver:
         return advances
 
     def scenery(self, K: int) -> tuple:
-        w = self.window
-        if K <= len(w):
-            return tuple(reversed(w[len(w) - K :]))
-        return tuple(reversed(w)) + (1,) * (K - len(w))
+        return _scenery(self.window, K)
 
     def snapshot(self) -> Configuration:
         return Configuration(self.front, tuple(self.window))

@@ -30,8 +30,8 @@ The lumped loop keeps vectors packed 8 placements to a byte, and builds
 each child packed from a cached run plan (``_run_plan``): a child byte
 whose 8 placements map to one byte-aligned run of the parent is copied
 from the parent's packed row, and only the other bytes are gathered bit by
-bit from the unpacked parent, in row blocks that fit in cache.  Good (all
-true), bad (none true) and equal halves are tested on the packed bytes.
+bit from the unpacked parent and packed.  Good (all true), bad (none true)
+and equal halves are tested on the packed bytes.
 Each level walks every depth once: the states of one depth, whatever their
 exponent e, go through the letters together with a per-row e column, and
 their children are split back into (depth, e) buckets when stashed.
@@ -47,8 +47,10 @@ two fixed constants: a depth cap of 16 on goodness vectors
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,20 +67,18 @@ DEFAULT_BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
 
-#: Rows unpacked per chunk when streaming a depth group through transitions;
-#: bounds transient memory at _DEPTH_CAP (2^15 columns) to about 130 MiB,
-#: nearly all of it the unpacked chunk (children stay packed).
+#: Rows unpacked per chunk when streaming a depth group through transitions.
+#: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
+#: to 64 MiB of one letter's gathered bits (children stay packed).  Real
+#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 1538
+#: such rows, and its 1.5 GB peak is the pending states of a level.
 _CHUNK_ROWS = 4096
-
-#: Unpacked bytes per row block of the child bit gather: keeps the gathered
-#: bits of a block in cache, where a whole chunk's would take up to 64 MiB
-#: at _DEPTH_CAP.
-_GATHER_BYTES = 1 << 18
 
 #: Record kinds of the unresolved (frontier) weight.
 _FRONTIER_KINDS = ("tail", "live", "capped", "pruned")
 
 
+@functools.cache
 def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
     """Gather map realising one prepended letter on placement patterns.
 
@@ -91,10 +91,6 @@ def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
 
     Tables are cached per (src_depth, letter, dst_depth).
     """
-    key = (src_depth, letter, dst_depth)
-    cached = _IMAGE_TABLES.get(key)
-    if cached is not None:
-        return cached
     n = 1 << (src_depth - 1)
     bits = np.arange(n, dtype=np.int64)
     pos = np.zeros((n, src_depth), dtype=np.int64)
@@ -111,15 +107,9 @@ def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
     allpos = -np.sort(-allpos, axis=1)
     top = allpos[:, :dst_depth]
     if dst_depth == 1:
-        idx = np.zeros(n, dtype=np.int64)
-    else:
-        diffs = top[:, :-1] - top[:, 1:]
-        idx = diffs @ (1 << np.arange(dst_depth - 1, dtype=np.int64))
-    _IMAGE_TABLES[key] = idx
-    return idx
-
-
-_IMAGE_TABLES: dict = {}
+        return np.zeros(n, dtype=np.int64)
+    diffs = top[:, :-1] - top[:, 1:]
+    return diffs @ (1 << np.arange(dst_depth - 1, dtype=np.int64))
 
 
 def _dedupe(packed: np.ndarray, weights: np.ndarray):
@@ -155,39 +145,28 @@ class _RunPlan(NamedTuple):
     ones: np.ndarray
 
 
+@functools.cache
 def _run_plan(src_depth: int, letter: int, dst_depth: int) -> _RunPlan:
     """The cached ``_RunPlan`` of ``image_table(src_depth, letter, dst_depth)``."""
-    key = (src_depth, letter, dst_depth)
-    plan = _RUN_PLANS.get(key)
-    if plan is None:
-        table = image_table(src_depth, letter, dst_depth)
-        groups = table.reshape(-1, min(table.size, 8))
-        run = (groups.shape[1] == 8) & (groups[:, 0] % 8 == 0) & (
-            groups == groups[:, :1] + np.arange(groups.shape[1])
-        ).all(axis=1)
-        plan = _RunPlan(
-            np.where(run, groups[:, 0] >> 3, 0) if run.any() else None,
-            np.flatnonzero(~run),
-            groups[~run].ravel(),
-            _words(np.packbits(np.ones((1, table.size), dtype=bool), axis=1)),
-        )
-        _RUN_PLANS[key] = plan
-    return plan
-
-
-_RUN_PLANS: dict = {}
+    table = image_table(src_depth, letter, dst_depth)
+    groups = table.reshape(-1, min(table.size, 8))
+    run = (groups.shape[1] == 8) & (groups[:, 0] % 8 == 0) & (
+        groups == groups[:, :1] + np.arange(groups.shape[1])
+    ).all(axis=1)
+    return _RunPlan(
+        np.where(run, groups[:, 0] >> 3, 0) if run.any() else None,
+        np.flatnonzero(~run),
+        groups[~run].ravel(),
+        _words(np.packbits(np.ones((1, table.size), dtype=bool), axis=1)),
+    )
 
 
 def _children(P: np.ndarray, V: np.ndarray, plan: _RunPlan) -> np.ndarray:
     """Packed child rows of packed parent rows P (V: P unpacked).
 
-    Run bytes are copied from P; the rest are gathered from V in row
-    blocks of about ``_GATHER_BYTES`` and packed.
+    Run bytes are copied from P; the rest are gathered from V and packed.
     """
-    step = max(1, _GATHER_BYTES // V.shape[1])
-    blocks = [_pack(np.take(V[lo : lo + step], plan.gather_cols, axis=1))
-              for lo in range(0, V.shape[0], step)]
-    G = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    G = _pack(np.take(V, plan.gather_cols, axis=1))
     if plan.copy_src is None:
         return G
     C = np.take(P, plan.copy_src, axis=1)
@@ -376,16 +355,31 @@ class MassSplit:
     pruned_mass: float
     peak_states: int
 
-    @property
-    def total(self) -> float:
-        return self.good + self.bad + self.frontier
+
+def _mass_split(parts: dict, peak_states: int) -> MassSplit:
+    """The MassSplit of per-kind lists of weight pieces (a defaultdict, so
+    a kind never recorded sums to 0.0); every sum is exactly rounded."""
+    return MassSplit(
+        good=math.fsum(parts[GOOD]),
+        bad=math.fsum(parts[BAD]),
+        frontier=math.fsum(w for kind in _FRONTIER_KINDS for w in parts[kind]),
+        frontier_tail=math.fsum(parts["tail"]),
+        frontier_live=math.fsum(parts["live"]),
+        frontier_capped=math.fsum(parts["capped"]),
+        pruned_mass=math.fsum(parts["pruned"]),
+        peak_states=peak_states,
+    )
 
 
-def _check_bounds(L: int, A: int) -> None:
+def _check_bounds(L: int, A: int, pmf_vec=None) -> None:
+    """Validate the length and alphabet bounds, and that ``pmf_vec`` (when
+    given) has a weight for every letter 1..A."""
     if L < 1:
         raise ValueError(f"max word length must be >= 1, got {L}")
     if A < 1:
         raise ValueError(f"max letter must be >= 1, got {A}")
+    if pmf_vec is not None and len(pmf_vec) < A + 1:
+        raise ValueError("pmf_vec must cover letters 1..A")
 
 
 def _stopping_tree(
@@ -506,26 +500,15 @@ def stopping_tree_masses(
     For a probability law these are mu(a) and mu((A, inf)); the engine
     never assumes they sum to 1, so monomial weights work too.
     """
-    _check_bounds(L, A)
-    if len(pmf_vec) < A + 1:
-        raise ValueError("pmf_vec must cover letters 1..A")
-    parts: dict = {kind: [] for kind in (GOOD, BAD, *_FRONTIER_KINDS)}
+    _check_bounds(L, A, pmf_vec)
+    parts: dict = defaultdict(list)
     peak, _pruned = _stopping_tree(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
         float(tail_mass), 0, L, A,
         lambda kind, n, e, w: parts[kind].append(w),
         q_ref=1.0, max_states=max_states, birth_floor=birth_floor,
     )
-    return MassSplit(
-        good=math.fsum(parts[GOOD]),
-        bad=math.fsum(parts[BAD]),
-        frontier=math.fsum(w for kind in _FRONTIER_KINDS for w in parts[kind]),
-        frontier_tail=math.fsum(parts["tail"]),
-        frontier_live=math.fsum(parts["live"]),
-        frontier_capped=math.fsum(parts["capped"]),
-        pruned_mass=math.fsum(parts["pruned"]),
-        peak_states=peak,
-    )
+    return _mass_split(parts, peak)
 
 
 def mass_rounding_bound(L: int, A: int) -> float:
@@ -562,8 +545,6 @@ class CountTables:
     good: np.ndarray
     bad: np.ndarray
     frontier: np.ndarray
-    L: int
-    A: int
     pruned_states: int
 
     def evaluate(self, p: float) -> tuple:
@@ -625,10 +606,8 @@ def stopping_tree_counts(
         [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
         q_ref=1.0 - reference_p, max_states=max_states, birth_floor=0.0,
     )
-    return CountTables(
-        good=good, bad=bad, frontier=frontier, L=L, A=A,
-        pruned_states=pruned_states,
-    )
+    return CountTables(good=good, bad=bad, frontier=frontier,
+                       pruned_states=pruned_states)
 
 
 
@@ -653,14 +632,9 @@ def walk_minimal_words(
     3,000,000 expanded nodes — the walk is for bounds where the word tree
     itself is tractable; use the lumped engines otherwise.
     """
-    _check_bounds(L, A)
-    if len(pmf_vec) < A + 1:
-        raise ValueError("pmf_vec must cover letters 1..A")
-    good_parts: list = []
-    bad_parts: list = []
-    tail_parts: list = [float(tail_mass)]
-    live_parts: list = []
-    capped_parts: list = []
+    _check_bounds(L, A, pmf_vec)
+    parts: dict = defaultdict(list)
+    parts["tail"].append(float(tail_mass))
     expanded = 0
     stack: list = []
 
@@ -673,7 +647,7 @@ def walk_minimal_words(
                 yield ((1,), 1, None, w)  # resolves immediately: all-true
                 continue
             if a > _DEPTH_CAP:
-                capped_parts.append(w)
+                parts["capped"].append(w)
                 continue
             v = np.zeros(1 << (a - 1), dtype=bool)
             v[0] = True
@@ -683,7 +657,7 @@ def walk_minimal_words(
         if v is None:
             if emit is not None:
                 emit(word, GOOD, w)
-            good_parts.append(w)
+            parts[GOOD].append(w)
         else:
             stack.append((word, d, v, w))
     stack.reverse()
@@ -691,7 +665,7 @@ def walk_minimal_words(
     while stack:
         word, d, v, w = stack.pop()
         if len(word) >= L:
-            live_parts.append(w)
+            parts["live"].append(w)
             continue
         expanded += 1
         if expanded > _NODE_BUDGET:
@@ -700,7 +674,7 @@ def walk_minimal_words(
                 f"nodes at length-bound {L}, alphabet {A}; use the lumped "
                 f"bracket engine for bounds this large"
             )
-        tail_parts.append(w * tail_mass)
+        parts["tail"].append(w * tail_mass)
         children = []
         for a in range(1, A + 1):
             wa = float(pmf_vec[a])
@@ -708,7 +682,7 @@ def walk_minimal_words(
                 continue
             d2 = max(a, d - 1, 1)
             if d2 > _DEPTH_CAP:
-                capped_parts.append(w * wa)
+                parts["capped"].append(w * wa)
                 continue
             child = v[image_table(d2, a, d)]
             cw = w * wa
@@ -716,12 +690,12 @@ def walk_minimal_words(
             if child.all():
                 if emit is not None:
                     emit(cword, GOOD, cw)
-                good_parts.append(cw)
+                parts[GOOD].append(cw)
                 continue
             if not child.any():
                 if emit is not None:
                     emit(cword, BAD, cw)
-                bad_parts.append(cw)
+                parts[BAD].append(cw)
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)
@@ -732,13 +706,4 @@ def walk_minimal_words(
             children.append((cword, d2, child, cw))
         stack.extend(reversed(children))
 
-    return MassSplit(
-        good=math.fsum(good_parts),
-        bad=math.fsum(bad_parts),
-        frontier=math.fsum(tail_parts + live_parts + capped_parts),
-        frontier_tail=math.fsum(tail_parts),
-        frontier_live=math.fsum(live_parts),
-        frontier_capped=math.fsum(capped_parts),
-        pruned_mass=0.0,
-        peak_states=expanded,
-    )
+    return _mass_split(parts, expanded)

@@ -82,9 +82,14 @@ def _maybe_warn_degenerate(mu: MoveDistribution) -> None:
         )
 
 
+def _clamp(good: float, bad: float) -> tuple:
+    """(lower, upper) bounds from good and bad mass, clamped into [0, 1]."""
+    lower = min(max(good, 0.0), 1.0)
+    return lower, min(max(1.0 - bad, lower), 1.0)
+
+
 def _bracket(split: MassSplit, mu_desc: str, L: int, A: int) -> SpeedBracket:
-    lower = min(max(split.good, 0.0), 1.0)
-    upper = min(max(1.0 - split.bad, lower), 1.0)
+    lower, upper = _clamp(split.good, split.bad)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -151,10 +156,10 @@ def bivariate_D(
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
-    if max_letter < 1 or max_len < 1:
-        raise ValueError("truncation bounds must be >= 1")
     pmf_vec = [0.0] + [p * q ** (a - 1) for a in range(1, max_letter + 1)]
-    tail = p * q ** max_letter / (1.0 - q) if q < 1.0 else 0.0
+    # q = 0 has no tail; skipping 0.0 ** max_letter leaves a bound below 1
+    # to the engine's check
+    tail = p * q ** max_letter / (1.0 - q) if 0.0 < q < 1.0 else 0.0
     split = stopping_tree_masses(
         pmf_vec, tail, max_len, max_letter,
         max_states=max_states, birth_floor=0.0,
@@ -215,8 +220,7 @@ def curve(
     rows = []
     for p in ps:
         good, bad, _frontier = tables.evaluate(p)
-        lower = min(max(good, 0.0), 1.0)
-        upper = min(max(1.0 - bad, lower), 1.0)
+        lower, upper = _clamp(good, bad)
         rows.append(CurveRow(
             p=p, lower=lower, upper=upper,
             good_mass=good, bad_mass=bad, frontier_mass=_frontier,

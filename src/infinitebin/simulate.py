@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from infinitebin import rng
-from infinitebin.core import Configuration, _Evolver
+from infinitebin.core import Configuration, _Evolver, _scenery
 from infinitebin.distributions import MoveDistribution
 from infinitebin.words import _fold_determined
 
@@ -45,12 +45,26 @@ class CouplingHorizonError(RuntimeError):
         )
 
 
-def _require_perfect_samplable(mu: MoveDistribution) -> None:
+def _require_perfect_samplable(mu: MoveDistribution, K: int) -> None:
+    """Reject a scenery depth below 1 and a law with no coupling words."""
+    if K < 1:
+        raise ValueError(f"scenery depth K must be >= 1, got {K}")
     if not mu.non_degenerate() and mu.support_min >= 2:
         raise ValueError(
             "point mass at a letter >= 2 admits no coupling words; "
             "the stationary scenery is not defined for this law"
         )
+
+
+def _mean_stderr(values) -> tuple:
+    """(mean, standard error of the mean) of independent replicate values;
+    the standard error is 0.0 for fewer than two values."""
+    n = len(values)
+    mean = sum(values) / n
+    if n < 2:
+        return mean, 0.0
+    var = sum((x - mean) ** 2 for x in values) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def speed_floor(mu: MoveDistribution) -> float:
@@ -112,18 +126,11 @@ def run_forward(
             u = gen.random(min(_LETTER_CHUNK, hi - at))
             block_adv += ev.run(mu.letters_from_uniforms(u).tolist())
         block_speeds.append(block_adv / (hi - lo))
-    displacement = ev.front - front0
-    if n_blocks >= 2:
-        mean = sum(block_speeds) / n_blocks
-        var = sum((s - mean) ** 2 for s in block_speeds) / (n_blocks - 1)
-        stderr = math.sqrt(var / n_blocks)
-    else:
-        stderr = 0.0
     return RunStats(
         steps=steps,
         front_final=ev.front,
-        speed_estimate=displacement / steps,
-        stderr=stderr,
+        speed_estimate=(ev.front - front0) / steps,
+        stderr=_mean_stderr(block_speeds)[1],
         seed=seed,
     )
 
@@ -211,14 +218,12 @@ def perfect_sample(
     would be identical for every deeper horizon.  Raises
     CouplingHorizonError past ``max_horizon`` letters.
     """
-    if K < 1:
-        raise ValueError(f"scenery depth K must be >= 1, got {K}")
+    _require_perfect_samplable(mu, K)
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
-    _require_perfect_samplable(mu)
     past = _PastLetters(mu, seed, replica)
     det, tau = _certified_fold(past, K, max_horizon)
-    return PerfectSample(scenery=tuple(reversed(det[-K:])), tau=tau, K=K)
+    return PerfectSample(scenery=_scenery(det, K), tau=tau, K=K)
 
 
 def perfect_samples(
@@ -232,7 +237,6 @@ def perfect_samples(
     """Perfect samples of replicas 0..replicas-1, each drawn once."""
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    _require_perfect_samplable(mu)
     return tuple(
         perfect_sample(mu, K, seed, replica=r, max_horizon=max_horizon)
         for r in range(replicas)
@@ -295,11 +299,9 @@ def coupling_convergence_check(
     t <= n <= n_max (0 when they agree from the start), or None if they
     still differ at n_max — a short check window, not a failure.
     """
-    if K < 1:
-        raise ValueError(f"scenery depth K must be >= 1, got {K}")
+    _require_perfect_samplable(mu, K)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    _require_perfect_samplable(mu)
 
     past = _PastLetters(mu, seed, replica=0)
     future_gen = rng.stream(seed, rng.STREAM_FORWARD)
@@ -308,9 +310,7 @@ def coupling_convergence_check(
     need = K
     det, _h = _certified_fold(past, need, max_horizon)
     ev = _Evolver(start)
-    streak: int | None = (
-        0 if ev.scenery(K) == tuple(reversed(det[-K:])) else None
-    )
+    streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
     n = 0
     while n < n_max:
         if len(future) <= n:
@@ -326,7 +326,7 @@ def coupling_convergence_check(
             need = max(2 * need, 2 * K)
             det, _h = _certified_fold(past, need, max_horizon)
             det, _shift = _fold_determined(future[:n], det)
-        if ev.scenery(K) == tuple(reversed(det[-K:])):
+        if ev.scenery(K) == _scenery(det, K):
             if streak is None:
                 streak = n
         else:

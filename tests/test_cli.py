@@ -1,5 +1,6 @@
 """Command-line interface behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,24 @@ def test_curve_deterministic_bytes(tmp_path, capsys):
 def test_curve_rejects_zero_density(capsys):
     assert run_cli(capsys, "curve", "--grid", "0.0:1.0:0.5")[0] == 1
     assert run_cli(capsys, "curve", "--grid", "0.5:0.2:0.1")[0] == 1
+
+
+def test_grid_range_stops_at_stop():
+    ninths = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    assert cli._parse_grid("0.1:0.9:0.1") == ninths
+    assert cli._parse_grid("0.1:0.96:0.1") == ninths  # no p = 1 past the stop
+    assert cli._parse_grid("0.5:1.0:0.25") == [0.5, 0.75, 1.0]
+    assert cli._parse_grid("0.5:0.5:0.1") == [0.5]
+
+
+@pytest.mark.parametrize("grid", [
+    "0.1:inf:0.1", "0.1:1e300:1e-300", "0.5:0.5:inf", "nan:0.5:0.1",
+    "-inf:0.5:0.1", "0.1:0.5:nan", "0.1:0.9:1e-9",
+])
+def test_grid_non_finite_or_oversized_is_usage_error(capsys, grid):
+    code, _, err = run_cli(capsys, "curve", "--grid", grid)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
@@ -348,6 +367,18 @@ def test_begraph_trajectory_record(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # global behavior
 # ---------------------------------------------------------------------------
+
+
+def test_verify_report_is_pinned(tmp_path, capsys):
+    # SHA-256 of the whole --out report: any change in the forward or
+    # stationary replica statistics, or in the gates, shows here.
+    path = tmp_path / "verify.json"
+    code = cli.main(["verify", "--budget", "1s", "--seed", "0",
+                     "--out", str(path)])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "30b763cde85cb04dd34bea77ff95368af6bffff2edbd44b0232fa6a5192659f6")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

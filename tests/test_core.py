@@ -48,7 +48,7 @@ def test_hand_executed_word_2_2():
     step2 = step1.apply_move(2)
     assert (step2.front, step2.window) == (1, (1, 2, 2))
     # Same end state via apply_word.
-    assert config.apply_word((2, 2)).same_configuration(step2)
+    assert config.apply_word((2, 2)) == step2
 
 
 def test_deep_move_extends_window_with_unit_bins():
@@ -69,16 +69,6 @@ def test_scenery_is_front_first_with_unit_padding():
     assert config.scenery(2) == (2, 3)
     assert config.scenery(3) == (2, 3, 1)
     assert config.scenery(5) == (2, 3, 1, 1, 1)  # padded into the tail
-
-
-def test_canonical_and_shift():
-    # canonical() strips deep window entries that match the one-ball tail.
-    config = Configuration(7, (1, 1, 2, 1))
-    canon = config.canonical()
-    assert canon.front == 7
-    assert canon.window == (2, 1)
-    assert config.same_configuration(canon)
-    assert not config.same_configuration(Configuration(6, (1, 1, 2, 1)))
 
 
 def test_json_round_trip():

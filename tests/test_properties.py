@@ -79,15 +79,6 @@ configs = st.builds(
 
 @given(configs)
 @settings(deadline=None)
-def test_canonical_preserves_scenery_and_front(x):
-    canon = x.canonical()
-    assert canon.front == x.front
-    depth = len(x.window) + 3
-    assert canon.scenery(depth) == x.scenery(depth)
-
-
-@given(configs)
-@settings(deadline=None)
 def test_json_round_trip(x):
     assert Configuration.from_json(json.loads(json.dumps(x.to_json()))) == x
 

@@ -112,15 +112,34 @@ PINNED_MASSES = [
       "0x0.0p+0", 1253)),
 ]
 
+# Exact outputs of the explicit word walk, recorded the same way.
+PINNED_WALK = [
+    ((Uniform(3), 7, 3),
+     ("0x1.ef60ce0472b6dp-2", "0x1.db3e9fe5c7944p-2", "0x1.ab0490ae2da6bp-5",
+      "0x0.0p+0", "0x1.ab0490ae2da6bp-5", "0x0.0p+0", "0x0.0p+0", 106)),
+    # depth cap
+    ((Geometric(0.3), 3, 18),
+     ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
+      "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4fep-3", "0x1.b86f546bfcd70p-9",
+      "0x0.0p+0", 135)),
+]
+
+
+def _hex_fields(split) -> tuple:
+    return tuple(
+        v.hex() if isinstance(v, float) else v
+        for v in (getattr(split, f.name) for f in dataclasses.fields(split))
+    )
+
 
 def test_engine_outputs_are_pinned():
     for (p, L, A, caps), expected in PINNED_MASSES:
         mu = Geometric(p)
         split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A, **caps)
-        fields = tuple(getattr(split, f.name) for f in dataclasses.fields(split))
-        assert tuple(
-            v.hex() if isinstance(v, float) else v for v in fields
-        ) == expected, (p, L, A, caps)
+        assert _hex_fields(split) == expected, (p, L, A, caps)
+    for (mu, L, A), expected in PINNED_WALK:
+        split = walk_minimal_words(mu.pmf_vector(A), mu.tail(A), L, A, None)
+        assert _hex_fields(split) == expected, (mu.describe(), L, A)
     # pruning across many exponents
     tables = stopping_tree_counts(7, 7, max_states=300)
     assert tables.good.shape == (8, 50)
@@ -201,6 +220,9 @@ def test_bounds_validation():
         enumerate_minimal(Geometric(0.5), 0, 4)
     with pytest.raises(ValueError):
         enumerate_minimal(Geometric(0.5), 4, 0)
+    for p, q, L, A in [(0.5, 0.5, 0, 4), (0.5, 0.5, 4, 0), (0.5, 0.0, 4, -1)]:
+        with pytest.raises(ValueError):
+            bivariate_D(p, q, L, A)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ def fk_coupling_trajectory(
     seed: int,
     *,
     method: str = "classmax",
-    replica: int = 0,
 ) -> np.ndarray:
     """Front trajectory of the growing graph (running max path length).
 
@@ -146,7 +145,7 @@ def fk_coupling_trajectory(
     infinite-bin process with Geometric(p) letters started from a single
     ball.
     """
-    values = _path_values(n, p, seed, method, replica)
+    values = _path_values(n, p, seed, method, 0)
     return np.maximum.accumulate(np.asarray(values, dtype=np.int64))
 
 

@@ -195,7 +195,7 @@ def cmd_classify(args, out):
 
 def cmd_speed(args, out):
     mu = parse_mu(args.mu)
-    if not mu.non_degenerate() and mu.support_min >= 2:
+    if mu.blocked():
         k = mu.support_min
         sys.stderr.write(
             f"warning: {mu.describe()} is a point mass at {k} >= 2; the "

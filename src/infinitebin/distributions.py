@@ -46,9 +46,10 @@ class MoveDistribution(ABC):
         """P(xi > j) for j >= 0."""
         return max(0.0, 1.0 - self.cdf(j))
 
-    def non_degenerate(self) -> bool:
-        """True iff the support has at least two letters."""
-        return self.support_max is None or self.support_max > self.support_min
+    def blocked(self) -> bool:
+        """True iff the law is a point mass at a letter >= 2, which has no
+        minimal-word speed identity and no coupling words."""
+        return self.support_max == self.support_min >= 2
 
     def pmf_vector(self, max_letter: int) -> np.ndarray:
         """Array v with v[j] = pmf(j) for j = 0..max_letter (v[0] = 0)."""

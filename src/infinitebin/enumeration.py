@@ -36,13 +36,13 @@ Each level walks every depth once: the states of one depth, whatever their
 exponent e, go through the letters together with a per-row e column, and
 their children are split back into (depth, e) buckets when stashed.
 
-Resource bounds, all frontier-accounted so brackets stay valid:
-length bound L and alphabet bound A (contract parameters), a global cap on
-live lumped states per level (lowest weights dropped, deterministic tie
-handling), a birth-weight floor below which children are not expanded, and
-two fixed constants: a depth cap of 16 on goodness vectors
-(``_DEPTH_CAP``) and the walk's budget of 3,000,000 expanded nodes
-(``_NODE_BUDGET``).
+Resource bounds, all frontier-accounted so brackets stay valid: the
+length bound L and alphabet bound A (contract parameters), and four fixed
+constants: a cap of 50,000 live lumped states per level (``_MAX_STATES``;
+lowest weights dropped, deterministic tie handling), a birth-weight floor
+of 1e-18 below which children are not expanded (``_BIRTH_FLOOR``), a depth
+cap of 16 on goodness vectors (``_DEPTH_CAP``) and the walk's budget of
+3,000,000 expanded nodes (``_NODE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ import numpy as np
 
 from infinitebin.words import BAD, GOOD, SizeLimitError
 
-DEFAULT_MAX_STATES = 50_000
-DEFAULT_BIRTH_FLOOR = 1e-18
-
-#: Fixed resource bounds: the deepest goodness vector expanded (deeper
-#: children are frontier, "capped") and the explicit walk's budget of
-#: expanded nodes.  Read at call time, so tests can patch them.
+#: Fixed resource bounds: live lumped states kept per level (the rest are
+#: frontier, "pruned"), the birth weight below which a child is not
+#: expanded, the deepest goodness vector expanded (deeper children are
+#: frontier, "capped") and the explicit walk's budget of expanded nodes.
+#: Read at call time, so tests can patch them.
+_MAX_STATES = 50_000
+_BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
 
@@ -284,8 +285,9 @@ def _depth_groups(buckets: dict):
         )
 
 
-def _settle(pending: dict, max_states: int, q_ref: float, record, n: int):
-    """Dedupe pending buckets, then drop lowest-priority states over the cap.
+def _settle(pending: dict, q_ref: float, record, n: int):
+    """Dedupe pending buckets, then drop lowest-priority states over
+    ``_MAX_STATES``.
 
     A state in bucket (depth, e) with weight w has priority w * q_ref**e,
     which is its weight under Geometric(1 - q_ref) up to the level's common
@@ -300,15 +302,15 @@ def _settle(pending: dict, max_states: int, q_ref: float, record, n: int):
         rows_list, w_list = pending[key]
         buckets[key] = _dedupe(np.concatenate(rows_list), np.concatenate(w_list))
     total = sum(len(sums) for _rows, sums in buckets.values())
-    if total <= max_states:
+    if total <= _MAX_STATES:
         return buckets, total, 0
     scores = {
         key: sums * q_ref ** key[1] for key, (_rows, sums) in buckets.items()
     }
     wall = np.concatenate(list(scores.values()))
-    n_drop = total - max_states
+    n_drop = total - _MAX_STATES
     thresh = np.partition(wall, n_drop - 1)[n_drop - 1]
-    n_keep_eq = max_states - int((wall > thresh).sum())
+    n_keep_eq = _MAX_STATES - int((wall > thresh).sum())
     kept = {}
     dropped: dict = {}
     for key, (rows, sums) in buckets.items():
@@ -392,7 +394,6 @@ def _stopping_tree(
     record,
     *,
     q_ref: float,
-    max_states: int,
     birth_floor: float,
 ) -> tuple:
     """The lumped stopping-tree level loop, in either weight algebra.
@@ -419,7 +420,7 @@ def _stopping_tree(
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
             _stash(pending, shifts[a], row, np.array([w]), a)
-    buckets, peak, pruned = _settle(pending, max_states, q_ref, record, 1)
+    buckets, peak, pruned = _settle(pending, q_ref, record, 1)
 
     for level in range(2, L + 1):
         if not buckets:
@@ -473,9 +474,7 @@ def _stopping_tree(
                         _stash(pending, e2, C, cw, d2)
                     elif keep.any():
                         _stash(pending, _pick(e2, keep), C[keep], cw[keep], d2)
-        buckets, total, n_pruned = _settle(
-            pending, max_states, q_ref, record, level
-        )
+        buckets, total, n_pruned = _settle(pending, q_ref, record, level)
         peak = max(peak, total)
         pruned += n_pruned
 
@@ -490,15 +489,15 @@ def stopping_tree_masses(
     L: int,
     A: int,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
-    birth_floor: float = DEFAULT_BIRTH_FLOOR,
+    birth_floor: float | None = None,
 ) -> MassSplit:
     """Run the lumped stopping-tree DP with per-letter weights.
 
     ``pmf_vec[a]`` is the weight of prepending letter a (index 0 unused)
     and ``tail_mass`` the weight of "letter beyond A" per prepend step.
     For a probability law these are mu(a) and mu((A, inf)); the engine
-    never assumes they sum to 1, so monomial weights work too.
+    never assumes they sum to 1, so monomial weights work too.  Children
+    lighter than ``birth_floor`` (default ``_BIRTH_FLOOR``) are frontier.
     """
     _check_bounds(L, A, pmf_vec)
     parts: dict = defaultdict(list)
@@ -506,7 +505,8 @@ def stopping_tree_masses(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
         float(tail_mass), 0, L, A,
         lambda kind, n, e, w: parts[kind].append(w),
-        q_ref=1.0, max_states=max_states, birth_floor=birth_floor,
+        q_ref=1.0,
+        birth_floor=_BIRTH_FLOOR if birth_floor is None else birth_floor,
     )
     return _mass_split(parts, peak)
 
@@ -577,7 +577,6 @@ def stopping_tree_counts(
     A: int,
     *,
     reference_p: float = 0.5,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> CountTables:
     """Enumerate once, recording integer monomial coefficients.
 
@@ -604,7 +603,7 @@ def stopping_tree_counts(
 
     _peak, pruned_states = _stopping_tree(
         [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
-        q_ref=1.0 - reference_p, max_states=max_states, birth_floor=0.0,
+        q_ref=1.0 - reference_p, birth_floor=0.0,
     )
     return CountTables(good=good, bad=bad, frontier=frontier,
                        pruned_states=pruned_states)
@@ -627,8 +626,9 @@ def walk_minimal_words(
 
     Same accounting as stopping_tree_masses but without state merging, so
     each minimal word is visited once and handed to ``emit(word, verdict,
-    weight)`` in deterministic order (letters prepended in increasing
-    order, depth-first).  Raises SizeLimitError past its fixed budget of
+    weight)`` in deterministic order: the word (1,) first, then depth-first
+    over first letters A down to 2, each later letter prepended in
+    increasing order.  Raises SizeLimitError past its fixed budget of
     3,000,000 expanded nodes — the walk is for bounds where the word tree
     itself is tractable; use the lumped engines otherwise.
     """
@@ -637,30 +637,20 @@ def walk_minimal_words(
     parts["tail"].append(float(tail_mass))
     expanded = 0
     stack: list = []
-
-    def spawn_births():
-        for a in range(A, 0, -1):
-            w = float(pmf_vec[a])
-            if w <= 0.0:
-                continue
-            if a == 1:
-                yield ((1,), 1, None, w)  # resolves immediately: all-true
-                continue
-            if a > _DEPTH_CAP:
-                parts["capped"].append(w)
-                continue
+    for a in range(1, A + 1):
+        w = float(pmf_vec[a])
+        if w <= 0.0:
+            continue
+        if a == 1:  # resolves immediately: all-true
+            if emit is not None:
+                emit((1,), GOOD, w)
+            parts[GOOD].append(w)
+        elif a > _DEPTH_CAP:
+            parts["capped"].append(w)
+        else:  # popped last-pushed first: births walk from letter A down
             v = np.zeros(1 << (a - 1), dtype=bool)
             v[0] = True
-            yield ((a,), a, v, w)
-
-    for word, d, v, w in spawn_births():
-        if v is None:
-            if emit is not None:
-                emit(word, GOOD, w)
-            parts[GOOD].append(w)
-        else:
-            stack.append((word, d, v, w))
-    stack.reverse()
+            stack.append(((a,), a, v, w))
 
     while stack:
         word, d, v, w = stack.pop()

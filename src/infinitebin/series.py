@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from infinitebin.distributions import MoveDistribution, Uniform
 from infinitebin.enumeration import (
-    DEFAULT_BIRTH_FLOOR,
-    DEFAULT_MAX_STATES,
     MassSplit,
     count_rounding_bound,
     mass_rounding_bound,
@@ -73,7 +71,7 @@ def weight(word, mu: MoveDistribution) -> float:
 
 
 def _maybe_warn_degenerate(mu: MoveDistribution) -> None:
-    if not mu.non_degenerate() and mu.support_min >= 2:
+    if mu.blocked():
         warnings.warn(
             "letter law is a point mass at a letter >= 2: the minimal-word "
             "speed identity does not apply and the bracket stays [0, 1]; "
@@ -106,9 +104,6 @@ def enumerate_minimal(
     max_len: int,
     max_letter: int,
     emit=None,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    birth_floor: float = DEFAULT_BIRTH_FLOOR,
 ) -> SpeedBracket:
     """Bracket the speed by enumerating minimal words up to the bounds.
 
@@ -119,7 +114,10 @@ def enumerate_minimal(
     raises SizeLimitError past a fixed budget of 3,000,000 expanded nodes;
     without ``emit`` a lumped state engine is used, which reaches much
     larger bounds.  Both engines leave goodness vectors deeper than the
-    fixed depth cap of 16 unexpanded, as frontier mass.
+    fixed depth cap of 16 unexpanded, as frontier mass; the lumped engine
+    also keeps at most 50,000 states per level and does not expand
+    children lighter than 1e-18, both fixed constants whose cut weight is
+    frontier mass.
     """
     pmf_vec = mu.pmf_vector(max_letter)
     tail = mu.tail(max_letter)
@@ -127,10 +125,7 @@ def enumerate_minimal(
     if emit is not None:
         split = walk_minimal_words(pmf_vec, tail, max_len, max_letter, emit)
     else:
-        split = stopping_tree_masses(
-            pmf_vec, tail, max_len, max_letter,
-            max_states=max_states, birth_floor=birth_floor,
-        )
+        split = stopping_tree_masses(pmf_vec, tail, max_len, max_letter)
     return _bracket(split, mu.describe(), max_len, max_letter)
 
 
@@ -139,8 +134,6 @@ def bivariate_D(
     q: float,
     max_len: int,
     max_letter: int,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple:
     """Partial sum of the bivariate minimal-good-word series, with bound.
 
@@ -152,7 +145,8 @@ def bivariate_D(
     series mass.  The bound multiplies each unresolved branch by its
     worst-case continuation mass, geometric with ratio r = p/(1-q); it is
     finite only for r < 1 (strictly inside the product region) or when
-    enumeration left nothing unresolved.
+    enumeration left nothing unresolved.  The lumped engine keeps at most
+    50,000 states per level (a fixed constant) and expands every child.
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
@@ -160,10 +154,8 @@ def bivariate_D(
     # q = 0 has no tail; skipping 0.0 ** max_letter leaves a bound below 1
     # to the engine's check
     tail = p * q ** max_letter / (1.0 - q) if 0.0 < q < 1.0 else 0.0
-    split = stopping_tree_masses(
-        pmf_vec, tail, max_len, max_letter,
-        max_states=max_states, birth_floor=0.0,
-    )
+    split = stopping_tree_masses(pmf_vec, tail, max_len, max_letter,
+                                 birth_floor=0.0)
     unresolved_now = split.frontier_live + split.pruned_mass
     unresolved_next = split.frontier_tail + split.frontier_capped
     if q >= 1.0 and p > 0.0:
@@ -194,8 +186,6 @@ def curve(
     p_grid,
     max_len: int,
     max_letter: int,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> list:
     """Bracket the longest-path growth rate on a grid of edge densities.
 
@@ -203,7 +193,8 @@ def curve(
     the monomials p^n (1-p)^e, and evaluates the resulting polynomials at
     every grid point — the minimal-word sets do not depend on p, only the
     weights do.  Every p must lie in (0, 1] (p = 0 has no geometric letter
-    law).  State pruning is prioritised at the grid midpoint but stays
+    law).  At most 50,000 states per level are kept (a fixed constant);
+    pruning is prioritised at the grid midpoint but stays
     frontier-accounted, so each returned bracket is valid at its own p.
     """
     ps = [float(p) for p in p_grid]
@@ -213,9 +204,7 @@ def curve(
         if not 0.0 < p <= 1.0:
             raise ValueError(f"grid edge density must be in (0, 1], got {p}")
     reference_p = 0.5 * (min(ps) + max(ps))
-    tables = stopping_tree_counts(
-        max_len, max_letter, reference_p=reference_p, max_states=max_states,
-    )
+    tables = stopping_tree_counts(max_len, max_letter, reference_p=reference_p)
     bound = count_rounding_bound(max_len, max_letter)
     rows = []
     for p in ps:
@@ -229,7 +218,7 @@ def curve(
     return rows
 
 
-def uniform_speed_terms(k: int, max_len: int, **engine_opts) -> SpeedBracket:
+def uniform_speed_terms(k: int, max_len: int) -> SpeedBracket:
     """Bracket the uniform-law speed w_k; the alphabet is exactly 1..k.
 
     With letters uniform on {1..k} there is no alphabet truncation, so the
@@ -238,4 +227,4 @@ def uniform_speed_terms(k: int, max_len: int, **engine_opts) -> SpeedBracket:
     """
     if k < 2:
         raise ValueError(f"uniform support bound must be >= 2, got {k}")
-    return enumerate_minimal(Uniform(k), max_len, k, **engine_opts)
+    return enumerate_minimal(Uniform(k), max_len, k)

@@ -49,7 +49,7 @@ def _require_perfect_samplable(mu: MoveDistribution, K: int) -> None:
     """Reject a scenery depth below 1 and a law with no coupling words."""
     if K < 1:
         raise ValueError(f"scenery depth K must be >= 1, got {K}")
-    if not mu.non_degenerate() and mu.support_min >= 2:
+    if mu.blocked():
         raise ValueError(
             "point mass at a letter >= 2 admits no coupling words; "
             "the stationary scenery is not defined for this law"
@@ -265,15 +265,13 @@ def stationary_speed(
     samples: int,
     K: int = 1,
     seed: int = 0,
-    *,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> tuple:
     """Unbiased speed estimate from perfect samples.
 
     Replicas 0..samples-1 are drawn at depth K (only depth 1 is used) and
     scored by :func:`front_hit_rate`.  Returns (estimate, binomial stderr).
     """
-    drawn = perfect_samples(mu, K, samples, seed, max_horizon=max_horizon)
+    drawn = perfect_samples(mu, K, samples, seed)
     return front_hit_rate(mu, drawn, seed)
 
 
@@ -283,8 +281,6 @@ def coupling_convergence_check(
     K: int,
     n_max: int,
     seed: int,
-    *,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> int | None:
     """First time from which the chain's K-scenery sticks to the
     stationary one.
@@ -308,7 +304,7 @@ def coupling_convergence_check(
     future: list = []
 
     need = K
-    det, _h = _certified_fold(past, need, max_horizon)
+    det, _h = _certified_fold(past, need, DEFAULT_MAX_HORIZON)
     ev = _Evolver(start)
     streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
     n = 0
@@ -324,7 +320,7 @@ def coupling_convergence_check(
         _fold_determined((a,), det)
         while len(det) < K:
             need = max(2 * need, 2 * K)
-            det, _h = _certified_fold(past, need, max_horizon)
+            det, _h = _certified_fold(past, need, DEFAULT_MAX_HORIZON)
             det, _shift = _fold_determined(future[:n], det)
         if ev.scenery(K) == _scenery(det, K):
             if streak is None:
@@ -376,9 +372,7 @@ def tau_tail(
     K: int,
     replicas: int,
     seed: int,
-    *,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> TauTail:
     """Certified coupling horizons over independent replicas."""
-    drawn = perfect_samples(mu, K, replicas, seed, max_horizon=max_horizon)
+    drawn = perfect_samples(mu, K, replicas, seed)
     return TauTail(taus=tuple(s.tau for s in drawn), K=K)

@@ -36,6 +36,15 @@ class SizeLimitError(ValueError):
     """Raised when an exact computation would need a 2^(h-1) blow-up."""
 
 
+def _require_exact(h: int) -> None:
+    """Refuse a sweep over the 2^(h-1) placements past MAX_EXACT_LETTER."""
+    if h > MAX_EXACT_LETTER:
+        raise SizeLimitError(
+            f"exact computation needs 2^{h - 1} start placements; horizon "
+            f"{h} exceeds the limit {MAX_EXACT_LETTER}"
+        )
+
+
 @dataclass(frozen=True)
 class Classification:
     """Verdict for a word, with minimality when the verdict is decisive.
@@ -96,11 +105,7 @@ def test_set(h: int) -> list:
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    if h > MAX_EXACT_LETTER:
-        raise SizeLimitError(
-            f"test set needs 2^{h - 1} configurations; horizon {h} exceeds "
-            f"the exact-computation limit {MAX_EXACT_LETTER}"
-        )
+    _require_exact(h)
     return [pattern_config(h, bits) for bits in range(1 << (h - 1))]
 
 
@@ -115,13 +120,9 @@ def is_x_good(word: Sequence[int], config: Configuration) -> bool:
 @lru_cache(maxsize=1 << 18)
 def _verdict(word: tuple) -> str:
     h = horizon(word)
-    if h > MAX_EXACT_LETTER:
-        # good/bad verdicts need the whole 2^(h-1) sweep; refuse uniformly
-        # rather than answer fast only when an early disagreement exists.
-        raise SizeLimitError(
-            f"verdict needs up to 2^{h - 1} start placements; horizon {h} "
-            f"exceeds the exact-computation limit {MAX_EXACT_LETTER}"
-        )
+    # good/bad verdicts need the whole 2^(h-1) sweep; refuse uniformly
+    # rather than answer fast only when an early disagreement exists.
+    _require_exact(h)
     seen_true = seen_false = False
     for bits in range(1 << (h - 1)):
         if is_x_good(word, pattern_config(h, bits)):
@@ -168,11 +169,7 @@ def coupling_number(word: Sequence[int]) -> int:
         raise ValueError("empty word has no coupling number")
     _check_letters(word)
     h = max(word)
-    if h > MAX_EXACT_LETTER:
-        raise SizeLimitError(
-            f"exact coupling number needs 2^{h - 1} configurations; "
-            f"max letter {h} exceeds the limit {MAX_EXACT_LETTER}"
-        )
+    _require_exact(h)
     cap = None
     sceneries = []
     for bits in range(1 << (h - 1)):

@@ -22,14 +22,14 @@ def test_geometric_pmf_cdf_tail():
     assert mu.cdf(4) == pytest.approx(1 - 0.7**4)
     assert mu.tail(4) == pytest.approx(0.7**4)
     assert mu.support_min == 1 and mu.support_max is None
-    assert mu.non_degenerate()
+    assert not mu.blocked()
 
 
 def test_geometric_one_is_point_mass_at_one():
     mu = Geometric(1.0)
     assert mu.pmf(1) == 1.0
     assert mu.support_max == 1
-    assert not mu.non_degenerate()
+    assert not mu.blocked()
 
 
 def test_uniform_law():
@@ -44,7 +44,8 @@ def test_dirac_law():
     mu = Dirac(3)
     assert mu.pmf(3) == 1.0 and mu.pmf(2) == 0.0
     assert mu.cdf(2) == 0.0 and mu.cdf(3) == 1.0
-    assert not mu.non_degenerate()
+    assert mu.blocked()
+    assert not Dirac(1).blocked()
     assert mu.support_min == mu.support_max == 3
 
 

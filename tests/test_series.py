@@ -1,5 +1,6 @@
 """Speed brackets, the bivariate series and the growth curve."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -25,7 +26,16 @@ from infinitebin.series import (
 )
 from infinitebin.words import SizeLimitError, classify
 
-EXACT = dict(max_states=2_000_000, birth_floor=0.0)
+EXACT = {"_MAX_STATES": 2_000_000, "_BIRTH_FLOOR": 0.0}
+
+
+@contextlib.contextmanager
+def patched(**consts):
+    """Set the engine's resource-bound constants for one block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in consts.items():
+            mp.setattr(enumeration, name, value)
+        yield
 
 
 def test_weight_oracles():
@@ -56,8 +66,9 @@ def test_bracket_invariants_and_identity():
 
 def test_brackets_nest_as_bounds_grow():
     mu = Geometric(0.6)
-    b_small = enumerate_minimal(mu, 6, 6, **EXACT)
-    b_big = enumerate_minimal(mu, 9, 9, **EXACT)
+    with patched(**EXACT):
+        b_small = enumerate_minimal(mu, 6, 6)
+        b_big = enumerate_minimal(mu, 9, 9)
     assert b_big.lower >= b_small.lower - 1e-15
     assert b_big.upper <= b_small.upper + 1e-15
 
@@ -65,7 +76,8 @@ def test_brackets_nest_as_bounds_grow():
 def test_walk_and_lumped_engines_agree_exactly():
     for mu, L, A in [(Uniform(2), 9, 2), (Uniform(3), 7, 3), (Geometric(0.5), 6, 4)]:
         walk = enumerate_minimal(mu, L, A, emit=lambda *a: None)
-        lumped = enumerate_minimal(mu, L, A, **EXACT)
+        with patched(**EXACT):
+            lumped = enumerate_minimal(mu, L, A)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
         assert walk.upper == pytest.approx(lumped.upper, abs=1e-13)
 
@@ -75,7 +87,8 @@ def test_depth_cap_is_frontier_in_both_engines():
     mu, A = Geometric(0.3), 18
     pmf = mu.pmf_vector(A)
     for L in (1, 3):
-        lumped = stopping_tree_masses(pmf, mu.tail(A), L, A, **EXACT)
+        with patched(**EXACT):
+            lumped = stopping_tree_masses(pmf, mu.tail(A), L, A)
         walk = walk_minimal_words(pmf, mu.tail(A), L, A, None)
         assert lumped.frontier_capped == walk.frontier_capped > 0.0
         if L == 1:
@@ -92,11 +105,12 @@ def _count_tables_digest(tables) -> str:
     return digest.hexdigest()
 
 
-# Exact outputs of the lumped engine, recorded before its inner loop was
-# rewritten on packed rows; any change in summation order or pruning shows.
+# Exact outputs of the lumped engine, the first three recorded before its
+# inner loop was rewritten on packed rows; any change in summation order or
+# pruning shows.
 PINNED_MASSES = [
-    # pruning at max_states=300
-    ((0.5, 7, 7, {"max_states": 300}),
+    # pruning at _MAX_STATES = 300
+    ((0.5, 7, 7, {"_MAX_STATES": 300}),
      ("0x1.23c59fa000000p-1", "0x1.9c91bb1700000p-2", "0x1.be305a9000000p-6",
       "0x1.de8cb8c120000p-7", "0x1.8a069ef600000p-7", "0x0.0p+0",
       "0x1.3cd5d68e00000p-11", 1014)),
@@ -110,6 +124,11 @@ PINNED_MASSES = [
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
       "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4ffp-3", "0x1.b86f546bfcd70p-9",
       "0x0.0p+0", 1253)),
+    # pruning at the default cap
+    ((0.5, 8, 8, {}),
+     ("0x1.2571d7d5f12c0p-1", "0x1.a5767e049690dp-2", "0x1.f4ba49f0e2e54p-7",
+      "0x1.e507f8f146f80p-8", "0x1.02364b1aaa34bp-7", "0x1.c600000000000p-56",
+      "0x1.2eca99d2c0000p-30", 82262)),
 ]
 
 # Exact outputs of the explicit word walk, recorded the same way.
@@ -135,17 +154,36 @@ def _hex_fields(split) -> tuple:
 def test_engine_outputs_are_pinned():
     for (p, L, A, caps), expected in PINNED_MASSES:
         mu = Geometric(p)
-        split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A, **caps)
+        with patched(**caps):
+            split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
         assert _hex_fields(split) == expected, (p, L, A, caps)
     for (mu, L, A), expected in PINNED_WALK:
         split = walk_minimal_words(mu.pmf_vector(A), mu.tail(A), L, A, None)
         assert _hex_fields(split) == expected, (mu.describe(), L, A)
     # pruning across many exponents
-    tables = stopping_tree_counts(7, 7, max_states=300)
+    with patched(_MAX_STATES=300):
+        tables = stopping_tree_counts(7, 7)
     assert tables.good.shape == (8, 50)
     assert _count_tables_digest(tables) == (
         "3a6e68ad093a4ff202307494f7736dd36623dff3d46ec5851d2167b5400d1710")
     assert tables.pruned_states == 2919
+    # pruning at the default cap
+    tables = stopping_tree_counts(8, 8)
+    assert tables.good.shape == (9, 65)
+    assert _count_tables_digest(tables) == (
+        "de63fcd3f50a1f2639ada91e9b3c11450e75ef1dece7b09d455d61c13c913520")
+    assert tables.pruned_states == 132520
+
+
+def test_walk_emit_order_is_pinned():
+    # the (1,) word first, then first letters A down to 2, depth-first
+    mu = Geometric(0.5)
+    seen = []
+    walk_minimal_words(mu.pmf_vector(6), mu.tail(6), 6, 6,
+                       lambda w, v, wt: seen.append(f"{w} {v} {wt.hex()}\n"))
+    assert len(seen) == 1544
+    assert hashlib.sha256("".join(seen).encode()).hexdigest() == (
+        "412fba30a932d3abc3ae7c1d4aecf139945a2261e7e989597482fac7db02cc4a")
 
 
 def _kernel_keys():
@@ -232,8 +270,9 @@ def test_bounds_validation():
 
 def test_bivariate_diagonal_matches_speed_bracket():
     for p in (0.3, 0.6):
-        lower, frontier = bivariate_D(p, 1.0 - p, 8, 8, **{"max_states": 2_000_000})
-        bracket = enumerate_minimal(Geometric(p), 8, 8, **EXACT)
+        with patched(**EXACT):
+            lower, frontier = bivariate_D(p, 1.0 - p, 8, 8)
+            bracket = enumerate_minimal(Geometric(p), 8, 8)
         assert lower == pytest.approx(bracket.good_mass, abs=1e-12)
         # the remainder bound must cover the rest of the series
         assert lower + frontier >= bracket.upper - 1e-12
@@ -252,8 +291,9 @@ def test_bivariate_degenerate_corners():
 
 
 def test_bivariate_monotone_in_truncation():
-    lo1, fr1 = bivariate_D(0.4, 0.5, 5, 5, max_states=2_000_000)
-    lo2, fr2 = bivariate_D(0.4, 0.5, 8, 8, max_states=2_000_000)
+    with patched(_MAX_STATES=2_000_000):
+        lo1, fr1 = bivariate_D(0.4, 0.5, 5, 5)
+        lo2, fr2 = bivariate_D(0.4, 0.5, 8, 8)
     assert lo2 >= lo1 - 1e-15
     assert fr2 <= fr1 + 1e-15
 
@@ -277,30 +317,33 @@ def test_curve_rows_and_exact_endpoint():
 
 
 def test_curve_matches_direct_enumeration_when_exact():
-    rows = curve([0.3, 0.7], 6, 6, max_states=2_000_000)
-    for row in rows:
-        bracket = enumerate_minimal(Geometric(row.p), 6, 6, **EXACT)
-        assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
-        assert row.upper == pytest.approx(bracket.upper, abs=1e-11)
+    with patched(**EXACT):
+        for row in curve([0.3, 0.7], 6, 6):
+            bracket = enumerate_minimal(Geometric(row.p), 6, 6)
+            assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
+            assert row.upper == pytest.approx(bracket.upper, abs=1e-11)
 
 
 def test_state_cap_pruning_keeps_brackets_certified():
     L = A = 7
     mu = Geometric(0.5)
-    assert stopping_tree_masses(
-        mu.pmf_vector(A), mu.tail(A), L, A, max_states=300).pruned_mass > 0.0
-    assert stopping_tree_counts(L, A, max_states=300).pruned_states > 0
+    grid = [0.3, 0.5, 0.7]
+    with patched(_MAX_STATES=300):
+        assert stopping_tree_masses(
+            mu.pmf_vector(A), mu.tail(A), L, A).pruned_mass > 0.0
+        assert stopping_tree_counts(L, A).pruned_states > 0
+        cut = enumerate_minimal(mu, L, A)
+        cut_rows = curve(grid, L, A)
+    with patched(**EXACT):
+        exact = enumerate_minimal(mu, L, A)
+        full_rows = curve(grid, L, A)
 
-    exact = enumerate_minimal(mu, L, A, **EXACT)
-    cut = enumerate_minimal(mu, L, A, max_states=300)
     slack = cut.rounding_bound
     assert cut.lower <= exact.lower + slack
     assert exact.upper <= cut.upper + slack
     assert abs(cut.good_mass + cut.bad_mass + cut.frontier_mass - 1.0) <= slack
 
-    grid = [0.3, 0.5, 0.7]
-    full_rows = curve(grid, L, A, max_states=2_000_000)
-    for row, full in zip(curve(grid, L, A, max_states=300), full_rows):
+    for row, full in zip(cut_rows, full_rows):
         slack = row.rounding_bound
         assert row.lower <= full.lower + slack
         assert full.upper <= row.upper + slack
@@ -313,7 +356,8 @@ def test_birth_floor_keeps_brackets_certified():
     # whole chunks end as capped frontier.
     L = A = 7
     mu = Geometric(0.5)
-    exact = enumerate_minimal(mu, L, A, **EXACT)
+    with patched(**EXACT):
+        exact = enumerate_minimal(mu, L, A)
     for floor in (1e-3, 0.05):
         split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A,
                                      birth_floor=floor)
@@ -347,8 +391,9 @@ def test_uniform_terms_k2_len1_is_half():
 
 
 def test_uniform_terms_match_uniform_law():
-    direct = enumerate_minimal(Uniform(3), 7, 3, **EXACT)
-    viaterms = uniform_speed_terms(3, 7, **EXACT)
+    with patched(**EXACT):
+        direct = enumerate_minimal(Uniform(3), 7, 3)
+        viaterms = uniform_speed_terms(3, 7)
     assert viaterms.lower == direct.lower
     assert viaterms.upper == direct.upper
 

@@ -176,12 +176,3 @@ class _Evolver:
 
     def snapshot(self) -> Configuration:
         return Configuration(self.front, tuple(self.window))
-
-
-def final_move_advances(config: Configuration, word: Sequence[int]) -> bool:
-    """True iff the last move of ``word`` advances the front from ``config``."""
-    if not word:
-        raise ValueError("empty word has no final move")
-    ev = _Evolver(config)
-    ev.run(word[:-1])
-    return ev.step(word[-1])

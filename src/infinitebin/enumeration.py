@@ -32,9 +32,10 @@ whose 8 placements map to one byte-aligned run of the parent is copied
 from the parent's packed row, and only the other bytes are gathered bit by
 bit from the unpacked parent and packed.  Good (all true), bad (none true)
 and equal halves are tested on the packed bytes.
-Each level walks every depth once: the states of one depth, whatever their
-exponent e, go through the letters together with a per-row e column, and
-their children are split back into (depth, e) buckets when stashed.
+Each level walks every depth once: ``_settle`` dedupes the level's (depth,
+e) buckets and hands each depth on as one group with a sorted per-row e
+column, whose states go through the letters together; their children are
+split back into (depth, e) buckets when stashed.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), and four fixed
@@ -48,7 +49,6 @@ cap of 16 on goodness vectors (``_DEPTH_CAP``) and the walk's budget of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -210,44 +210,39 @@ def _first_half(C: np.ndarray, depth: int) -> np.ndarray:
     return C & np.uint8((0xFF << (8 - half)) & 0xFF)
 
 
-def _runs(e, n: int) -> tuple:
-    """(lo, hi, exponent) runs of n rows: one run when e is an int, else
-    the runs of the sorted per-row exponent array e."""
-    if isinstance(e, int):
-        return ((0, n, e),)
+def _runs(e: np.ndarray) -> tuple:
+    """(lo, hi, exponent) runs of a sorted exponent column; one run when its
+    first and last entries agree, as always in the mass algebra."""
+    if e[0] == e[-1]:
+        return ((0, len(e), int(e[0])),)
     cuts = (np.flatnonzero(e[1:] != e[:-1]) + 1).tolist()
     starts = [0, *cuts]
-    return tuple(zip(starts, [*cuts, n], e[starts].tolist()))
+    return tuple(zip(starts, [*cuts, len(e)], e[starts].tolist()))
 
 
-def _pick(e, mask: np.ndarray):
-    """Exponents of the rows selected by mask."""
-    return e if isinstance(e, int) else e[mask]
-
-
-def _record_sums(record, kind: str, n: int, e, w: np.ndarray,
+def _record_sums(record, kind: str, n: int, e: np.ndarray, w: np.ndarray,
                  scale: float = 1.0) -> None:
     """Report the weight of rows w, summed per exponent run, times scale."""
-    for lo, hi, ek in _runs(e, len(w)):
+    for lo, hi, ek in _runs(e):
         record(kind, n, ek, float(w[lo:hi].sum()) * scale)
 
 
-def _append(pending: dict, depth: int, e, rows: np.ndarray,
+def _append(pending: dict, depth: int, e: np.ndarray, rows: np.ndarray,
             w: np.ndarray) -> None:
     """Append rows of one depth to the pending (depth, e) buckets."""
-    for lo, hi, ek in _runs(e, len(w)):
+    for lo, hi, ek in _runs(e):
         bucket = pending.setdefault((depth, ek), ([], []))
         bucket[0].append(rows[lo:hi])
         bucket[1].append(w[lo:hi])
 
 
-def _stash(pending: dict, e, C: np.ndarray, w: np.ndarray,
+def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
            depth: int) -> None:
     """Depth-reduce packed rows and append them to the pending buckets.
 
-    Buckets are keyed (depth, e), with e the state's monomial exponent:
-    one int for all rows (always 0 in the mass algebra) or a sorted
-    per-row array, split into runs on appending.
+    Buckets are keyed (depth, e), with e the state's monomial exponent
+    (always 0 in the mass algebra); ``e`` holds the rows' exponents as a
+    sorted int32 column, split into runs on appending.
     """
     d = depth
     while d > 1 and C.shape[0]:
@@ -256,79 +251,55 @@ def _stash(pending: dict, e, C: np.ndarray, w: np.ndarray,
             break
         if not eq.all():
             hold = ~eq
-            _append(pending, d, _pick(e, hold), C[hold], w[hold])
-            C, w, e = C[eq], w[eq], _pick(e, eq)
+            _append(pending, d, e[hold], C[hold], w[hold])
+            C, w, e = C[eq], w[eq], e[eq]
         C = _first_half(C, d)
         d -= 1
     if C.shape[0]:
         _append(pending, d, e, C, w)
 
 
-def _depth_groups(buckets: dict):
-    """Pop ``buckets`` depth by depth, yielding (depth, rows, weights, e).
-
-    The (depth, e) buckets of one depth are concatenated in e order; e is
-    an int when the depth has one bucket, else a per-row exponent column.
-    """
-    for d, keys in itertools.groupby(list(buckets), key=lambda key: key[0]):
-        keys = list(keys)
-        parts = [buckets.pop(key) for key in keys]
-        if len(keys) == 1:
-            yield d, *parts[0], keys[0][1]
-            continue
-        yield (
-            d,
-            np.concatenate([rows for rows, _w in parts]),
-            np.concatenate([wts for _r, wts in parts]),
-            np.repeat(np.array([key[1] for key in keys], dtype=np.int32),
-                      [len(wts) for _r, wts in parts]),
-        )
-
-
 def _settle(pending: dict, q_ref: float, record, n: int):
-    """Dedupe pending buckets, then drop lowest-priority states over
-    ``_MAX_STATES``.
+    """Dedupe the pending buckets, drop lowest-priority states over
+    ``_MAX_STATES`` and hand the rest on grouped by depth.
 
     A state in bucket (depth, e) with weight w has priority w * q_ref**e,
     which is its weight under Geometric(1 - q_ref) up to the level's common
     factor (the raw weight when e = 0).  Dropped weight is reported as
     ``record("pruned", n, e, weight)``, summed per e in bucket-key order.
-    Ties at the threshold are resolved deterministically in bucket-key,
-    then row-byte, order.  Returns (kept buckets in key order, states
-    before pruning, states dropped).
+    Ties at the threshold are resolved deterministically in (depth, e,
+    row-byte) order.  Returns ({depth: (rows, weights, e)} in depth order,
+    with e the rows' sorted int32 exponent column; states before pruning;
+    states dropped).
     """
-    buckets = {}
-    for key in sorted(pending):
-        rows_list, w_list = pending[key]
-        buckets[key] = _dedupe(np.concatenate(rows_list), np.concatenate(w_list))
-    total = sum(len(sums) for _rows, sums in buckets.values())
-    if total <= _MAX_STATES:
-        return buckets, total, 0
-    scores = {
-        key: sums * q_ref ** key[1] for key, (_rows, sums) in buckets.items()
-    }
-    wall = np.concatenate(list(scores.values()))
-    n_drop = total - _MAX_STATES
-    thresh = np.partition(wall, n_drop - 1)[n_drop - 1]
-    n_keep_eq = _MAX_STATES - int((wall > thresh).sum())
-    kept = {}
-    dropped: dict = {}
-    for key, (rows, sums) in buckets.items():
-        score = scores[key]
+    buckets = {key: _dedupe(*map(np.concatenate, pending.pop(key)))
+               for key in sorted(pending)}
+    total = sum(len(w) for _rows, w in buckets.values())
+    n_drop = max(total - _MAX_STATES, 0)
+    keep = np.ones(total, dtype=bool)
+    if n_drop:
+        score = np.concatenate(
+            [w * q_ref ** e for (_d, e), (_rows, w) in buckets.items()])
+        thresh = np.partition(score, n_drop - 1)[n_drop - 1]
         keep = score > thresh
-        eq = score == thresh
-        if n_keep_eq > 0 and eq.any():
-            take = np.flatnonzero(eq)[:n_keep_eq]
-            keep[take] = True
-            n_keep_eq -= len(take)
-        if not keep.all():
-            e = key[1]
-            dropped[e] = dropped.get(e, 0.0) + float(sums[~keep].sum())
-        if keep.any():
-            kept[key] = (rows[keep], sums[keep])
+        ties = np.flatnonzero(score == thresh)
+        keep[ties[: _MAX_STATES - np.count_nonzero(keep)]] = True
+    groups: dict = defaultdict(list)
+    dropped: dict = {}
+    lo = 0
+    for (d, e), (rows, w) in buckets.items():
+        k = keep[lo : lo + len(w)]
+        lo += len(w)
+        if not k.all():
+            dropped[e] = dropped.get(e, 0.0) + float(w[~k].sum())
+            rows, w = rows[k], w[k]
+        if len(w):
+            groups[d].append((rows, w, np.full(len(w), e, dtype=np.int32)))
     for e, w in dropped.items():
         record("pruned", n, e, w)
-    return kept, total, n_drop
+    # a depth with one bucket (every depth, for masses) is handed on uncopied
+    return {d: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
+            for d, p in groups.items()}, total, n_drop
 
 
 @dataclass(frozen=True)
@@ -419,33 +390,33 @@ def _stopping_tree(
             record("capped", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
-            _stash(pending, shifts[a], row, np.array([w]), a)
-    buckets, peak, pruned = _settle(pending, q_ref, record, 1)
+            _stash(pending, np.full(1, shifts[a], dtype=np.int32), row,
+                   np.array([w]), a)
+    groups, peak, pruned = _settle(pending, q_ref, record, 1)
 
     for level in range(2, L + 1):
-        if not buckets:
+        if not groups:
             break
         live: dict = {}
-        for (_d, e), (_rows, wts) in buckets.items():
-            live[e] = live.get(e, 0.0) + float(wts.sum())
+        for _rows, wts, es in groups.values():
+            for lo, hi, e in _runs(es):
+                live[e] = live.get(e, 0.0) + float(wts[lo:hi].sum())
         for e, w in live.items():
             record("tail", level - 1, e + tail_shift, w * tail_weight)
         pending = {}
-        for d, rows, wts, es in _depth_groups(buckets):
+        for d in list(groups):
+            rows, wts, es = groups.pop(d)
             for lo in range(0, rows.shape[0], _CHUNK_ROWS):
                 P = rows[lo : lo + _CHUNK_ROWS]
                 wc = wts[lo : lo + _CHUNK_ROWS]
-                e = es
-                if not isinstance(es, int):
-                    ec = es[lo : lo + _CHUNK_ROWS]
-                    e = int(ec[0]) if ec[0] == ec[-1] else ec
+                ec = es[lo : lo + _CHUNK_ROWS]
                 V = np.unpackbits(P, axis=1, count=1 << (d - 1))
                 for a in range(1, A + 1):
                     w = weights[a]
                     if w <= 0.0:
                         continue
                     d2 = max(a, d - 1, 1)
-                    e2 = e + shifts[a]
+                    e2 = ec + shifts[a]
                     if d2 > _DEPTH_CAP:
                         _record_sums(record, "capped", level, e2, wc, w)
                         continue
@@ -454,32 +425,31 @@ def _stopping_tree(
                     alive = cw >= birth_floor
                     if not alive.all():
                         dead = ~alive
-                        _record_sums(record, "capped", level, _pick(e2, dead),
-                                     cw[dead])
+                        _record_sums(record, "capped", level, e2[dead], cw[dead])
                         if not alive.any():
                             continue
                         cw, Pa, Va = cw[alive], P[alive], V[alive]
-                        e2 = _pick(e2, alive)
+                        e2 = e2[alive]
                     plan = _run_plan(d2, a, d)
                     C = _children(Pa, Va, plan)
                     words = _words(C)
                     g = (words == plan.ones).all(axis=1)
                     b = ~words.any(axis=1)
                     if g.any():
-                        _record_sums(record, GOOD, level, _pick(e2, g), cw[g])
+                        _record_sums(record, GOOD, level, e2[g], cw[g])
                     if b.any():
-                        _record_sums(record, BAD, level, _pick(e2, b), cw[b])
+                        _record_sums(record, BAD, level, e2[b], cw[b])
                     keep = ~(g | b)
                     if keep.all():
                         _stash(pending, e2, C, cw, d2)
                     elif keep.any():
-                        _stash(pending, _pick(e2, keep), C[keep], cw[keep], d2)
-        buckets, total, n_pruned = _settle(pending, q_ref, record, level)
+                        _stash(pending, e2[keep], C[keep], cw[keep], d2)
+        groups, total, n_pruned = _settle(pending, q_ref, record, level)
         peak = max(peak, total)
         pruned += n_pruned
 
-    for (_d, e), (_rows, wts) in buckets.items():
-        record("live", L, e, float(wts.sum()))
+    for _rows, wts, es in groups.values():
+        _record_sums(record, "live", L, es, wts)
     return peak, pruned
 
 

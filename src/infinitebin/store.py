@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from infinitebin.core import _is_int
 from infinitebin.words import BAD, GOOD, NEITHER, Classification, classify
 
 #: Environment variable holding the default cache path.
@@ -45,14 +46,20 @@ class WordStoreRecord:
     @classmethod
     def from_line(cls, line: str) -> "WordStoreRecord":
         data = json.loads(line)
-        word = tuple(int(a) for a in data["word"])
-        verdict = data["verdict"]
-        minimal = data["minimal"]
-        if verdict not in _VERDICTS:
+        if not isinstance(data, dict):
+            raise ValueError(f"record must be a JSON object, got {data!r}")
+        word, verdict, minimal = data["word"], data["verdict"], data["minimal"]
+        if not (isinstance(word, list) and word
+                and all(_is_int(a) and a >= 1 for a in word)):
+            raise ValueError(f"word must be a list of letters >= 1, got {word!r}")
+        if not isinstance(verdict, str) or verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        if minimal is not None and not isinstance(minimal, bool):
-            raise ValueError(f"minimal must be boolean or null, got {minimal!r}")
-        return cls(word=word, verdict=verdict, minimal=minimal)
+        decisive = verdict != NEITHER
+        if not isinstance(minimal, bool if decisive else type(None)):
+            want = "boolean" if decisive else "null"
+            raise ValueError(
+                f"minimal must be {want} for a {verdict} word, got {minimal!r}")
+        return cls(word=tuple(word), verdict=verdict, minimal=minimal)
 
 
 def default_store_path() -> str | None:

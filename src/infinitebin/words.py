@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from infinitebin.core import Configuration, _Evolver, final_move_advances
+from infinitebin.core import Configuration, _Evolver
 
 GOOD = "good"
 BAD = "bad"
@@ -114,7 +114,9 @@ def is_x_good(word: Sequence[int], config: Configuration) -> bool:
     if not word:
         raise ValueError("empty word cannot be classified")
     _check_letters(word)
-    return final_move_advances(config, tuple(word))
+    ev = _Evolver(config)
+    ev.run(word[:-1])
+    return ev.step(word[-1])
 
 
 @lru_cache(maxsize=1 << 18)

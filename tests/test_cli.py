@@ -82,6 +82,16 @@ def test_classify_uses_store(tmp_path, capsys):
     assert rec is not None and rec.verdict == "bad"
 
 
+def test_classify_malformed_store_record_exits_1(tmp_path, capsys):
+    store_path = tmp_path / "words.jsonl"
+    for line in ['[1, 2]', '{"word": 5, "verdict": "good", "minimal": true}']:
+        store_path.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "classify", "1", "--store", str(store_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "words.jsonl:1: bad cache record" in err
+
+
 def test_classify_uses_env_store(tmp_path, capsys, monkeypatch):
     store_path = tmp_path / "env-words.jsonl"
     monkeypatch.setenv(STORE_PATH_ENV, str(store_path))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from infinitebin.core import MINIMAL_CONFIG, Configuration, final_move_advances
+from infinitebin.core import MINIMAL_CONFIG, Configuration
+from infinitebin.words import is_x_good
 from infinitebin.words import test_set as patterns_for
 
 
@@ -79,12 +80,12 @@ def test_json_round_trip():
         Configuration.from_json('{"front": 0, "window": [1], "tail": "empty"}')
 
 
-def test_final_move_advances_matches_apply():
+def test_is_x_good_matches_apply():
     for config in patterns_for(3):
         for word in [(1,), (2,), (2, 2), (3, 1, 2), (2, 3, 2, 2)]:
             before = config.apply_word(word[:-1])
             after = before.apply_move(word[-1])
-            assert final_move_advances(config, word) == (
+            assert is_x_good(word, config) == (
                 after.front == before.front + 1
             )
 

@@ -167,6 +167,12 @@ def test_engine_outputs_are_pinned():
     assert _count_tables_digest(tables) == (
         "3a6e68ad093a4ff202307494f7736dd36623dff3d46ec5851d2167b5400d1710")
     assert tables.pruned_states == 2919
+    # pruning at an inexact reference (q_ref ** e rounds), as on curve grids
+    with patched(_MAX_STATES=300):
+        tables = stopping_tree_counts(7, 7, reference_p=0.3)
+    assert _count_tables_digest(tables) == (
+        "092f15401bac9ac1a5a98c66674d70e0f2422ce47c90675cf1f6c19ebfcf0af3")
+    assert tables.pruned_states == 2999
     # pruning at the default cap
     tables = stopping_tree_counts(8, 8)
     assert tables.good.shape == (9, 65)

@@ -55,6 +55,22 @@ def test_store_rejects_corrupt_files(tmp_path):
     path.write_text('{"word": [1], "verdict": "excellent", "minimal": true}\n')
     with pytest.raises(ValueError):
         WordStore(path)
+    # well-formed JSON that is not a record: each line is a load error
+    for line in [
+        '[1, 2]',
+        '{"word": 5, "verdict": "good", "minimal": true}',
+        '{"word": "12", "verdict": "good", "minimal": true}',
+        '{"word": [], "verdict": "good", "minimal": true}',
+        '{"word": [1, 0], "verdict": "good", "minimal": true}',
+        '{"word": [true], "verdict": "good", "minimal": true}',
+        '{"word": [1.0], "verdict": "good", "minimal": true}',
+        '{"word": [1], "verdict": ["good"], "minimal": true}',
+        '{"word": [1], "verdict": "good", "minimal": null}',
+        '{"word": [2, 2], "verdict": "neither", "minimal": false}',
+    ]:
+        path.write_text(GOOD_LINE + line + "\n")
+        with pytest.raises(ValueError, match=":2: bad cache record"):
+            WordStore(path)
 
 
 GOOD_LINE = '{"word": [1], "verdict": "good", "minimal": true}\n'

@@ -158,8 +158,7 @@ def estimate_C(p: float, n: int = 100_000, replicas: int = 10,
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    rng.check_replica_count(replicas)
     return _mean_stderr(
         [longest_path(n, p, seed, replica=r).L_n / n for r in range(replicas)]
     )

@@ -48,6 +48,9 @@ class WordStoreRecord:
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError(f"record must be a JSON object, got {data!r}")
+        for key in ("word", "verdict", "minimal"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
         word, verdict, minimal = data["word"], data["verdict"], data["minimal"]
         if not (isinstance(word, list) and word
                 and all(_is_int(a) and a >= 1 for a in word)):
@@ -87,7 +90,7 @@ class WordStore:
                 try:
                     text = line.decode("utf-8").strip()
                     rec = WordStoreRecord.from_line(text) if text else None
-                except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                except ValueError as exc:  # JSON and UTF-8 decode errors too
                     if not line.endswith(b"\n"):  # the last line, torn
                         self._torn_at = offset
                         break

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from infinitebin import cli, series, simulate
+from infinitebin import begraph, cli, series, simulate
 from infinitebin.distributions import parse_mu
 from infinitebin.store import STORE_PATH_ENV, WordStore
 
@@ -345,6 +345,22 @@ def test_perfect_horizon_limit_exits_3(capsys):
 
 def test_perfect_rejects_blocked_point_mass(capsys):
     assert run_cli(capsys, "perfect", "dirac:2")[0] == 1
+
+
+@pytest.mark.parametrize("argv, module, drawer", [
+    (["perfect", "geom:0.5"], simulate, "perfect_sample"),
+    (["begraph", "--p", "0.5", "--n", "10"], begraph, "longest_path"),
+])
+def test_replica_count_past_stream_limit_fails_before_any_draw(
+        capsys, monkeypatch, argv, module, drawer):
+    def no_draw(*args, **kwargs):
+        raise AssertionError(f"{drawer} ran before the replica check")
+
+    monkeypatch.setattr(module, drawer, no_draw)
+    code, out, err = run_cli(capsys, *argv, "--replicas", str(2**32 + 1))
+    assert code == 1 and out == ""
+    assert err.startswith("error: replicas must be") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_begraph_estimate_csv(tmp_path, capsys):

@@ -6,9 +6,15 @@ import math
 
 import pytest
 
-from infinitebin import begraph
+from infinitebin import begraph, rng, simulate
 from infinitebin.core import MINIMAL_CONFIG, Configuration
-from infinitebin.distributions import Dirac, Geometric, Uniform, parse_mu
+from infinitebin.distributions import (
+    Dirac,
+    FiniteSupport,
+    Geometric,
+    Uniform,
+    parse_mu,
+)
 from infinitebin.simulate import (
     CouplingHorizonError,
     coupling_convergence_check,
@@ -134,6 +140,33 @@ def test_perfect_sample_horizon_error_carries_diagnostics():
             assert exc.horizon == 1
             assert exc.best_depth < 1
     assert hit, "expected at least one replica to need a longer horizon"
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 64, 65])
+def test_first_uniforms_rows_equal_fresh_streams(n):
+    replicas = [0, 1, 2**32 - 1]
+    for seed in (0, -1, 2**64 + 5):
+        rows = rng.first_uniforms(seed, rng.STREAM_PAST, replicas, n)
+        assert rows.shape == (len(replicas), n)
+        for row, r in zip(rows, replicas):
+            fresh = rng.stream(seed, rng.STREAM_PAST, r).random(n)
+            assert row.tobytes() == fresh.tobytes(), (seed, r)
+    with pytest.raises(ValueError):
+        rng.first_uniforms(0, rng.STREAM_PAST, [2**32], n)
+
+
+@pytest.mark.parametrize("mu", [
+    Geometric(0.5), Geometric(1.0), Uniform(3),
+    FiniteSupport([0.2, 0.3, 0.5]), Dirac(1),
+], ids=lambda mu: mu.describe())
+@pytest.mark.parametrize("K", [1, 32])
+def test_replica_blocks_equal_single_draws(mu, K):
+    replicas = 2 * simulate._REPLICA_BLOCK + 1
+    drawn = perfect_samples(mu, K, replicas, seed=4)
+    assert drawn == tuple(perfect_sample(mu, K, seed=4, replica=r)
+                          for r in range(replicas))
+    if K == 32 and mu.pmf(1) < 1.0:  # horizons outgrow the first block
+        assert max(s.tau for s in drawn) > simulate._PAST_BLOCK
 
 
 def test_stationary_speed_matches_known_value():

@@ -71,6 +71,17 @@ def test_store_rejects_corrupt_files(tmp_path):
         path.write_text(GOOD_LINE + line + "\n")
         with pytest.raises(ValueError, match=":2: bad cache record"):
             WordStore(path)
+    # a record that lacks a key names the key
+    for line, key in [
+        ('{"verdict": "good", "minimal": true}', "word"),
+        ('{"word": [1], "minimal": true}', "verdict"),
+        ('{"word": [1], "verdict": "good"}', "minimal"),
+    ]:
+        path.write_text(GOOD_LINE + line + "\n")
+        with pytest.raises(
+            ValueError, match=f":2: bad cache record: missing key '{key}'"
+        ):
+            WordStore(path)
 
 
 GOOD_LINE = '{"word": [1], "verdict": "good", "minimal": true}\n'

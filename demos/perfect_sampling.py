@@ -33,7 +33,8 @@ print("survival at 8/16/32:", tail.survival(8), tail.survival(16),
 
 print()
 
-# The speed is the chance a stationary front bin absorbs the next move.
+# The speed is the chance a stationary front bin absorbs the next move:
+# each draw is scored with mu([1, c]) for its front bin count c.
 est, se = stationary_speed(mu, samples=20_000, K=1, seed=7)
 fw = run_forward(mu, MINIMAL_CONFIG, steps=500_000, seed=7).speed_estimate
 bracket = enumerate_minimal(mu, 12, 12)

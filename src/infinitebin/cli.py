@@ -281,7 +281,7 @@ def cmd_perfect(args, out):
     )
     estimate = stderr = None
     if args.estimate:
-        estimate, stderr = simulate.front_hit_rate(mu, samples, args.seed)
+        estimate, stderr = simulate.front_hit_rate(mu, samples)
         sys.stdout.write(
             f"stationary_speed={estimate:.9f} stderr={stderr:.3e}\n"
         )
@@ -364,7 +364,8 @@ def _verify_one(spec, args, steps, samples, bracket_len):
     floor = simulate.speed_floor(mu)
     # The forward stderr is estimated from few replicas, so the 99.73%
     # two-sided gate needs the Student-t quantile, not the normal 3; the
-    # stationary stderr is the exact binomial formula and keeps 3.
+    # stationary stderr is estimated from hundreds of samples or more, so
+    # the normal 3 serves.
     fw_tol = _T_GATE * fw_se
     st_tol = 3 * st_se
     slack = bracket.rounding_bound

@@ -133,12 +133,14 @@ class _Evolver:
         """Apply the rank-k move; return True iff the front advanced."""
         return self.run((k,)) == 1
 
-    def run(self, letters: Iterable[int]) -> int:
+    def run(self, letters: Iterable[int], fronts: list | None = None) -> int:
         """Apply the moves of ``letters`` in order; return how many of them
         advanced the front.
 
         The one implementation of the move rule.  A letter < 1 raises
-        ``ValueError`` with the moves before it applied.
+        ``ValueError`` with the moves before it applied.  With ``fronts``,
+        a list of tallies, ``fronts[c]`` also counts the letters that met a
+        front bin count c; the list grows as needed.
         """
         w = self.window
         top = len(w) - 1
@@ -146,6 +148,12 @@ class _Evolver:
         try:
             for k in letters:
                 acc = w[top]
+                if fronts is not None:
+                    try:
+                        fronts[acc] += 1
+                    except IndexError:  # a front bin count not met before
+                        fronts.extend([0] * (acc - len(fronts)))
+                        fronts.append(1)
                 if k <= acc:
                     # the k-th rightmost ball sits in the front bin
                     if k < 1:

@@ -97,7 +97,7 @@ class Geometric(MoveDistribution):
 
     def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if self.p == 1.0:
-            return np.ones(len(u), dtype=np.int64)
+            return np.ones(np.shape(u), dtype=np.int64)
         base = math.log1p(-self.p)
         j = 1 + np.floor(np.log1p(-u) / base).astype(np.int64)
         j = np.maximum(j, 1)
@@ -158,7 +158,7 @@ class Dirac(MoveDistribution):
         return 1.0 if j >= self.k else 0.0
 
     def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return np.full(len(u), self.k, dtype=np.int64)
+        return np.full(np.shape(u), self.k, dtype=np.int64)
 
     def describe(self) -> str:
         return f"dirac:{self.k}"

@@ -22,9 +22,10 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Purpose ids keep logically distinct streams disjoint even for equal seeds.
+# Id 3 is retired (the stationary estimator draws no letters of its own);
+# renumbering would change the key, and so the draws, of every later stream.
 STREAM_FORWARD = 1   # forward-chain letters
 STREAM_PAST = 2      # past letters for coupling-from-the-past (index i = time -i)
-STREAM_PROBE = 3     # fresh one-step letters for the stationary estimator
 STREAM_GRAPH = 4     # random-DAG edge sampling
 STREAM_CORPUS = 5    # randomized test corpora
 

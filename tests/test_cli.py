@@ -404,7 +404,7 @@ def test_verify_report_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == cli.EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "30b763cde85cb04dd34bea77ff95368af6bffff2edbd44b0232fa6a5192659f6")
+        "fe185b884fed245e23fd3f4af0773c4782967f8ce0095777709e7e81449f1a42")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

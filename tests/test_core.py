@@ -2,7 +2,7 @@
 
 import pytest
 
-from infinitebin.core import MINIMAL_CONFIG, Configuration
+from infinitebin.core import MINIMAL_CONFIG, Configuration, _Evolver
 from infinitebin.words import is_x_good
 from infinitebin.words import test_set as patterns_for
 
@@ -96,3 +96,16 @@ def test_front_never_retreats_and_advances_at_most_one():
         nxt = config.apply_move(a)
         assert nxt.front - config.front in (0, 1)
         config = nxt
+
+
+def test_run_tallies_the_front_count_each_letter_meets():
+    start = Configuration(3, (2, 1, 3))
+    word = [4, 2, 5, 6, 1, 2, 3, 3, 1, 9, 2]
+    expected, config = [0] * 8, start
+    for a in word:
+        expected[config.window[-1]] += 1
+        config = config.apply_move(a)
+    ev, fronts = _Evolver(start), [0, 0]
+    advances = ev.run(word, fronts)
+    assert fronts + [0] * (len(expected) - len(fronts)) == expected
+    assert (advances, ev.snapshot()) == (config.front - start.front, config)

@@ -81,6 +81,17 @@ def test_letters_from_uniforms_is_inverse_cdf():
             assert mu.cdf(a - 1) < x
 
 
+@pytest.mark.parametrize("mu", [
+    Geometric(0.4), Geometric(1.0), Uniform(3), Dirac(1), Dirac(2),
+    FiniteSupport([0.2, 0.0, 0.8]),
+], ids=lambda mu: mu.describe())
+def test_letters_from_uniforms_keeps_the_shape(mu):
+    u = np.array([[0.05, 0.5, 0.95], [0.3, 0.7, 0.999]])
+    letters = mu.letters_from_uniforms(u)
+    assert letters.shape == (2, 3) and letters.dtype == np.int64
+    assert letters.ravel().tolist() == mu.letters_from_uniforms(u.ravel()).tolist()
+
+
 def test_empirical_frequencies_match_pmf():
     mu = Geometric(0.6)
     gen = rng.stream(123, rng.STREAM_CORPUS)

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,6 +329,27 @@ def test_curve_matches_direct_enumeration_when_exact():
             bracket = enumerate_minimal(Geometric(row.p), 6, 6)
             assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
             assert row.upper == pytest.approx(bracket.upper, abs=1e-11)
+
+
+def test_counts_in_rationals_are_an_exact_oracle_for_masses():
+    # At L = A = 7 nothing is pruned, so the integer coefficients of
+    # p^n (1-p)^e evaluated in exact rationals split the whole stopping
+    # tree, with no rounding anywhere.
+    tables = stopping_tree_counts(7, 7)
+    assert tables.pruned_states == 0
+    bound = mass_rounding_bound(7, 7)
+    for p in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(5, 8)):
+        exact = []
+        for table in (tables.good, tables.bad, tables.frontier):
+            (n, e), counts = np.nonzero(table), table[np.nonzero(table)]
+            assert all(c == int(c) for c in counts)
+            exact.append(sum(int(c) * p**int(i) * (1 - p)**int(j)
+                             for c, i, j in zip(counts, n, e)))
+        assert sum(exact) == 1, p
+        mu = Geometric(float(p))
+        split = stopping_tree_masses(mu.pmf_vector(7), mu.tail(7), 7, 7)
+        for got, want in zip((split.good, split.bad, split.frontier), exact):
+            assert abs(Fraction(got) - want) <= bound, (p, got, float(want))
 
 
 def test_state_cap_pruning_keeps_brackets_certified():

@@ -164,20 +164,31 @@ class Dirac(MoveDistribution):
         return f"dirac:{self.k}"
 
 
+def _letter_probs(probs) -> list:
+    """(letter, probability) pairs of a mapping letter -> probability or of
+    a sequence for letters 1, 2, ...; rejects a probability that is not
+    finite, which would pass every comparison check."""
+    if isinstance(probs, dict):
+        pairs = sorted(probs.items())
+    else:
+        pairs = enumerate(probs, start=1)
+    items = [(int(j), float(q)) for j, q in pairs]
+    for j, q in items:
+        if not math.isfinite(q):
+            raise ValueError(f"probability of letter {j} is {q!r}, not finite")
+    return items
+
+
 class FiniteSupport(MoveDistribution):
     """Explicit finite-support law: probabilities for letters 1..m."""
 
     def __init__(self, probs) -> None:
         """Args:
         probs: mapping letter -> probability, or a sequence giving the
-            probabilities of letters 1, 2, ... in order.  Must sum to 1
-            within 1e-12.
+            probabilities of letters 1, 2, ... in order.  Each must be
+            finite, and they must sum to 1 within 1e-12.
         """
-        if isinstance(probs, dict):
-            items = sorted(probs.items())
-        else:
-            items = list(enumerate(probs, start=1))
-        items = [(int(j), float(q)) for j, q in items if q != 0.0]
+        items = [(j, q) for j, q in _letter_probs(probs) if q != 0.0]
         if not items:
             raise ValueError("finite-support law needs positive mass")
         if any(j < 1 for j, _ in items):
@@ -198,8 +209,8 @@ class FiniteSupport(MoveDistribution):
     def normalized(cls, probs) -> "FiniteSupport":
         """Like the constructor but rescales sums within [0.999, 1.001]
         (with a warning); sums further from 1 are rejected."""
-        seq = list(probs.values()) if isinstance(probs, dict) else list(probs)
-        total = math.fsum(float(q) for q in seq)
+        items = _letter_probs(probs)
+        total = math.fsum(q for _, q in items)
         if abs(total - 1.0) <= 1e-12:
             return cls(probs)
         if 0.999 <= total <= 1.001:
@@ -207,9 +218,7 @@ class FiniteSupport(MoveDistribution):
                 f"finite-support probabilities sum to {total:.6f}; normalizing",
                 stacklevel=2,
             )
-            if isinstance(probs, dict):
-                return cls({j: float(q) / total for j, q in probs.items()})
-            return cls([float(q) / total for q in seq])
+            return cls({j: q / total for j, q in items})
         raise ValueError(f"probabilities sum to {total!r}, outside [0.999, 1.001]")
 
     def pmf(self, j: int) -> float:

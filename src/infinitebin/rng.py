@@ -5,14 +5,16 @@ stream keyed by ``(seed, purpose, replica)``.  Streams are prefix-stable:
 reading n uniforms and later re-reading n+m from a fresh generator with the
 same key yields the same first n values, and n uniforms drawn over several
 calls equal n drawn in one.  So a sampler may draw in blocks of any size
-without changing the value at any index: perfect simulation stores each
-replica's past letters, drawing a block ahead of the horizon it needs, and
-forward runs and graph samplers draw in fixed chunks.  Identical keys give
-bit-identical streams on a fixed numpy build; distribution inversion uses
-libm, so letter streams are documented as reproducible per platform.
-Philox is counter-based, so a key and a counter alone define a stream:
-:func:`first_uniforms` re-keys one generator per replica, resetting its
-counter and buffer, and reads the same numbers a new generator would.
+without changing the value at any index: perfect simulation reads each
+replica's past letters from a prefix of its stream, redrawn at least twice
+as long whenever a horizon outgrows it, and forward runs and graph samplers
+draw in fixed chunks.  Identical keys give bit-identical streams on a fixed
+numpy build; distribution inversion uses libm, so letter streams are
+documented as reproducible per platform.  Philox is counter-based, so a key
+and a counter alone define a stream: :func:`first_uniforms` re-keys one
+generator per replica, resetting its counter and buffer, and reads the same
+numbers a new generator would; it draws every past prefix, a block of
+replicas at a time or one replica's longer prefix.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from infinitebin.words import _fold_determined
 
 _LETTER_CHUNK = 1 << 16
 #: Past letters each replica gets up front.  Most certified horizons are
-#: far shorter (mean tau 3.6 letters at geom:0.5, K=1), and a longer horizon
-#: continues from the replica's own stream.
+#: far shorter (mean tau 3.6 letters at geom:0.5, K=1); a longer horizon
+#: redraws the replica's prefix at least twice as long.
 _PAST_BLOCK = 64
 #: Replicas whose first past blocks :func:`perfect_samples` draws and
 #: inverts together.  The size bounds memory, not speed: with 4096-replica
@@ -171,62 +171,41 @@ class PerfectSample:
 
 
 class _PastLetters:
-    """Lazily extended, absolutely-indexed past letter stream.
+    """Absolutely indexed past letters, re-read on every horizon retry
+    (the fixed randomness of coupling from the past).
 
-    Index i holds the letter at time -i.  Letters are generated once and
-    re-read on every horizon retry — the fixed-randomness requirement of
-    coupling from the past.  The store starts from ``first``, the letters
-    of the stream's first uniforms when the caller drew them already (see
-    :func:`perfect_samples`), or empty.  Only a horizon beyond it opens the
-    replica's own stream, skips the uniforms ``first`` came from, and draws
-    a block of at least ``_PAST_BLOCK``.  Streams are prefix-stable, so
-    neither the block sizes nor who drew the first block change which
-    letter sits at which index.
+    Index i holds the letter at time -i.  The buffer starts as ``first``,
+    the letters of the stream's first uniforms when the caller drew them
+    already (see :func:`perfect_samples`), or empty.  A horizon beyond it
+    redraws the replica's prefix with :func:`rng.first_uniforms`, at least
+    doubled and at least ``_PAST_BLOCK`` long.  Streams are prefix-stable,
+    so every index keeps its letter however long the prefix.
     """
 
     def __init__(self, mu: MoveDistribution, seed: int, replica: int,
                  first=()):
         self._mu = mu
         self._seed, self._replica = seed, replica
-        self._gen = None
-        self._buf: list = list(first)
+        self._buf = first
 
-    def fold(self, horizon: int):
-        """Tracker fold of the letters from time -horizon+1 through 0.
-
-        Returns a fresh (determined counts, front shift) pair.
-        """
-        buf = self._buf
-        if horizon > len(buf):
-            if self._gen is None:
-                self._gen = rng.stream(self._seed, rng.STREAM_PAST,
-                                       self._replica)
-                # one Philox counter step yields the bits of 4 doubles
-                assert len(buf) % 4 == 0
-                self._gen.bit_generator.advance(len(buf) // 4)
-            fresh = self._gen.random(max(horizon, _PAST_BLOCK) - len(buf))
-            buf.extend(self._mu.letters_from_uniforms(fresh).tolist())
-        return _fold_determined(buf[horizon - 1 :: -1])
-
-
-def _horizons(max_horizon: int):
-    h = 1
-    while True:
-        yield h
-        if h >= max_horizon:
-            return
-        h = min(2 * h, max_horizon)
-
-
-def _certified_fold(past: _PastLetters, need: int, max_horizon: int):
-    """Deepen the past until the tracker certifies depth >= need."""
-    best = 0
-    for h in _horizons(max_horizon):
-        det, _shift = past.fold(h)
-        best = max(best, len(det))
-        if len(det) >= need:
-            return det, h
-    raise CouplingHorizonError(need, max_horizon, best)
+    def certify(self, need: int, max_horizon: int) -> tuple:
+        """(determined counts, horizon) at the first of the horizons 1, 2,
+        4, ..., capped at and ending on ``max_horizon``, where the tracker
+        certifies depth >= need; CouplingHorizonError if none does."""
+        best, h, buf = 0, 1, self._buf
+        while True:
+            if h > len(buf):
+                n = max(h, 2 * len(buf), _PAST_BLOCK)
+                u = rng.first_uniforms(self._seed, rng.STREAM_PAST,
+                                       (self._replica,), n)
+                buf = self._buf = self._mu.letters_from_uniforms(u[0]).tolist()
+            det, _shift = _fold_determined(buf[h - 1 :: -1])
+            if len(det) >= need:
+                return det, h
+            best = max(best, len(det))
+            if h >= max_horizon:
+                raise CouplingHorizonError(need, max_horizon, best)
+            h = min(2 * h, max_horizon)
 
 
 def perfect_sample(
@@ -246,13 +225,13 @@ def perfect_sample(
     would be identical for every deeper horizon.  Raises
     CouplingHorizonError past ``max_horizon`` letters.  ``_first`` holds
     the replica's first past letters when :func:`perfect_samples` drew
-    them with its block; the sample does not depend on it.
+    them with its block; a longer horizon redraws the prefix from the
+    replica's stream, so the sample does not depend on it.
     """
     _require_perfect_samplable(mu, K)
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
-    past = _PastLetters(mu, seed, replica, _first)
-    det, tau = _certified_fold(past, K, max_horizon)
+    det, tau = _PastLetters(mu, seed, replica, _first).certify(K, max_horizon)
     return PerfectSample(scenery=_scenery(det, K), tau=tau, K=K)
 
 
@@ -268,7 +247,8 @@ def perfect_samples(
 
     Replicas go in blocks of ``_REPLICA_BLOCK``: one re-keyed generator
     draws the block's first ``_PAST_BLOCK`` past uniforms and one call
-    inverts them all, so each replica starts with its letters in hand.
+    inverts them all, so each replica starts with its letters in hand.  A
+    replica whose horizon outgrows them redraws its own longer prefix.
     The samples equal those of :func:`perfect_sample` replica by replica.
     """
     rng.check_replica_count(replicas)
@@ -344,7 +324,7 @@ def coupling_convergence_check(
     future: list = []
 
     need = K
-    det, _h = _certified_fold(past, need, DEFAULT_MAX_HORIZON)
+    det, _h = past.certify(need, DEFAULT_MAX_HORIZON)
     ev = _Evolver(start)
     streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
     n = 0
@@ -360,7 +340,7 @@ def coupling_convergence_check(
         _fold_determined((a,), det)
         while len(det) < K:
             need = max(2 * need, 2 * K)
-            det, _h = _certified_fold(past, need, DEFAULT_MAX_HORIZON)
+            det, _h = past.certify(need, DEFAULT_MAX_HORIZON)
             det, _shift = _fold_determined(future[:n], det)
         if ev.scenery(K) == _scenery(det, K):
             if streak is None:

@@ -62,6 +62,19 @@ def test_finite_support_exact_and_normalized():
         FiniteSupport([0.5, 0.5, 0.1])
 
 
+@pytest.mark.parametrize("probs", [
+    [math.nan],
+    [0.5, math.nan, 0.5],
+    {1: 0.5, 2: math.nan, 3: 0.5},
+    [0.5, math.inf, 0.5],
+], ids=["nan", "list", "dict", "inf"])
+def test_finite_support_rejects_non_finite_probabilities(probs):
+    letter = 1 if len(probs) == 1 else 2
+    for build in (FiniteSupport, FiniteSupport.normalized):
+        with pytest.raises(ValueError, match=f"letter {letter} is"):
+            build(probs)
+
+
 def test_pmf_vector_layout():
     mu = Geometric(0.5)
     vec = mu.pmf_vector(4)

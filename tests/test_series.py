@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from infinitebin import cli, enumeration
-from infinitebin.distributions import Dirac, Geometric, Uniform
+from infinitebin.distributions import Dirac, FiniteSupport, Geometric, Uniform
 from infinitebin.enumeration import (
     count_rounding_bound,
     mass_rounding_bound,
@@ -191,6 +192,31 @@ def test_walk_emit_order_is_pinned():
     assert len(seen) == 1544
     assert hashlib.sha256("".join(seen).encode()).hexdigest() == (
         "412fba30a932d3abc3ae7c1d4aecf139945a2261e7e989597482fac7db02cc4a")
+
+
+@pytest.mark.parametrize("mu, L, A, n_words", [
+    (Uniform(4), 6, 4, 226),
+    (FiniteSupport([0.25, 0.5, 0.25]), 7, 3, 101),
+], ids=["unif:4", "finite:0.25,0.5,0.25"])
+def test_walk_emits_exactly_the_minimal_words(mu, L, A, n_words):
+    # Exact oracle: classify every word of length <= L over letters <= A
+    # and price the minimal ones in rationals (the dyadic pmf is exact).
+    emitted = []
+    split = walk_minimal_words(mu.pmf_vector(A), mu.tail(A), L, A,
+                               lambda w, v, wt: emitted.append((w, v)))
+    assert len(emitted) == len(set(emitted)) == n_words
+    minimal = set()
+    mass = {"good": Fraction(0), "bad": Fraction(0)}
+    for n in range(1, L + 1):
+        for word in itertools.product(range(1, A + 1), repeat=n):
+            c = classify(word)
+            if c.minimal:
+                minimal.add((word, c.verdict))
+                mass[c.verdict] += math.prod(Fraction(mu.pmf(a)) for a in word)
+    assert set(emitted) == minimal
+    bound = mass_rounding_bound(L, A)
+    assert abs(Fraction(split.good) - mass["good"]) <= bound
+    assert abs(Fraction(split.bad) - mass["bad"]) <= bound
 
 
 def _kernel_keys():

@@ -204,6 +204,36 @@ def test_replica_blocks_equal_single_draws(mu, K):
         assert max(s.tau for s in drawn) > simulate._PAST_BLOCK
 
 
+@pytest.mark.parametrize("cap", [3, 48, 100])
+def test_horizon_caps_off_the_doubling_schedule(cap):
+    # The schedule is 1, 2, 4, ... capped at and ending on the cap; a
+    # horizon of 100 outgrows the 64-letter first block mid-schedule.
+    mu, K = Uniform(3), 32
+    schedule = {1 << i for i in range(cap.bit_length())} | {cap}
+    certified = []
+    for r in range(40):
+        try:
+            sample = perfect_sample(mu, K, seed=5, replica=r, max_horizon=cap)
+        except CouplingHorizonError as exc:
+            assert (exc.K, exc.horizon) == (K, cap)
+            assert exc.best_depth < K
+            continue
+        assert sample.tau in schedule and sample.tau <= cap
+        # a deeper fold refines a shallower one: the default schedule
+        # certifies the same scenery at the next power of two
+        full = perfect_sample(mu, K, seed=5, replica=r)
+        assert full.scenery == sample.scenery
+        assert full.tau == 1 << (sample.tau - 1).bit_length()
+        certified.append(sample)
+    if cap == 100:
+        assert len(certified) == 40
+        assert any(s.tau == cap for s in certified)
+        assert perfect_samples(mu, K, 40, seed=5, max_horizon=cap) == tuple(
+            certified)
+    else:
+        assert not certified
+
+
 def test_stationary_speed_matches_known_value():
     estimate, stderr = stationary_speed(Geometric(0.7), 3_000, K=1, seed=21)
     assert stderr > 0.0

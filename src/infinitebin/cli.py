@@ -158,11 +158,6 @@ def _parse_budget(text):
     return value
 
 
-def _store_for(args):
-    path = args.store if args.store is not None else default_store_path()
-    return WordStore(path) if path else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,8 +165,8 @@ def _store_for(args):
 
 def cmd_classify(args, out):
     word = _parse_word(args.word)
-    store = _store_for(args)
-    result = store.classify(word) if store is not None else words.classify(word)
+    path = args.store if args.store is not None else default_store_path()
+    result = WordStore(path).classify(word) if path else words.classify(word)
     verdict = result.verdict
     if result.minimal is True:
         verdict += ", minimal"
@@ -206,9 +201,9 @@ def cmd_speed(args, out):
             f"  infinitebin simulate {mu.describe()} --steps 1000000\n"
         )
         return EXIT_OK
-    store = _store_for(args)
     emit = None
-    if store is not None:
+    if args.store:  # only when asked: collecting words runs the word walk
+        store = WordStore(args.store)
         def emit(word, verdict, _weight):
             store.add(
                 WordStoreRecord(word=tuple(word), verdict=verdict, minimal=True)
@@ -449,8 +444,9 @@ def build_parser() -> _Parser:
     common.add_argument("--out", type=str, default=None,
                         help="write the structured result to this path")
     common.add_argument("--store", type=str, default=None,
-                        help="word-classification cache path "
-                             "(default: $INFINITEBIN_WORD_STORE)")
+                        help="word-classification cache path (classify "
+                             "defaults to $INFINITEBIN_WORD_STORE; speed "
+                             "collects its minimal words only into this path)")
 
     parser = _Parser(
         prog="infinitebin",

@@ -90,25 +90,18 @@ def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
 
         outcome(letter . w, P) = outcome(w, image_table(d2, letter, d)[P])
 
-    Tables are cached per (src_depth, letter, dst_depth).
+    Callers pass src_depth = max(letter, dst_depth - 1, 1), so the probed
+    ball is among the src_depth placed ones and the dst_depth <= src_depth
+    + 1 balls kept are among the placed and inserted ones.  Tables are
+    cached per (src_depth, letter, dst_depth).
     """
     n = 1 << (src_depth - 1)
     bits = np.arange(n, dtype=np.int64)
-    pos = np.zeros((n, src_depth), dtype=np.int64)
+    pos = np.zeros((n, src_depth + 1), dtype=np.int64)
     for i in range(1, src_depth):
         pos[:, i] = pos[:, i - 1] - ((bits >> (i - 1)) & 1)
-    if letter <= src_depth:
-        probed = pos[:, letter - 1]
-    else:
-        # one-ball-per-bin tail below the placed balls
-        probed = pos[:, -1] - (letter - src_depth)
-    inserted = probed + 1
-    tail = pos[:, -1][:, None] - np.arange(1, dst_depth + 1)[None, :]
-    allpos = np.concatenate([pos, inserted[:, None], tail], axis=1)
-    allpos = -np.sort(-allpos, axis=1)
-    top = allpos[:, :dst_depth]
-    if dst_depth == 1:
-        return np.zeros(n, dtype=np.int64)
+    pos[:, -1] = pos[:, letter - 1] + 1
+    top = -np.sort(-pos, axis=1)[:, :dst_depth]
     diffs = top[:, :-1] - top[:, 1:]
     return diffs @ (1 << np.arange(dst_depth - 1, dtype=np.int64))
 

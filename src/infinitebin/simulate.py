@@ -11,7 +11,9 @@ that point no longer depend on anything before the horizon.
 
 from __future__ import annotations
 
+import collections
 import math
+import statistics
 from dataclasses import dataclass
 
 from infinitebin import rng
@@ -170,42 +172,31 @@ class PerfectSample:
     K: int
 
 
-class _PastLetters:
-    """Absolutely indexed past letters, re-read on every horizon retry
-    (the fixed randomness of coupling from the past).
+def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
+             need: int, max_horizon: int) -> tuple:
+    """(determined counts, horizon, letters) at the first of the horizons
+    1, 2, 4, ..., capped at and ending on ``max_horizon``, where the
+    tracker certifies depth >= need; CouplingHorizonError if none does.
 
-    Index i holds the letter at time -i.  The buffer starts as ``first``,
-    the letters of the stream's first uniforms when the caller drew them
-    already (see :func:`perfect_samples`), or empty.  A horizon beyond it
-    redraws the replica's prefix with :func:`rng.first_uniforms`, at least
-    doubled and at least ``_PAST_BLOCK`` long.  Streams are prefix-stable,
-    so every index keeps its letter however long the prefix.
+    ``letters[i]`` is the replica's fixed past letter at time -i, re-read
+    on every horizon: its stream's first letters, or empty.  A horizon
+    beyond them redraws the prefix with :func:`rng.first_uniforms`, at
+    least doubled and at least ``_PAST_BLOCK`` long, and hands it back for
+    the next call; streams are prefix-stable, so no index changes letter.
     """
-
-    def __init__(self, mu: MoveDistribution, seed: int, replica: int,
-                 first=()):
-        self._mu = mu
-        self._seed, self._replica = seed, replica
-        self._buf = first
-
-    def certify(self, need: int, max_horizon: int) -> tuple:
-        """(determined counts, horizon) at the first of the horizons 1, 2,
-        4, ..., capped at and ending on ``max_horizon``, where the tracker
-        certifies depth >= need; CouplingHorizonError if none does."""
-        best, h, buf = 0, 1, self._buf
-        while True:
-            if h > len(buf):
-                n = max(h, 2 * len(buf), _PAST_BLOCK)
-                u = rng.first_uniforms(self._seed, rng.STREAM_PAST,
-                                       (self._replica,), n)
-                buf = self._buf = self._mu.letters_from_uniforms(u[0]).tolist()
-            det, _shift = _fold_determined(buf[h - 1 :: -1])
-            if len(det) >= need:
-                return det, h
-            best = max(best, len(det))
-            if h >= max_horizon:
-                raise CouplingHorizonError(need, max_horizon, best)
-            h = min(2 * h, max_horizon)
+    best, h = 0, 1
+    while True:
+        if h > len(letters):
+            n = max(h, 2 * len(letters), _PAST_BLOCK)
+            u = rng.first_uniforms(seed, rng.STREAM_PAST, (replica,), n)
+            letters = mu.letters_from_uniforms(u[0]).tolist()
+        det, _shift = _fold_determined(letters[h - 1 :: -1])
+        if len(det) >= need:
+            return det, h, letters
+        best = max(best, len(det))
+        if h >= max_horizon:
+            raise CouplingHorizonError(need, max_horizon, best)
+        h = min(2 * h, max_horizon)
 
 
 def perfect_sample(
@@ -225,13 +216,14 @@ def perfect_sample(
     would be identical for every deeper horizon.  Raises
     CouplingHorizonError past ``max_horizon`` letters.  ``_first`` holds
     the replica's first past letters when :func:`perfect_samples` drew
-    them with its block; a longer horizon redraws the prefix from the
-    replica's stream, so the sample does not depend on it.
+    them with its block, or is empty; :func:`_certify` starts from it and
+    redraws a longer prefix from the replica's stream when a horizon
+    outgrows it, so the sample is the same with or without it.
     """
     _require_perfect_samplable(mu, K)
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
-    det, tau = _PastLetters(mu, seed, replica, _first).certify(K, max_horizon)
+    det, tau, _letters = _certify(mu, seed, replica, _first, K, max_horizon)
     return PerfectSample(scenery=_scenery(det, K), tau=tau, K=K)
 
 
@@ -319,12 +311,11 @@ def coupling_convergence_check(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
-    past = _PastLetters(mu, seed, replica=0)
     future_gen = rng.stream(seed, rng.STREAM_FORWARD)
     future: list = []
 
     need = K
-    det, _h = past.certify(need, DEFAULT_MAX_HORIZON)
+    det, _h, past = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
     ev = _Evolver(start)
     streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
     n = 0
@@ -340,7 +331,8 @@ def coupling_convergence_check(
         _fold_determined((a,), det)
         while len(det) < K:
             need = max(2 * need, 2 * K)
-            det, _h = past.certify(need, DEFAULT_MAX_HORIZON)
+            det, _h, past = _certify(mu, seed, 0, past, need,
+                                     DEFAULT_MAX_HORIZON)
             det, _shift = _fold_determined(future[:n], det)
         if ev.scenery(K) == _scenery(det, K):
             if streak is None:
@@ -369,10 +361,7 @@ class TauTail:
 
     def histogram(self) -> list:
         """Sorted (horizon, count) pairs."""
-        counts: dict = {}
-        for t in self.taus:
-            counts[t] = counts.get(t, 0) + 1
-        return sorted(counts.items())
+        return sorted(collections.Counter(self.taus).items())
 
     def survival(self, n: int) -> float:
         """Fraction of replicas whose certified horizon exceeds n."""
@@ -380,11 +369,7 @@ class TauTail:
 
     @property
     def median(self) -> float:
-        ordered = sorted(self.taus)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return float(ordered[mid])
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
+        return float(statistics.median(self.taus))
 
 
 def tau_tail(

@@ -143,6 +143,17 @@ def test_speed_store_collects_minimal_words(tmp_path, capsys):
     assert store.lookup((1,)).verdict == "good"
 
 
+def test_speed_ignores_env_store(tmp_path, capsys, monkeypatch):
+    # collecting words runs the word walk; only --store asks for that
+    argv = ("speed", "unif:2", "--len", "6", "--max-letter", "2")
+    plain = run_cli(capsys, *argv)
+    store_path = tmp_path / "env-words.jsonl"
+    monkeypatch.setenv(STORE_PATH_ENV, str(store_path))
+    assert run_cli(capsys, *argv) == plain
+    assert plain[0] == 0
+    assert not store_path.exists()
+
+
 def test_speed_usage_error(capsys):
     assert run_cli(capsys, "speed", "zipf:2")[0] == 1
 
@@ -186,7 +197,8 @@ def test_grid_range_stops_at_stop():
 
 @pytest.mark.parametrize("grid", [
     "0.1:inf:0.1", "0.1:1e300:1e-300", "0.5:0.5:inf", "nan:0.5:0.1",
-    "-inf:0.5:0.1", "0.1:0.5:nan", "0.1:0.9:1e-9",
+    "-inf:0.5:0.1", "0.1:0.5:nan", "0.1:0.9:1e-9", "0.1:0.9", "a:b:c",
+    "0.1,x",
 ])
 def test_grid_non_finite_or_oversized_is_usage_error(capsys, grid):
     code, _, err = run_cli(capsys, "curve", "--grid", grid)
@@ -405,6 +417,13 @@ def test_verify_report_is_pinned(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "fe185b884fed245e23fd3f4af0773c4782967f8ce0095777709e7e81449f1a42")
+
+
+@pytest.mark.parametrize("budget", ["10m", "0s"])
+def test_verify_bad_budget_is_usage_error(capsys, budget):
+    code, out, err = run_cli(capsys, "verify", "--budget", budget)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -76,7 +76,9 @@ def test_brackets_nest_as_bounds_grow():
 
 
 def test_walk_and_lumped_engines_agree_exactly():
-    for mu, L, A in [(Uniform(2), 9, 2), (Uniform(3), 7, 3), (Geometric(0.5), 6, 4)]:
+    # the zero-weight letter 2 is skipped at birth and on every prepend
+    for mu, L, A in [(Uniform(2), 9, 2), (Uniform(3), 7, 3), (Geometric(0.5), 6, 4),
+                     (FiniteSupport([0.5, 0.0, 0.5]), 7, 3)]:
         walk = enumerate_minimal(mu, L, A, emit=lambda *a: None)
         with patched(**EXACT):
             lumped = enumerate_minimal(mu, L, A)

@@ -25,7 +25,7 @@ from infinitebin.simulate import (
     stationary_speed,
     tau_tail,
 )
-from infinitebin.words import test_set as patterns_for
+from infinitebin.words import test_set as patterns_for, tracker_run
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,46 @@ def test_coupling_convergence_check_geometric():
     assert again == coupled_at
 
 
+@pytest.mark.parametrize("spec, K", [
+    ("geom:0.5", 1), ("geom:0.3", 1), ("geom:0.3", 2),
+])
+@pytest.mark.parametrize("start", [MINIMAL_CONFIG, Configuration(0, (1, 6))])
+def test_coupling_convergence_check_re_deepens_exactly(spec, K, start,
+                                                       monkeypatch):
+    # These runs' certified depth dips below K after the first fold, so
+    # the check re-deepens into the past at least once.
+    mu, seed, n_max = parse_mu(spec), 2, 256
+    certify, needs = simulate._certify, []
+
+    def counted(mu, seed, replica, letters, need, max_horizon):
+        needs.append(need)
+        return certify(mu, seed, replica, letters, need, max_horizon)
+
+    monkeypatch.setattr(simulate, "_certify", counted)
+    coupled_at = coupling_convergence_check(mu, start, K, n_max, seed)
+    assert len(needs) > 1 and needs[0] == K
+
+    # Recompute both sceneries at every n from scratch: the forward chain
+    # by applying the first n future letters to the start, the stationary
+    # one by one tracker fold over a deep past and those letters.
+    future = mu.letters_from_uniforms(
+        rng.stream(seed, rng.STREAM_FORWARD).random(n_max)).tolist()
+    u = rng.first_uniforms(seed, rng.STREAM_PAST, (0,), 1024)
+    past = mu.letters_from_uniforms(u[0]).tolist()[::-1]
+    agree = []
+    for n in range(n_max + 1):
+        det = tracker_run(past + future[:n]).determined
+        assert len(det) >= K
+        stationary = tuple(reversed(det))[:K]
+        agree.append(start.apply_word(future[:n]).scenery(K) == stationary)
+    expected = None
+    for n in range(n_max, -1, -1):
+        if not agree[n]:
+            break
+        expected = n
+    assert coupled_at == expected
+
+
 def test_tau_tail_shape_and_quantisation():
     tail = tau_tail(Geometric(0.5), 1, 300, seed=2)
     assert len(tail.taus) == 300
@@ -281,6 +321,8 @@ def test_tau_tail_shape_and_quantisation():
     surv = [tail.survival(n) for n in ns]
     assert all(x >= y for x, y in zip(surv, surv[1:]))
     assert tail.median >= 1.0
+    assert simulate.TauTail(taus=(4, 1, 2), K=1).median == 2.0
+    assert simulate.TauTail(taus=(4, 1, 2, 8), K=1).median == 3.0
 
 
 def test_tau_monotone_in_scenery_depth():

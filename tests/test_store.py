@@ -36,6 +36,10 @@ def test_store_appends_and_reloads(tmp_path):
     assert reloaded.lookup((2, 2)).verdict == "neither"
     assert reloaded.lookup((9, 9)) is None
 
+    # a blank line between records is skipped
+    path.write_text(path.read_text().replace("\n", "\n\n", 1))
+    assert len(WordStore(path)) == 2
+
 
 def test_store_rejects_contradictions(tmp_path):
     path = tmp_path / "cache.jsonl"

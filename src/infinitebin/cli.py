@@ -166,7 +166,11 @@ def _parse_budget(text):
 def cmd_classify(args, out):
     word = _parse_word(args.word)
     path = args.store if args.store is not None else default_store_path()
-    result = WordStore(path).classify(word) if path else words.classify(word)
+    if path:
+        with WordStore(path) as store:
+            result = store.classify(word)
+    else:
+        result = words.classify(word)
     verdict = result.verdict
     if result.minimal is True:
         verdict += ", minimal"
@@ -201,15 +205,15 @@ def cmd_speed(args, out):
             f"  infinitebin simulate {mu.describe()} --steps 1000000\n"
         )
         return EXIT_OK
-    emit = None
     if args.store:  # only when asked: collecting words runs the word walk
-        store = WordStore(args.store)
-        def emit(word, verdict, _weight):
-            store.add(
-                WordStoreRecord(word=tuple(word), verdict=verdict, minimal=True)
-            )
-    bracket = series.enumerate_minimal(mu, args.len, args.max_letter,
-                                       emit=emit)
+        with WordStore(args.store) as store:
+            def emit(word, verdict, _weight):
+                store.add(WordStoreRecord(word=tuple(word), verdict=verdict,
+                                          minimal=True))
+            bracket = series.enumerate_minimal(mu, args.len, args.max_letter,
+                                               emit=emit)
+    else:
+        bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
     sys.stdout.write(str(bracket) + "\n")
     if out is not None:
         params = dict(bracket.params)

@@ -39,7 +39,7 @@ split back into (depth, e) buckets when stashed.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), and four fixed
-constants: a cap of 50,000 live lumped states per level (``_MAX_STATES``;
+constants: a cap of 10,000 live lumped states per level (``_MAX_STATES``;
 lowest weights dropped, deterministic tie handling), a birth-weight floor
 of 1e-18 below which children are not expanded (``_BIRTH_FLOOR``), a depth
 cap of 16 on goodness vectors (``_DEPTH_CAP``) and the walk's budget of
@@ -62,8 +62,12 @@ from infinitebin.words import BAD, GOOD, SizeLimitError
 #: frontier, "pruned"), the birth weight below which a child is not
 #: expanded, the deepest goodness vector expanded (deeper children are
 #: frontier, "capped") and the explicit walk's budget of expanded nodes.
-#: Read at call time, so tests can patch them.
-_MAX_STATES = 50_000
+#: Read at call time, so tests can patch them.  The state cap trades
+#: time for width.  Against a cap of 50,000, 10,000 widens geom:0.5 at
+#: the speed default L = A = 12 by 0.9% in a quarter of the time, and
+#: 5,000 by 2.9%; larger bounds pay more (4.2% at L = A = 14).  See
+#: BENCH_14.json.
+_MAX_STATES = 10_000
 _BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
@@ -71,8 +75,9 @@ _NODE_BUDGET = 3_000_000
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
 #: to 64 MiB of one letter's gathered bits (children stay packed).  Real
-#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 1538
-#: such rows, and its 1.5 GB peak is the pending states of a level.
+#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 578
+#: such rows, and its 383 MB peak RSS is the pending states of a level
+#: (156,711 rows), whose number grows with ``_MAX_STATES``.
 _CHUNK_ROWS = 4096
 
 #: Record kinds of the unresolved (frontier) weight.

@@ -115,7 +115,7 @@ def enumerate_minimal(
     without ``emit`` a lumped state engine is used, which reaches much
     larger bounds.  Both engines leave goodness vectors deeper than the
     fixed depth cap of 16 unexpanded, as frontier mass; the lumped engine
-    also keeps at most 50,000 states per level and does not expand
+    also keeps at most 10,000 states per level and does not expand
     children lighter than 1e-18, both fixed constants whose cut weight is
     frontier mass.
     """
@@ -146,7 +146,7 @@ def bivariate_D(
     worst-case continuation mass, geometric with ratio r = p/(1-q); it is
     finite only for r < 1 (strictly inside the product region) or when
     enumeration left nothing unresolved.  The lumped engine keeps at most
-    50,000 states per level (a fixed constant) and expands every child.
+    10,000 states per level (a fixed constant) and expands every child.
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
@@ -193,7 +193,7 @@ def curve(
     the monomials p^n (1-p)^e, and evaluates the resulting polynomials at
     every grid point — the minimal-word sets do not depend on p, only the
     weights do.  Every p must lie in (0, 1] (p = 0 has no geometric letter
-    law).  At most 50,000 states per level are kept (a fixed constant);
+    law).  At most 10,000 states per level are kept (a fixed constant);
     pruning is prioritised at the grid midpoint but stays
     frontier-accounted, so each returned bracket is valid at its own p.
     """

@@ -7,7 +7,9 @@ record a contradicting verdict is an error.  The textual line-per-record
 format is chosen for append safety and diff-ability: a final line without
 its newline that does not parse is an append cut short by a crash, skipped
 on load and cut off by the next append, while any other malformed line is
-an error.
+an error.  A store appends through one handle, opened on its first new
+record and held until ``close`` (or the end of a ``with`` block); it is
+line-buffered, so each record is in the file when ``add`` returns.
 """
 
 from __future__ import annotations
@@ -72,11 +74,16 @@ def default_store_path() -> str | None:
 
 
 class WordStore:
-    """Append-only word-classification cache backed by one JSONL file."""
+    """Append-only word-classification cache backed by one JSONL file.
+
+    Use it as a context manager (or call ``close``) when it may append.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._records: dict = {}
+        #: The append handle, opened by the first add that writes.
+        self._fh = None
         #: Byte offset of a torn final line (an append cut short by a
         #: crash), cut off by the next add; None when there is none.
         self._torn_at: int | None = None
@@ -104,6 +111,18 @@ class WordStore:
                 self._records[rec.word] = rec
                 self._unterminated = not line.endswith(b"\n")
 
+    def __enter__(self) -> "WordStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the append handle, if one is open."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
     def __len__(self) -> int:
         return len(self._records)
 
@@ -126,12 +145,13 @@ class WordStore:
         self._check_consistent(rec)
         if rec.word in self._records:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("a", encoding="utf-8", buffering=1)
             if self._torn_at is not None:
-                fh.truncate(self._torn_at)
-            fh.write(("\n" if self._unterminated else "") + rec.to_line() + "\n")
-        self._torn_at = None
+                self._fh.truncate(self._torn_at)
+                self._torn_at = None
+        self._fh.write(("\n" if self._unterminated else "") + rec.to_line() + "\n")
         self._unterminated = False
         self._records[rec.word] = rec
 

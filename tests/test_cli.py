@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from infinitebin import begraph, cli, series, simulate
+from infinitebin import begraph, cli, enumeration, series, simulate
 from infinitebin.distributions import parse_mu
 from infinitebin.store import STORE_PATH_ENV, WordStore
 
@@ -141,6 +142,32 @@ def test_speed_store_collects_minimal_words(tmp_path, capsys):
     assert len(store) > 0
     assert all(rec.minimal for rec in store)
     assert store.lookup((1,)).verdict == "good"
+
+
+def test_speed_store_appends_through_one_handle(tmp_path, capsys, monkeypatch):
+    opens = []
+    real_open = pathlib.Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        opens.append(mode)
+        return real_open(self, mode, *args, **kwargs)
+
+    store_path = tmp_path / "sub" / "minimal.jsonl"
+    with monkeypatch.context() as mp:
+        mp.setattr(pathlib.Path, "open", counting_open)
+        code, _, _ = run_cli(
+            capsys, "speed", "geom:0.5", "--len", "5", "--max-letter", "5",
+            "--store", str(store_path),
+        )
+    assert code == 0
+    assert opens == ["a"]
+    emitted = []
+    series.enumerate_minimal(parse_mu("geom:0.5"), 5, 5,
+                             emit=lambda w, v, _wt: emitted.append((w, v)))
+    store = WordStore(store_path)
+    assert len(emitted) > 100
+    assert [(rec.word, rec.verdict) for rec in store] == emitted
+    assert store_path.read_text().count("\n") == len(emitted)
 
 
 def test_speed_ignores_env_store(tmp_path, capsys, monkeypatch):
@@ -407,16 +434,23 @@ def test_begraph_trajectory_record(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_report_is_pinned(tmp_path, capsys):
+def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # SHA-256 of the whole --out report: any change in the forward or
-    # stationary replica statistics, or in the gates, shows here.
+    # stationary replica statistics, or in the gates, shows here.  The
+    # report's brackets also pin the engine at the default state cap and
+    # at the earlier default of 50,000.
     path = tmp_path / "verify.json"
-    code = cli.main(["verify", "--budget", "1s", "--seed", "0",
-                     "--out", str(path)])
-    capsys.readouterr()
-    assert code == cli.EXIT_OK
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "fe185b884fed245e23fd3f4af0773c4782967f8ce0095777709e7e81449f1a42")
+    for cap, digest in [
+        (None, "db4df604bc2e655ebf80ede60949ebe7ca06326f8fd055593af4a6689d11845e"),
+        (50_000, "fe185b884fed245e23fd3f4af0773c4782967f8ce0095777709e7e81449f1a42"),
+    ]:
+        if cap is not None:
+            monkeypatch.setattr(enumeration, "_MAX_STATES", cap)
+        code = cli.main(["verify", "--budget", "1s", "--seed", "0",
+                         "--out", str(path)])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, cap
 
 
 @pytest.mark.parametrize("budget", ["10m", "0s"])

@@ -111,7 +111,8 @@ def _count_tables_digest(tables) -> str:
 
 # Exact outputs of the lumped engine, the first three recorded before its
 # inner loop was rewritten on packed rows; any change in summation order or
-# pruning shows.
+# pruning shows.  The cases recorded at the earlier default state cap of
+# 50,000 run at that cap.
 PINNED_MASSES = [
     # pruning at _MAX_STATES = 300
     ((0.5, 7, 7, {"_MAX_STATES": 300}),
@@ -119,7 +120,7 @@ PINNED_MASSES = [
       "0x1.de8cb8c120000p-7", "0x1.8a069ef600000p-7", "0x0.0p+0",
       "0x1.3cd5d68e00000p-11", 1014)),
     # birth floor
-    ((0.8, 10, 10, {}),
+    ((0.8, 10, 10, {"_MAX_STATES": 50_000}),
      ("0x1.a5c2db1aef619p-1", "0x1.68f3cd08482dep-3", "0x1.8d17f497e820dp-20",
       "0x1.127f0f7a1c347p-23", "0x1.6ac812365603bp-20",
       "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
@@ -128,11 +129,16 @@ PINNED_MASSES = [
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
       "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4ffp-3", "0x1.b86f546bfcd70p-9",
       "0x0.0p+0", 1253)),
-    # pruning at the default cap
-    ((0.5, 8, 8, {}),
+    # pruning at a cap of 50,000
+    ((0.5, 8, 8, {"_MAX_STATES": 50_000}),
      ("0x1.2571d7d5f12c0p-1", "0x1.a5767e049690dp-2", "0x1.f4ba49f0e2e54p-7",
       "0x1.e507f8f146f80p-8", "0x1.02364b1aaa34bp-7", "0x1.c600000000000p-56",
       "0x1.2eca99d2c0000p-30", 82262)),
+    # pruning at the default cap, at the benchmark's bracket bounds
+    ((0.5, 10, 10, {}),
+     ("0x1.270e472c49dcap-1", "0x1.ace60c33205d7p-2", "0x1.3f595d12fa573p-8",
+      "0x1.eab9c3bce7f34p-10", "0x1.87f963fecf2d4p-9", "0x0.0p+0",
+      "0x1.5c7448b187831p-17", 51210)),
 ]
 
 # Exact outputs of the explicit word walk, recorded the same way.
@@ -177,12 +183,19 @@ def test_engine_outputs_are_pinned():
     assert _count_tables_digest(tables) == (
         "092f15401bac9ac1a5a98c66674d70e0f2422ce47c90675cf1f6c19ebfcf0af3")
     assert tables.pruned_states == 2999
-    # pruning at the default cap
-    tables = stopping_tree_counts(8, 8)
+    # pruning at a cap of 50,000
+    with patched(_MAX_STATES=50_000):
+        tables = stopping_tree_counts(8, 8)
     assert tables.good.shape == (9, 65)
     assert _count_tables_digest(tables) == (
         "de63fcd3f50a1f2639ada91e9b3c11450e75ef1dece7b09d455d61c13c913520")
     assert tables.pruned_states == 132520
+    # pruning at the default cap
+    tables = stopping_tree_counts(8, 8)
+    assert tables.good.shape == (9, 65)
+    assert _count_tables_digest(tables) == (
+        "b2b1e3c871bf5ff8e3df13ea9cfb5c05b0f1f4a8398cdcaba36a5a1af3b9114f")
+    assert tables.pruned_states == 63001
 
 
 def test_walk_emit_order_is_pinned():
@@ -360,10 +373,12 @@ def test_curve_matches_direct_enumeration_when_exact():
 
 
 def test_counts_in_rationals_are_an_exact_oracle_for_masses():
-    # At L = A = 7 nothing is pruned, so the integer coefficients of
-    # p^n (1-p)^e evaluated in exact rationals split the whole stopping
-    # tree, with no rounding anywhere.
-    tables = stopping_tree_counts(7, 7)
+    # At L = A = 7 nothing is pruned (the counts engine only at a cap of
+    # 50,000), so the integer coefficients of p^n (1-p)^e evaluated in
+    # exact rationals split the whole stopping tree, with no rounding
+    # anywhere.
+    with patched(_MAX_STATES=50_000):
+        tables = stopping_tree_counts(7, 7)
     assert tables.pruned_states == 0
     bound = mass_rounding_bound(7, 7)
     for p in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(5, 8)):
@@ -376,6 +391,7 @@ def test_counts_in_rationals_are_an_exact_oracle_for_masses():
         assert sum(exact) == 1, p
         mu = Geometric(float(p))
         split = stopping_tree_masses(mu.pmf_vector(7), mu.tail(7), 7, 7)
+        assert split.pruned_mass == 0.0
         for got, want in zip((split.good, split.bad, split.frontier), exact):
             assert abs(Fraction(got) - want) <= bound, (p, got, float(want))
 
@@ -405,6 +421,15 @@ def test_state_cap_pruning_keeps_brackets_certified():
         assert full.upper <= row.upper + slack
         total = row.good_mass + row.bad_mass + row.frontier_mass
         assert abs(total - 1.0) <= slack
+
+
+def test_state_cap_costs_little_width():
+    # At the speed command's default bounds the default cap must prune
+    # only a small share of the bracket width (0.013 at a cap of 10,000).
+    mu, L, A = Geometric(0.5), 12, 12
+    split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
+    assert split.pruned_mass > 0.0
+    assert split.pruned_mass <= 0.02 * split.frontier
 
 
 def test_birth_floor_keeps_brackets_certified():

@@ -22,14 +22,15 @@ def test_record_line_round_trip():
 
 def test_store_appends_and_reloads(tmp_path):
     path = tmp_path / "cache.jsonl"
-    store = WordStore(path)
-    assert len(store) == 0
-    store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
-    store.add(WordStoreRecord(word=(2, 2), verdict="neither", minimal=None))
-    # identical duplicate is a no-op
-    store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
-    assert len(store) == 2
-    assert path.read_text().count("\n") == 2
+    with WordStore(path) as store:
+        assert len(store) == 0
+        store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
+        store.add(WordStoreRecord(word=(2, 2), verdict="neither", minimal=None))
+        # identical duplicate is a no-op
+        store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
+        assert len(store) == 2
+        # each record is in the file when add returns
+        assert path.read_text().count("\n") == 2
 
     reloaded = WordStore(path)
     assert len(reloaded) == 2
@@ -43,12 +44,12 @@ def test_store_appends_and_reloads(tmp_path):
 
 def test_store_rejects_contradictions(tmp_path):
     path = tmp_path / "cache.jsonl"
-    store = WordStore(path)
-    store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
-    with pytest.raises(ValueError):
-        store.add(WordStoreRecord(word=(1,), verdict="bad", minimal=True))
-    with pytest.raises(ValueError):
-        store.add(WordStoreRecord(word=(1,), verdict="good", minimal=False))
+    with WordStore(path) as store:
+        store.add(WordStoreRecord(word=(1,), verdict="good", minimal=True))
+        with pytest.raises(ValueError):
+            store.add(WordStoreRecord(word=(1,), verdict="bad", minimal=True))
+        with pytest.raises(ValueError):
+            store.add(WordStoreRecord(word=(1,), verdict="good", minimal=False))
 
 
 def test_store_rejects_corrupt_files(tmp_path):
@@ -95,9 +96,9 @@ TORN_LINE = '{"word": [2, 2], "verdict": "nei'
 def test_store_skips_and_truncates_a_torn_final_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(GOOD_LINE + TORN_LINE)
-    store = WordStore(path)
-    assert len(store) == 1 and store.lookup((2, 2)) is None
-    store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
+    with WordStore(path) as store:
+        assert len(store) == 1 and store.lookup((2, 2)) is None
+        store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
     assert path.read_text() == GOOD_LINE + (
         '{"word": [3], "verdict": "bad", "minimal": false}\n')
     assert len(WordStore(path)) == 2
@@ -113,18 +114,18 @@ def test_store_rejects_a_malformed_line_ending_in_newline(tmp_path):
 def test_store_terminates_a_complete_final_line_before_appending(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(GOOD_LINE.rstrip("\n"))
-    store = WordStore(path)
-    assert len(store) == 1
-    store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
+    with WordStore(path) as store:
+        assert len(store) == 1
+        store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
     assert len(WordStore(path)) == 2
 
 
 def test_classify_through_store_caches(tmp_path):
     path = tmp_path / "cache.jsonl"
-    store = WordStore(path)
-    first = store.classify((2, 3, 2, 2))
-    assert (first.verdict, first.minimal) == ("bad", True)
-    assert store.lookup((2, 3, 2, 2)) is not None
+    with WordStore(path) as store:
+        first = store.classify((2, 3, 2, 2))
+        assert (first.verdict, first.minimal) == ("bad", True)
+        assert store.lookup((2, 3, 2, 2)) is not None
     # a fresh store sees the persisted record without recomputing
     again = WordStore(path).classify((2, 3, 2, 2))
     assert again == first

@@ -645,23 +645,26 @@ def walk_minimal_words(
             child = v[image_table(d2, a, d)]
             cw = w * wa
             cword = (a,) + word
-            if child.all():
+            # one byte per pattern: a count classifies, slices compare
+            bits = child.tobytes()
+            true = bits.count(1)
+            if true == len(bits):
                 if emit is not None:
                     emit(cword, GOOD, cw)
                 parts[GOOD].append(cw)
                 continue
-            if not child.any():
+            if not true:
                 if emit is not None:
                     emit(cword, BAD, cw)
                 parts[BAD].append(cw)
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)
-                if not np.array_equal(child[:half], child[half:]):
+                if bits[:half] != bits[half:]:
                     break
-                child = child[:half]
+                bits = bits[:half]
                 d2 -= 1
-            children.append((cword, d2, child, cw))
+            children.append((cword, d2, child[: len(bits)], cw))
         stack.extend(reversed(children))
 
     return _mass_split(parts, expanded)

@@ -22,15 +22,22 @@ from infinitebin.distributions import MoveDistribution
 from infinitebin.words import _fold_determined
 
 _LETTER_CHUNK = 1 << 16
-#: Past letters each replica gets up front.  Most certified horizons are
-#: far shorter (mean tau 3.6 letters at geom:0.5, K=1); a longer horizon
-#: redraws the replica's prefix at least twice as long.
-_PAST_BLOCK = 64
-#: Replicas whose first past blocks :func:`perfect_samples` draws and
-#: inverts together.  The size bounds memory, not speed: with 4096-replica
-#: blocks ``perfect geom:0.5 -K 4 --replicas 2000`` peaked at 42.7 MB RSS,
-#: against 36.7 MB with 256 and 36.2 MB drawing each replica alone.
-_REPLICA_BLOCK = 256
+#: Past letters each replica of a K=1 block gets up front.  Most certified
+#: horizons are far shorter (mean tau 3.6 letters at geom:0.5); 0.6% of
+#: samples outgrow 16 letters at geom:0.5 and 2.6% at unif:3, and each
+#: such replica redraws its prefix, at least twice as long, from its own
+#: stream.  Horizons grow with K, so a depth-K block gets 4K letters
+#: rounded up to a power of two, and never fewer than this.
+_PAST_BLOCK = 16
+#: Replicas whose first past letters :func:`perfect_samples` draws and
+#: inverts together at the base length ``_PAST_BLOCK``; longer first
+#: blocks hold proportionally fewer replicas, so a block never exceeds
+#: ``_REPLICA_BLOCK * _PAST_BLOCK`` letters.  Each
+#: :func:`rng.first_uniforms` call costs a fixed few hundred numpy
+#: operations, about 0.5 ms, so large blocks spread it thin.  Run in one
+#: process, ``verify --budget 20s`` peaked at 42.2 MB RSS with blocks of
+#: 256 to 1024 replicas and at 43.0 MB with 2048 (``BENCH_15.json``).
+_REPLICA_BLOCK = 1024
 
 DEFAULT_MAX_HORIZON = 1 << 24
 
@@ -180,16 +187,16 @@ def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
 
     ``letters[i]`` is the replica's fixed past letter at time -i, re-read
     on every horizon: its stream's first letters, or empty.  A horizon
-    beyond them redraws the prefix with :func:`rng.first_uniforms`, at
-    least doubled and at least ``_PAST_BLOCK`` long, and hands it back for
-    the next call; streams are prefix-stable, so no index changes letter.
+    beyond them redraws the prefix from the replica's stream, at least
+    doubled and at least ``_PAST_BLOCK`` long, and hands it back for the
+    next call; streams are prefix-stable, so no index changes letter.
     """
     best, h = 0, 1
     while True:
         if h > len(letters):
             n = max(h, 2 * len(letters), _PAST_BLOCK)
-            u = rng.first_uniforms(seed, rng.STREAM_PAST, (replica,), n)
-            letters = mu.letters_from_uniforms(u[0]).tolist()
+            u = rng.stream(seed, rng.STREAM_PAST, replica).random(n)
+            letters = mu.letters_from_uniforms(u).tolist()
         det, _shift = _fold_determined(letters[h - 1 :: -1])
         if len(det) >= need:
             return det, h, letters
@@ -237,17 +244,19 @@ def perfect_samples(
 ) -> tuple:
     """Perfect samples of replicas 0..replicas-1, each drawn once.
 
-    Replicas go in blocks of ``_REPLICA_BLOCK``: one re-keyed generator
-    draws the block's first ``_PAST_BLOCK`` past uniforms and one call
-    inverts them all, so each replica starts with its letters in hand.  A
-    replica whose horizon outgrows them redraws its own longer prefix.
-    The samples equal those of :func:`perfect_sample` replica by replica.
+    Replicas go in blocks: one :func:`rng.first_uniforms` call draws the
+    block's first past uniforms and one call inverts them all, so each
+    replica starts with its letters in hand.  A replica whose horizon
+    outgrows them redraws its own longer prefix.  The samples equal those
+    of :func:`perfect_sample` replica by replica.
     """
     rng.check_replica_count(replicas)
+    n = max(_PAST_BLOCK, 4 << (K - 1).bit_length())
+    size = max(1, _REPLICA_BLOCK * _PAST_BLOCK // n)
     drawn = []
-    for lo in range(0, replicas, _REPLICA_BLOCK):
-        block = range(lo, min(lo + _REPLICA_BLOCK, replicas))
-        u = rng.first_uniforms(seed, rng.STREAM_PAST, block, _PAST_BLOCK)
+    for lo in range(0, replicas, size):
+        block = range(lo, min(lo + size, replicas))
+        u = rng.first_uniforms(seed, rng.STREAM_PAST, block, n)
         drawn.extend(
             perfect_sample(mu, K, seed, replica=r, max_horizon=max_horizon,
                            _first=first)

@@ -177,7 +177,7 @@ def test_perfect_sample_horizon_error_carries_diagnostics():
     assert hit, "expected at least one replica to need a longer horizon"
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 64, 65])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, simulate._PAST_BLOCK, 64, 65])
 def test_first_uniforms_rows_equal_fresh_streams(n):
     replicas = [0, 1, 2**32 - 1]
     for seed in (0, -1, 2**64 + 5):
@@ -186,8 +186,16 @@ def test_first_uniforms_rows_equal_fresh_streams(n):
         for row, r in zip(rows, replicas):
             fresh = rng.stream(seed, rng.STREAM_PAST, r).random(n)
             assert row.tobytes() == fresh.tobytes(), (seed, r)
-    with pytest.raises(ValueError):
-        rng.first_uniforms(0, rng.STREAM_PAST, [2**32], n)
+    # one full block of rows, as perfect_samples draws it
+    block = range(2**32 - simulate._REPLICA_BLOCK, 2**32)
+    rows = rng.first_uniforms(3, rng.STREAM_PAST, block, n)
+    assert rows.shape == (len(block), n)
+    for i in (0, 1, 511, len(block) - 1):
+        fresh = rng.stream(3, rng.STREAM_PAST, block[i]).random(n)
+        assert rows[i].tobytes() == fresh.tobytes(), block[i]
+    for bad in (-1, 2**32, 2**64):
+        with pytest.raises(ValueError):
+            rng.first_uniforms(0, rng.STREAM_PAST, [0, bad], n)
 
 
 @pytest.mark.parametrize("mu", [
@@ -195,19 +203,23 @@ def test_first_uniforms_rows_equal_fresh_streams(n):
     FiniteSupport([0.2, 0.3, 0.5]), Dirac(1),
 ], ids=lambda mu: mu.describe())
 @pytest.mark.parametrize("K", [1, 32])
-def test_replica_blocks_equal_single_draws(mu, K):
+def test_replica_blocks_equal_single_draws(mu, K, monkeypatch):
+    # 256-replica blocks keep the run short; at K=1, 513 replicas cross two
+    # block boundaries and end in a one-replica block, and at K=32 the
+    # 128-letter first blocks hold 32 replicas each
+    monkeypatch.setattr(simulate, "_REPLICA_BLOCK", 256)
     replicas = 2 * simulate._REPLICA_BLOCK + 1
     drawn = perfect_samples(mu, K, replicas, seed=4)
     assert drawn == tuple(perfect_sample(mu, K, seed=4, replica=r)
                           for r in range(replicas))
-    if K == 32 and mu.pmf(1) < 1.0:  # horizons outgrow the first block
+    if K == 1 and mu.pmf(1) < 1.0:  # horizons outgrow the first block
         assert max(s.tau for s in drawn) > simulate._PAST_BLOCK
 
 
 @pytest.mark.parametrize("cap", [3, 48, 100])
 def test_horizon_caps_off_the_doubling_schedule(cap):
     # The schedule is 1, 2, 4, ... capped at and ending on the cap; a
-    # horizon of 100 outgrows the 64-letter first block mid-schedule.
+    # horizon of 100 outgrows the 64 past letters redrawn before it.
     mu, K = Uniform(3), 32
     schedule = {1 << i for i in range(cap.bit_length())} | {cap}
     certified = []

@@ -4,7 +4,7 @@ from infinitebin import (
     Configuration,
     classify,
     coupling_number,
-    epsilon,
+    is_x_good,
     test_set,
     tracker_run,
 )
@@ -26,7 +26,8 @@ flat = Configuration(front=0, window=(1,))
 stacked = Configuration(front=0, window=(2,))
 print("(2,2) from flat start  :", flat.apply_word((2, 2)))
 print("(2,2) from stacked start:", stacked.apply_word((2, 2)))
-print("epsilon((2,2), flat)    :", epsilon((2, 2), flat))
+print("(2,2) advances from flat   :", is_x_good((2, 2), flat))
+print("(2,2) advances from stacked:", is_x_good((2, 2), stacked))
 
 print()
 

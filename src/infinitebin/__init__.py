@@ -36,13 +36,10 @@ from infinitebin.words import (
     TrackerState,
     classify,
     coupling_number,
-    epsilon,
     horizon,
     is_x_good,
     test_set,
-    tracker_init,
     tracker_run,
-    tracker_step,
 )
 from infinitebin.series import (
     CurveRow,
@@ -51,7 +48,6 @@ from infinitebin.series import (
     curve,
     enumerate_minimal,
     uniform_speed_terms,
-    weight,
 )
 from infinitebin.simulate import (
     CouplingHorizonError,
@@ -92,16 +88,12 @@ __all__ = [
     "TrackerState",
     "classify",
     "coupling_number",
-    "epsilon",
     "horizon",
     "is_x_good",
     "test_set",
-    "tracker_init",
     "tracker_run",
-    "tracker_step",
     "SpeedBracket",
     "CurveRow",
-    "weight",
     "enumerate_minimal",
     "bivariate_D",
     "curve",

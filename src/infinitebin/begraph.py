@@ -7,15 +7,10 @@ recording the running maximum as vertices arrive produces, in law, the
 front of the infinite-bin process with geometric letter law — each value
 is a ball, each distinct value a bin.
 
-Two in-edge samplers are provided:
-
-- ``classmax`` (default): group earlier vertices by value; the class of
-  size m receives an edge with probability 1 - (1-p)^m, and scanning
-  classes from the top value down to the first hit draws the maximum
-  in-neighbour value exactly, in expected O(1) uniforms per vertex.
-- ``bernoulli``: one uniform per vertex pair, thresholded at p.  O(n^2)
-  but the per-pair uniforms are fixed by the seed alone, so runs at
-  different p are monotonely coupled (more edges at larger p, pathwise).
+The sampler groups earlier vertices by value: the class of size m receives
+an edge with probability 1 - (1-p)^m, and scanning classes from the top
+value down to the first hit draws the maximum in-neighbour value exactly,
+in expected O(1) uniforms per vertex.
 """
 
 from __future__ import annotations
@@ -86,30 +81,13 @@ def _classmax_values(n: int, p: float, gen) -> list:
     return values
 
 
-def _bernoulli_values(n: int, p: float, gen) -> list:
-    """Per-pair thresholded uniforms; fixed tape enables p-coupling."""
-    values = np.zeros(n, dtype=np.int64)
-    for j in range(1, n):
-        hit = gen.random(j) < p
-        if hit.any():
-            values[j] = values[:j][hit].max() + 1
-    return values.tolist()
-
-
-_SAMPLERS = {"classmax": _classmax_values, "bernoulli": _bernoulli_values}
-
-
-def _path_values(n: int, p: float, seed: int, method: str,
-                 replica: int) -> list:
+def _path_values(n: int, p: float, seed: int, replica: int) -> list:
     """Validate, then sample one graph's per-vertex longest-path lengths."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    sampler = _SAMPLERS.get(method)
-    if sampler is None:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return sampler(n, p, rng.stream(seed, rng.STREAM_GRAPH, replica))
+    return _classmax_values(n, p, rng.stream(seed, rng.STREAM_GRAPH, replica))
 
 
 def longest_path(
@@ -118,11 +96,10 @@ def longest_path(
     seed: int,
     keep_per_vertex: bool = False,
     *,
-    method: str = "classmax",
     replica: int = 0,
 ) -> LongestPathRun:
     """Sample one graph and compute its longest path length."""
-    values = _path_values(n, p, seed, method, replica)
+    values = _path_values(n, p, seed, replica)
     return LongestPathRun(
         n=n, p=p, L_n=max(values),
         per_vertex=tuple(values) if keep_per_vertex else None,
@@ -130,22 +107,15 @@ def longest_path(
     )
 
 
-def fk_coupling_trajectory(
-    n: int,
-    p: float,
-    seed: int,
-    *,
-    method: str = "classmax",
-) -> np.ndarray:
+def fk_coupling_trajectory(n: int, p: float, seed: int) -> np.ndarray:
     """Front trajectory of the growing graph (running max path length).
 
-    Uses the same value stream as :func:`longest_path` for the same seed
-    and method, so the terminal front equals that run's L_n exactly; the
-    increments are 0/1.  In law, this trajectory is the front of the
-    infinite-bin process with Geometric(p) letters started from a single
-    ball.
+    Uses the same value stream as :func:`longest_path` for the same seed,
+    so the terminal front equals that run's L_n exactly; the increments
+    are 0/1.  In law, this trajectory is the front of the infinite-bin
+    process with Geometric(p) letters started from a single ball.
     """
-    values = _path_values(n, p, seed, method, 0)
+    values = _path_values(n, p, seed, 0)
     return np.maximum.accumulate(np.asarray(values, dtype=np.int64))
 
 

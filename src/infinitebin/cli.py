@@ -113,8 +113,6 @@ def _parse_word(text):
         word = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"bad word {text!r}: {exc}") from exc
-    if not word:
-        raise _UsageError("word must have at least one letter")
     if any(a < 1 for a in word):
         raise _UsageError(f"letters must be >= 1, got {text!r}")
     return word

@@ -59,17 +59,6 @@ class SpeedBracket:
         )
 
 
-def weight(word, mu: MoveDistribution) -> float:
-    """Product of letter probabilities: the word's weight in the series."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("empty word has no weight")
-    out = 1.0
-    for a in word:
-        out *= mu.pmf(a)
-    return out
-
-
 def _maybe_warn_degenerate(mu: MoveDistribution) -> None:
     if mu.blocked():
         warnings.warn(

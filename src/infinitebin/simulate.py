@@ -27,7 +27,8 @@ _LETTER_CHUNK = 1 << 16
 #: samples outgrow 16 letters at geom:0.5 and 2.6% at unif:3, and each
 #: such replica redraws its prefix, at least twice as long, from its own
 #: stream.  Horizons grow with K, so a depth-K block gets 4K letters
-#: rounded up to a power of two, and never fewer than this.
+#: rounded up to a power of two, never fewer than this and never more
+#: than the horizon cap.
 _PAST_BLOCK = 16
 #: Replicas whose first past letters :func:`perfect_samples` draws and
 #: inverts together at the base length ``_PAST_BLOCK``; longer first
@@ -66,9 +67,17 @@ def _require_perfect_samplable(mu: MoveDistribution, K: int) -> None:
         raise ValueError(f"scenery depth K must be >= 1, got {K}")
     if mu.blocked():
         raise ValueError(
-            "point mass at a letter >= 2 admits no coupling words; "
-            "the stationary scenery is not defined for this law"
+            "point mass at a letter >= 2 has no coupling words, so coupling "
+            "from the past never certifies its stationary scenery"
         )
+
+
+def _check_perfect_args(mu: MoveDistribution, K: int,
+                        max_horizon: int) -> None:
+    """Reject what :func:`perfect_sample` cannot draw, before any draw."""
+    _require_perfect_samplable(mu, K)
+    if max_horizon < 1:
+        raise ValueError("max_horizon must be >= 1")
 
 
 def _mean_stderr(values) -> tuple:
@@ -227,9 +236,7 @@ def perfect_sample(
     redraws a longer prefix from the replica's stream when a horizon
     outgrows it, so the sample is the same with or without it.
     """
-    _require_perfect_samplable(mu, K)
-    if max_horizon < 1:
-        raise ValueError("max_horizon must be >= 1")
+    _check_perfect_args(mu, K, max_horizon)
     det, tau, _letters = _certify(mu, seed, replica, _first, K, max_horizon)
     return PerfectSample(scenery=_scenery(det, K), tau=tau, K=K)
 
@@ -250,8 +257,9 @@ def perfect_samples(
     outgrows them redraws its own longer prefix.  The samples equal those
     of :func:`perfect_sample` replica by replica.
     """
+    _check_perfect_args(mu, K, max_horizon)
     rng.check_replica_count(replicas)
-    n = max(_PAST_BLOCK, 4 << (K - 1).bit_length())
+    n = min(max(_PAST_BLOCK, 4 << (K - 1).bit_length()), max_horizon)
     size = max(1, _REPLICA_BLOCK * _PAST_BLOCK // n)
     drawn = []
     for lo in range(0, replicas, size):

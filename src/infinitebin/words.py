@@ -211,15 +211,19 @@ class TrackerState:
         return len(self.determined)
 
 
-def tracker_init() -> TrackerState:
-    """Empty knowledge: nothing determined yet."""
-    return TrackerState((), 0)
+def tracker_run(word: Iterable[int]) -> TrackerState:
+    """Fold the tracker over a word's letters, left to right."""
+    det, shift = _fold_determined(word)
+    return TrackerState(tuple(det), shift)
 
 
-def tracker_step(state: TrackerState, a: int) -> TrackerState:
-    """Fold one letter into the determined scenery.
+def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
+    """Fold letters into the determined counts ``det`` in place; returns
+    (determined list, front_shift).  Folding a word letter by letter, each
+    call continuing from the last one's ``det``, ends at the same counts,
+    and the calls' shifts sum to the one-call shift.
 
-    Case analysis on the letter a against M = certified ball total:
+    Case analysis on each letter a against M = certified ball total:
       - a <= M: the a-th rightmost ball sits in a certified bin; the added
         ball lands one bin up (a fresh front bin when the hit is the front).
       - a == M+1: the ball sits exactly in the first bin below the
@@ -229,23 +233,6 @@ def tracker_step(state: TrackerState, a: int) -> TrackerState:
       - a > M+1: the ball is out of certified range; the deepest certified
         count can no longer be trusted and is dropped.
     The certified depth D never falls by more than 1 per letter.
-    """
-    if a < 1:
-        raise ValueError("letter must be >= 1")
-    det, shift = _fold_determined((a,), list(state.determined))
-    return TrackerState(tuple(det), state.front_shift + shift)
-
-
-def tracker_run(word: Iterable[int]) -> TrackerState:
-    """Fold the tracker over a word's letters, left to right."""
-    det, shift = _fold_determined(word)
-    return TrackerState(tuple(det), shift)
-
-
-def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
-    """In-place tracker fold; returns (determined list, front_shift).
-
-    The one implementation of the rule documented at ``tracker_step``.
     """
     det = [] if det is None else det
     shift = 0
@@ -275,24 +262,3 @@ def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
         elif det:
             M -= det.pop(0)
     return det, shift
-
-
-# ---------------------------------------------------------------------------
-# signed-series term (the older representation of the speed)
-# ---------------------------------------------------------------------------
-
-
-def epsilon(word: Sequence[int], config: Configuration) -> int:
-    """Signed series term: 1{word advances from X} - 1{its tail does}.
-
-    The tail here is the word minus its first letter; for one-letter words
-    that tail is empty and contributes 0.
-    """
-    word = tuple(word)
-    if not word:
-        raise ValueError("empty word has no series term")
-    first = 1 if is_x_good(word, config) else 0
-    second = 0
-    if len(word) >= 2:
-        second = 1 if is_x_good(word[1:], config) else 0
-    return first - second

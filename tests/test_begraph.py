@@ -5,7 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from infinitebin import rng
 from infinitebin.begraph import estimate_C, fk_coupling_trajectory, longest_path
+
+
+def bernoulli_L_n(n, p, seed, replica):
+    """Dense oracle sampler: one uniform per vertex pair, thresholded at p.
+
+    O(n^2), but the pair uniforms depend on the seed and replica alone, so
+    runs at different p are monotonely coupled: a larger p only adds edges.
+    """
+    gen = rng.stream(seed, rng.STREAM_GRAPH, replica)
+    values = np.zeros(n, dtype=np.int64)
+    for j in range(1, n):
+        hit = gen.random(j) < p
+        if hit.any():
+            values[j] = values[:j][hit].max() + 1
+    return int(values.max())
 
 
 def test_full_graph_path_is_hamiltonian():
@@ -25,8 +41,6 @@ def test_validation():
         longest_path(0, 0.5, seed=0)
     with pytest.raises(ValueError):
         longest_path(10, 1.5, seed=0)
-    with pytest.raises(ValueError):
-        longest_path(10, 0.5, seed=0, method="adjacency")
     with pytest.raises(ValueError):
         estimate_C(0.0)
 
@@ -49,14 +63,11 @@ def test_two_vertex_edge_probability():
 
 
 def test_methods_agree_in_distribution():
-    # classmax (skip sampling over value classes) and bernoulli (dense
-    # edge tape) must sample the same law.
+    # the class-max sampler (skip sampling over value classes) and the
+    # dense edge-tape oracle must sample the same law.
     n, reps, p = 100, 400, 0.3
     a = [longest_path(n, p, seed=1, replica=r).L_n for r in range(reps)]
-    b = [
-        longest_path(n, p, seed=2, replica=r, method="bernoulli").L_n
-        for r in range(reps)
-    ]
+    b = [bernoulli_L_n(n, p, seed=2, replica=r) for r in range(reps)]
     mean_a, mean_b = sum(a) / reps, sum(b) / reps
     var_a = sum((x - mean_a) ** 2 for x in a) / (reps - 1)
     var_b = sum((x - mean_b) ** 2 for x in b) / (reps - 1)
@@ -65,13 +76,13 @@ def test_methods_agree_in_distribution():
 
 
 def test_bernoulli_tape_is_monotone_in_p():
-    # The dense method decides each potential edge from one fixed uniform,
+    # The dense oracle decides each potential edge from one fixed uniform,
     # so raising p only ever adds edges: path lengths are coupled
     # monotonically sample by sample.
     for replica in range(20):
-        lo = longest_path(60, 0.3, seed=4, replica=replica, method="bernoulli")
-        hi = longest_path(60, 0.6, seed=4, replica=replica, method="bernoulli")
-        assert lo.L_n <= hi.L_n
+        lo = bernoulli_L_n(60, 0.3, seed=4, replica=replica)
+        hi = bernoulli_L_n(60, 0.6, seed=4, replica=replica)
+        assert lo <= hi
 
 
 def test_per_vertex_values_are_path_lengths():
@@ -84,16 +95,15 @@ def test_per_vertex_values_are_path_lengths():
 
 
 def test_trajectory_matches_run_and_is_tight():
-    for method in ("classmax", "bernoulli"):
-        fronts = fk_coupling_trajectory(400, 0.45, seed=7, method=method)
-        run = longest_path(400, 0.45, seed=7, keep_per_vertex=True, method=method)
-        assert len(fronts) == 400
-        assert int(fronts[-1]) == run.L_n
-        steps = np.diff(fronts)
-        assert steps.min() >= 0 and steps.max() <= 1
-        # the front is the running max of per-vertex path lengths
-        running = np.maximum.accumulate(np.asarray(run.per_vertex))
-        assert np.array_equal(fronts, running)
+    fronts = fk_coupling_trajectory(400, 0.45, seed=7)
+    run = longest_path(400, 0.45, seed=7, keep_per_vertex=True)
+    assert len(fronts) == 400
+    assert int(fronts[-1]) == run.L_n
+    steps = np.diff(fronts)
+    assert steps.min() >= 0 and steps.max() <= 1
+    # the front is the running max of per-vertex path lengths
+    running = np.maximum.accumulate(np.asarray(run.per_vertex))
+    assert np.array_equal(fronts, running)
 
 
 def test_estimate_C_aggregates():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from infinitebin import begraph, cli, enumeration, series, simulate
+from infinitebin import begraph, cli, enumeration, rng, series, simulate
 from infinitebin.distributions import parse_mu
 from infinitebin.store import STORE_PATH_ENV, WordStore
 
@@ -59,6 +59,7 @@ def test_classify_large_letter_reports_tracker_bound(capsys):
 def test_classify_usage_errors(capsys):
     assert run_cli(capsys, "classify", "2,x")[0] == 1
     assert run_cli(capsys, "classify", "0,1")[0] == 1
+    assert run_cli(capsys, "classify", "")[0] == 1
     assert run_cli(capsys, "classify", "--bogus", "1")[0] == 1
 
 
@@ -384,6 +385,17 @@ def test_perfect_horizon_limit_exits_3(capsys):
 
 def test_perfect_rejects_blocked_point_mass(capsys):
     assert run_cli(capsys, "perfect", "dirac:2")[0] == 1
+
+
+@pytest.mark.parametrize("K", ["0", "-1000000000"])
+def test_perfect_rejects_bad_depth_before_any_draw(capsys, monkeypatch, K):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("perfect drew before checking K")
+
+    monkeypatch.setattr(rng, "first_uniforms", no_draw)
+    code, out, err = run_cli(capsys, "perfect", "geom:0.5", "-K", K)
+    assert code == 1 and out == ""
+    assert err.startswith("error: scenery depth K must be >= 1")
 
 
 @pytest.mark.parametrize("argv, module, drawer", [

@@ -70,6 +70,8 @@ def test_scenery_is_front_first_with_unit_padding():
     assert config.scenery(2) == (2, 3)
     assert config.scenery(3) == (2, 3, 1)
     assert config.scenery(5) == (2, 3, 1, 1, 1)  # padded into the tail
+    with pytest.raises(ValueError, match="scenery depth must be >= 0"):
+        config.scenery(-1)
 
 
 def test_json_round_trip():

@@ -23,6 +23,7 @@ def test_geometric_pmf_cdf_tail():
     assert mu.tail(4) == pytest.approx(0.7**4)
     assert mu.support_min == 1 and mu.support_max is None
     assert not mu.blocked()
+    assert mu.pmf(0) == 0.0
 
 
 def test_geometric_one_is_point_mass_at_one():
@@ -38,6 +39,8 @@ def test_uniform_law():
     assert mu.cdf(2) == pytest.approx(0.5)
     assert mu.tail(4) == 0.0
     assert mu.support_max == 4
+    with pytest.raises(ValueError, match="uniform support bound"):
+        Uniform(0)
 
 
 def test_dirac_law():
@@ -47,6 +50,8 @@ def test_dirac_law():
     assert mu.blocked()
     assert not Dirac(1).blocked()
     assert mu.support_min == mu.support_max == 3
+    with pytest.raises(ValueError, match="dirac letter must be >= 1"):
+        Dirac(0)
 
 
 def test_finite_support_exact_and_normalized():
@@ -60,6 +65,13 @@ def test_finite_support_exact_and_normalized():
         FiniteSupport.normalized([0.5, 0.6])  # sums to 1.1, outside 1 +/- 0.001
     with pytest.raises(ValueError):
         FiniteSupport([0.5, 0.5, 0.1])
+    with pytest.raises(ValueError, match="needs positive mass"):
+        FiniteSupport([0.0, 0.0])
+    with pytest.raises(ValueError, match="letters must be >= 1"):
+        FiniteSupport({0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="probabilities must be >= 0"):
+        FiniteSupport([1.5, -0.5])
+    assert hash(mu) == hash(FiniteSupport({1: 0.5, 2: 0.25, 3: 0.25}))
 
 
 @pytest.mark.parametrize("probs", [

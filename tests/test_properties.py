@@ -12,12 +12,11 @@ from infinitebin import (
     classify,
     coupling_number,
     enumerate_minimal,
-    tracker_init,
     tracker_run,
-    tracker_step,
 )
 from infinitebin.core import _Evolver
 from infinitebin.distributions import FiniteSupport, Geometric
+from infinitebin.words import _fold_determined
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8).map(tuple)
 letters = st.integers(min_value=1, max_value=5)
@@ -32,12 +31,14 @@ def test_tracker_never_overstates_coupling(word):
 @given(st.lists(st.integers(min_value=1, max_value=6), max_size=30))
 @settings(deadline=None)
 def test_tracker_steps_fold_to_tracker_run(word):
-    state = tracker_init()
+    # the incremental fold coupling_convergence_check relies on
+    det, front_shift = [], 0
     for a in word:
-        state = tracker_step(state, a)
+        det, shift = _fold_determined((a,), det)
+        front_shift += shift
     run = tracker_run(word)
-    assert state.determined == run.determined
-    assert state.front_shift == run.front_shift
+    assert tuple(det) == run.determined
+    assert front_shift == run.front_shift
 
 
 @given(words, letters)

@@ -24,7 +24,6 @@ from infinitebin.series import (
     curve,
     enumerate_minimal,
     uniform_speed_terms,
-    weight,
 )
 from infinitebin.words import SizeLimitError, classify
 
@@ -38,15 +37,6 @@ def patched(**consts):
         for name, value in consts.items():
             mp.setattr(enumeration, name, value)
         yield
-
-
-def test_weight_oracles():
-    assert weight((1,), Geometric(0.3)) == pytest.approx(0.3)
-    assert weight((1, 2), Geometric(0.5)) == pytest.approx(0.125)
-    assert weight((2, 2), Uniform(2)) == pytest.approx(0.25)
-    assert weight((3,), Uniform(2)) == 0.0
-    with pytest.raises(ValueError):
-        weight((), Geometric(0.5))
 
 
 def test_geometric_one_bracket_is_exact_unit():
@@ -291,7 +281,7 @@ def test_emitted_words_are_minimal_with_true_weights():
         ref = classify(word)
         assert ref.verdict == verdict
         assert ref.minimal is True
-        assert wt == pytest.approx(weight(word, mu), abs=1e-15)
+        assert wt == pytest.approx(math.prod(mu.pmf(a) for a in word), abs=1e-15)
 
 
 def test_degenerate_point_mass_warns():
@@ -309,6 +299,13 @@ def test_bounds_validation():
     for p, q, L, A in [(0.5, 0.5, 0, 4), (0.5, 0.5, 4, 0), (0.5, 0.0, 4, -1)]:
         with pytest.raises(ValueError):
             bivariate_D(p, q, L, A)
+    with pytest.raises(ValueError, match="pmf_vec must cover letters 1..A"):
+        stopping_tree_masses(np.zeros(4), 0.0, 4, 4)
+    with pytest.raises(ValueError, match="p must be in"):
+        stopping_tree_counts(2, 2).evaluate(0.0)
+    # 10^16 words pass 2^53: refused before any level is enumerated
+    with pytest.raises(SizeLimitError, match="exceed exact float64"):
+        stopping_tree_counts(16, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -156,10 +156,45 @@ def test_perfect_sample_depths_are_consistent():
 
 
 def test_perfect_sample_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no coupling words, so coupling "
+                                         "from the past never certifies"):
         perfect_sample(Dirac(2), 1, seed=0)  # blocked point mass
     with pytest.raises(ValueError):
         perfect_sample(Geometric(0.5), 0, seed=0)
+    with pytest.raises(ValueError, match="max_horizon must be >= 1"):
+        perfect_sample(Geometric(0.5), 1, seed=0, max_horizon=0)
+    with pytest.raises(ValueError, match="at least one perfect sample"):
+        simulate.front_hit_rate(Geometric(0.5), ())
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        coupling_convergence_check(Geometric(0.5), MINIMAL_CONFIG, 1,
+                                   n_max=-1, seed=0)
+
+
+def test_perfect_samples_validate_before_drawing(monkeypatch):
+    first_uniforms, requested = rng.first_uniforms, []
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("perfect_samples drew before validating")
+
+    monkeypatch.setattr(rng, "first_uniforms", no_draw)
+    mu = Geometric(0.5)
+    for K in (0, -10**9):
+        with pytest.raises(ValueError, match="scenery depth K must be >= 1"):
+            perfect_samples(mu, K, 4, seed=0)
+    with pytest.raises(ValueError, match="max_horizon must be >= 1"):
+        perfect_samples(mu, 1, 4, seed=0, max_horizon=0)
+    with pytest.raises(ValueError, match="no coupling words"):
+        perfect_samples(Dirac(2), 1, 4, seed=0)
+
+    def counted(seed, stream, replicas, n):
+        requested.append(n)
+        return first_uniforms(seed, stream, replicas, n)
+
+    # a first block never holds letters past the horizon cap
+    monkeypatch.setattr(rng, "first_uniforms", counted)
+    with pytest.raises(CouplingHorizonError):
+        perfect_samples(mu, 64, 4, seed=0, max_horizon=8)
+    assert requested and max(requested) <= 8
 
 
 def test_perfect_sample_horizon_error_carries_diagnostics():

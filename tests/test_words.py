@@ -11,13 +11,11 @@ from infinitebin.words import (
     NEITHER,
     SizeLimitError,
     classify,
+    _fold_determined,
     coupling_number,
-    epsilon,
     horizon,
     is_x_good,
-    tracker_init,
     tracker_run,
-    tracker_step,
 )
 from infinitebin.words import test_set as patterns_for
 
@@ -64,6 +62,10 @@ def test_letters_must_be_positive():
         classify((2, -1))
     with pytest.raises(ValueError):
         classify(())
+    with pytest.raises(ValueError, match="empty word cannot be classified"):
+        is_x_good((), MINIMAL_CONFIG)
+    with pytest.raises(ValueError, match="empty word has no coupling number"):
+        coupling_number(())
 
 
 def test_verdict_depends_on_start_for_neither_words():
@@ -91,6 +93,8 @@ def test_test_set_shape_and_extremes():
 def test_test_set_size_limit():
     with pytest.raises(SizeLimitError):
         patterns_for(40)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        patterns_for(0)
 
 
 def test_verdict_agrees_with_wide_config_corpus():
@@ -154,15 +158,14 @@ def test_repeated_ones_couple_exactly_their_count():
 
 
 def test_tracker_init_empty():
-    state = tracker_init()
+    state = tracker_run(())
     assert state.depth == 0
     assert state.front_shift == 0
 
 
 def test_tracker_ones_certify_one_bin_each():
-    state = tracker_init()
     for i in range(1, 5):
-        state = tracker_step(state, 1)
+        state = tracker_run((1,) * i)
         assert state.depth == i
         assert state.front_shift == i
     assert state.determined == (1, 1, 1, 1)
@@ -175,11 +178,11 @@ def test_tracker_depth_lower_bounds_coupling_number():
 
 
 def test_tracker_depth_drops_at_most_one_per_letter():
-    state = tracker_init()
+    det = []
     for a in (1, 1, 1, 9, 9, 1, 2, 7, 1, 1, 3, 8):
-        nxt = tracker_step(state, a)
-        assert nxt.depth >= state.depth - 1
-        state = nxt
+        depth = len(det)
+        det, _shift = _fold_determined((a,), det)
+        assert len(det) >= depth - 1
 
 
 def test_tracker_is_sound_certificate():
@@ -201,27 +204,17 @@ def test_tracker_is_sound_certificate():
 # ---------------------------------------------------------------------------
 
 
-def test_epsilon_values():
-    # epsilon compares the front advance of a word against its tail.
-    flat = Configuration(0, (1, 1))
-    stacked = Configuration(0, (2,))
-    # (1, 2): tail (2,) does not advance from flat; neither does prepending
-    # the 1 help the final 2 (it resets the front bin) -> difference 0.
-    assert epsilon((1, 2), flat) in (-1, 0, 1)
-    for word in [(1,), (2, 2), (1, 2), (3, 2, 1)]:
-        for config in (flat, stacked, MINIMAL_CONFIG):
-            eps = epsilon(word, config)
-            assert eps in (-1, 0, 1)
-
-
 def test_epsilon_compares_final_move_advances():
+    # the older series' signed term: whether the word's final move
+    # advances, less whether its tail's (the word less its first letter) does
     config = Configuration(0, (1, 2))
     for word in [(2, 2), (1, 2), (2, 1), (3, 2, 2)]:
         before_full = config.apply_word(word[:-1])
         adv_full = before_full.apply_move(word[-1]).front - before_full.front
         before_tail = config.apply_word(word[1:-1])
         adv_tail = before_tail.apply_move(word[-1]).front - before_tail.front
-        assert epsilon(word, config) == adv_full - adv_tail
+        eps = is_x_good(word, config) - is_x_good(word[1:], config)
+        assert eps == adv_full - adv_tail
 
 
 # ---------------------------------------------------------------------------

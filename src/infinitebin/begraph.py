@@ -27,16 +27,11 @@ _UNIFORM_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class LongestPathRun:
-    """Longest-path statistics of one sampled graph.
-
-    ``per_vertex`` (optional) holds the longest path length ending at each
-    vertex, in vertex order; its maximum is ``L_n``.
-    """
+    """Longest-path statistics of one sampled graph."""
 
     n: int
     p: float
     L_n: int
-    per_vertex: tuple | None
     seed: int
 
 
@@ -94,17 +89,12 @@ def longest_path(
     n: int,
     p: float,
     seed: int,
-    keep_per_vertex: bool = False,
     *,
     replica: int = 0,
 ) -> LongestPathRun:
     """Sample one graph and compute its longest path length."""
     values = _path_values(n, p, seed, replica)
-    return LongestPathRun(
-        n=n, p=p, L_n=max(values),
-        per_vertex=tuple(values) if keep_per_vertex else None,
-        seed=seed,
-    )
+    return LongestPathRun(n=n, p=p, L_n=max(values), seed=seed)
 
 
 def fk_coupling_trajectory(n: int, p: float, seed: int) -> np.ndarray:

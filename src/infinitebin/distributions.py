@@ -77,8 +77,6 @@ class Geometric(MoveDistribution):
     def pmf(self, j: int) -> float:
         if j < 1:
             return 0.0
-        if self.p == 1.0:
-            return 1.0 if j == 1 else 0.0
         return self.p * (1.0 - self.p) ** (j - 1)
 
     def cdf(self, j: int) -> float:
@@ -91,8 +89,6 @@ class Geometric(MoveDistribution):
     def tail(self, j: int) -> float:
         if j < 1:
             return 1.0
-        if self.p == 1.0:
-            return 0.0
         return (1.0 - self.p) ** j
 
     def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:

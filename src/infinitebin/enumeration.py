@@ -596,9 +596,9 @@ def walk_minimal_words(
     each minimal word is visited once and handed to ``emit(word, verdict,
     weight)`` in deterministic order: the word (1,) first, then depth-first
     over first letters A down to 2, each later letter prepended in
-    increasing order.  Raises SizeLimitError past its fixed budget of
-    3,000,000 expanded nodes — the walk is for bounds where the word tree
-    itself is tractable; use the lumped engines otherwise.
+    increasing order.  Raises SizeLimitError past its fixed node budget
+    (see the module docstring) — the walk is for bounds where the word
+    tree itself is tractable; use the lumped engines otherwise.
     """
     _check_bounds(L, A, pmf_vec)
     parts: dict = defaultdict(list)
@@ -610,8 +610,7 @@ def walk_minimal_words(
         if w <= 0.0:
             continue
         if a == 1:  # resolves immediately: all-true
-            if emit is not None:
-                emit((1,), GOOD, w)
+            emit((1,), GOOD, w)
             parts[GOOD].append(w)
         elif a > _DEPTH_CAP:
             parts["capped"].append(w)
@@ -649,13 +648,11 @@ def walk_minimal_words(
             bits = child.tobytes()
             true = bits.count(1)
             if true == len(bits):
-                if emit is not None:
-                    emit(cword, GOOD, cw)
+                emit(cword, GOOD, cw)
                 parts[GOOD].append(cw)
                 continue
             if not true:
-                if emit is not None:
-                    emit(cword, BAD, cw)
+                emit(cword, BAD, cw)
                 parts[BAD].append(cw)
                 continue
             while d2 > 1:

@@ -100,13 +100,12 @@ def enumerate_minimal(
     beyond is frontier mass (bracket width).  With ``emit`` given, an
     explicit depth-first walk visits each resolved minimal word once and
     calls ``emit(word, verdict, weight)`` — exact but exponential, so it
-    raises SizeLimitError past a fixed budget of 3,000,000 expanded nodes;
-    without ``emit`` a lumped state engine is used, which reaches much
-    larger bounds.  Both engines leave goodness vectors deeper than the
-    fixed depth cap of 16 unexpanded, as frontier mass; the lumped engine
-    also keeps at most 10,000 states per level and does not expand
-    children lighter than 1e-18, both fixed constants whose cut weight is
-    frontier mass.
+    raises SizeLimitError past the walk's node budget; without ``emit`` a
+    lumped state engine is used, which reaches much larger bounds.  Both
+    engines leave goodness vectors past the depth cap unexpanded; the
+    lumped engine also prunes states past the per-level cap and does not
+    expand children below the birth floor.  Every cut weight is frontier
+    mass; the fixed bounds are listed in :mod:`infinitebin.enumeration`.
     """
     pmf_vec = mu.pmf_vector(max_letter)
     tail = mu.tail(max_letter)
@@ -134,8 +133,9 @@ def bivariate_D(
     series mass.  The bound multiplies each unresolved branch by its
     worst-case continuation mass, geometric with ratio r = p/(1-q); it is
     finite only for r < 1 (strictly inside the product region) or when
-    enumeration left nothing unresolved.  The lumped engine keeps at most
-    10,000 states per level (a fixed constant) and expands every child.
+    enumeration left nothing unresolved.  The lumped engine keeps its
+    per-level state cap (see :mod:`infinitebin.enumeration`) and expands
+    every child.
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
@@ -182,9 +182,9 @@ def curve(
     the monomials p^n (1-p)^e, and evaluates the resulting polynomials at
     every grid point — the minimal-word sets do not depend on p, only the
     weights do.  Every p must lie in (0, 1] (p = 0 has no geometric letter
-    law).  At most 10,000 states per level are kept (a fixed constant);
-    pruning is prioritised at the grid midpoint but stays
-    frontier-accounted, so each returned bracket is valid at its own p.
+    law).  States past the per-level cap of :mod:`infinitebin.enumeration`
+    are pruned, prioritised at the grid midpoint but frontier-accounted,
+    so each returned bracket is valid at its own p.
     """
     ps = [float(p) for p in p_grid]
     if not ps:

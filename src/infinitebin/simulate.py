@@ -61,8 +61,13 @@ class CouplingHorizonError(RuntimeError):
         )
 
 
-def _require_perfect_samplable(mu: MoveDistribution, K: int) -> None:
-    """Reject a scenery depth below 1 and a law with no coupling words."""
+def _check_perfect_args(mu: MoveDistribution, K: int,
+                        max_horizon: int) -> None:
+    """Reject what :func:`perfect_sample` cannot draw, before any draw.
+
+    The tracker certifies at most one bin per letter, so a depth K above
+    ``max_horizon`` can never be certified and fails at once.
+    """
     if K < 1:
         raise ValueError(f"scenery depth K must be >= 1, got {K}")
     if mu.blocked():
@@ -70,14 +75,10 @@ def _require_perfect_samplable(mu: MoveDistribution, K: int) -> None:
             "point mass at a letter >= 2 has no coupling words, so coupling "
             "from the past never certifies its stationary scenery"
         )
-
-
-def _check_perfect_args(mu: MoveDistribution, K: int,
-                        max_horizon: int) -> None:
-    """Reject what :func:`perfect_sample` cannot draw, before any draw."""
-    _require_perfect_samplable(mu, K)
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
+    if K > max_horizon:
+        raise CouplingHorizonError(K, max_horizon, 0)
 
 
 def _mean_stderr(values) -> tuple:
@@ -185,20 +186,19 @@ class PerfectSample:
 
     scenery: tuple
     tau: int
-    K: int
 
 
 def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
              need: int, max_horizon: int) -> tuple:
-    """(determined counts, horizon, letters) at the first of the horizons
-    1, 2, 4, ..., capped at and ending on ``max_horizon``, where the
-    tracker certifies depth >= need; CouplingHorizonError if none does.
+    """(determined counts, horizon) at the first of the horizons 1, 2, 4,
+    ..., capped at and ending on ``max_horizon``, where the tracker
+    certifies depth >= need; CouplingHorizonError if none does.
 
     ``letters[i]`` is the replica's fixed past letter at time -i, re-read
     on every horizon: its stream's first letters, or empty.  A horizon
     beyond them redraws the prefix from the replica's stream, at least
-    doubled and at least ``_PAST_BLOCK`` long, and hands it back for the
-    next call; streams are prefix-stable, so no index changes letter.
+    doubled and at least ``_PAST_BLOCK`` long; streams are prefix-stable,
+    so no index changes letter.
     """
     best, h = 0, 1
     while True:
@@ -208,7 +208,7 @@ def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
             letters = mu.letters_from_uniforms(u).tolist()
         det, _shift = _fold_determined(letters[h - 1 :: -1])
         if len(det) >= need:
-            return det, h, letters
+            return det, h
         best = max(best, len(det))
         if h >= max_horizon:
             raise CouplingHorizonError(need, max_horizon, best)
@@ -237,8 +237,8 @@ def perfect_sample(
     outgrows it, so the sample is the same with or without it.
     """
     _check_perfect_args(mu, K, max_horizon)
-    det, tau, _letters = _certify(mu, seed, replica, _first, K, max_horizon)
-    return PerfectSample(scenery=_scenery(det, K), tau=tau, K=K)
+    det, tau = _certify(mu, seed, replica, _first, K, max_horizon)
+    return PerfectSample(scenery=_scenery(det, K), tau=tau)
 
 
 def perfect_samples(
@@ -324,7 +324,7 @@ def coupling_convergence_check(
     t <= n <= n_max (0 when they agree from the start), or None if they
     still differ at n_max — a short check window, not a failure.
     """
-    _require_perfect_samplable(mu, K)
+    _check_perfect_args(mu, K, DEFAULT_MAX_HORIZON)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
@@ -332,7 +332,7 @@ def coupling_convergence_check(
     future: list = []
 
     need = K
-    det, _h, past = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
+    det, _h = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
     ev = _Evolver(start)
     streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
     n = 0
@@ -348,8 +348,7 @@ def coupling_convergence_check(
         _fold_determined((a,), det)
         while len(det) < K:
             need = max(2 * need, 2 * K)
-            det, _h, past = _certify(mu, seed, 0, past, need,
-                                     DEFAULT_MAX_HORIZON)
+            det, _h = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
             det, _shift = _fold_determined(future[:n], det)
         if ev.scenery(K) == _scenery(det, K):
             if streak is None:

@@ -11,13 +11,10 @@ import itertools
 import math
 import time
 
-import pytest
-
 import infinitebin as ib
 from infinitebin import cli
 from infinitebin.core import MINIMAL_CONFIG
 from infinitebin.distributions import Dirac, Geometric, Uniform
-from infinitebin.words import test_set as patterns_for
 
 E = math.e
 

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from infinitebin import rng
-from infinitebin.begraph import estimate_C, fk_coupling_trajectory, longest_path
+from infinitebin.begraph import (
+    _path_values,
+    estimate_C,
+    fk_coupling_trajectory,
+    longest_path,
+)
 
 
 def bernoulli_L_n(n, p, seed, replica):
@@ -25,9 +30,9 @@ def bernoulli_L_n(n, p, seed, replica):
 
 
 def test_full_graph_path_is_hamiltonian():
-    run = longest_path(500, 1.0, seed=0, keep_per_vertex=True)
+    run = longest_path(500, 1.0, seed=0)
     assert run.L_n == 499
-    assert run.per_vertex == tuple(range(500))
+    assert _path_values(500, 1.0, 0, 0) == list(range(500))
 
 
 def test_empty_graph_has_no_edges():
@@ -86,23 +91,24 @@ def test_bernoulli_tape_is_monotone_in_p():
 
 
 def test_per_vertex_values_are_path_lengths():
-    run = longest_path(200, 0.5, seed=6, keep_per_vertex=True)
-    assert len(run.per_vertex) == 200
-    assert run.per_vertex[0] == 0
-    for j, v in enumerate(run.per_vertex):
+    values = _path_values(200, 0.5, 6, 0)
+    assert len(values) == 200
+    assert values[0] == 0
+    for j, v in enumerate(values):
         assert 0 <= v <= j
-    assert max(run.per_vertex) == run.L_n
+    assert max(values) == longest_path(200, 0.5, seed=6).L_n
 
 
 def test_trajectory_matches_run_and_is_tight():
     fronts = fk_coupling_trajectory(400, 0.45, seed=7)
-    run = longest_path(400, 0.45, seed=7, keep_per_vertex=True)
+    run = longest_path(400, 0.45, seed=7)
     assert len(fronts) == 400
     assert int(fronts[-1]) == run.L_n
     steps = np.diff(fronts)
     assert steps.min() >= 0 and steps.max() <= 1
     # the front is the running max of per-vertex path lengths
-    running = np.maximum.accumulate(np.asarray(run.per_vertex))
+    running = np.maximum.accumulate(
+        np.asarray(_path_values(400, 0.45, 7, 0)))
     assert np.array_equal(fronts, running)
 
 

@@ -383,6 +383,20 @@ def test_perfect_horizon_limit_exits_3(capsys):
     assert "limit" in err.lower()
 
 
+def test_perfect_depth_past_horizon_exits_3_before_any_draw(capsys,
+                                                           monkeypatch):
+    # the tracker certifies at most one bin per letter, so depth K needs
+    # at least K past letters
+    def no_draw(*args, **kwargs):
+        raise AssertionError("perfect drew for a depth past its horizon")
+
+    monkeypatch.setattr(rng, "first_uniforms", no_draw)
+    code, out, err = run_cli(capsys, "perfect", "geom:0.5", "-K", "3000000",
+                             "--max-horizon", "2097152")
+    assert code == 3 and out == ""
+    assert "no depth-3000000 coupling certified within 2097152" in err
+
+
 def test_perfect_rejects_blocked_point_mass(capsys):
     assert run_cli(capsys, "perfect", "dirac:2")[0] == 1
 

@@ -83,7 +83,7 @@ def test_depth_cap_is_frontier_in_both_engines():
     for L in (1, 3):
         with patched(**EXACT):
             lumped = stopping_tree_masses(pmf, mu.tail(A), L, A)
-        walk = walk_minimal_words(pmf, mu.tail(A), L, A, None)
+        walk = walk_minimal_words(pmf, mu.tail(A), L, A, lambda *a: None)
         assert lumped.frontier_capped == walk.frontier_capped > 0.0
         if L == 1:
             assert lumped.frontier_capped == pmf[17] + pmf[18]
@@ -158,7 +158,8 @@ def test_engine_outputs_are_pinned():
             split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
         assert _hex_fields(split) == expected, (p, L, A, caps)
     for (mu, L, A), expected in PINNED_WALK:
-        split = walk_minimal_words(mu.pmf_vector(A), mu.tail(A), L, A, None)
+        split = walk_minimal_words(mu.pmf_vector(A), mu.tail(A), L, A,
+                                   lambda *a: None)
         assert _hex_fields(split) == expected, (mu.describe(), L, A)
     # pruning across many exponents
     with patched(_MAX_STATES=300):
@@ -391,6 +392,29 @@ def test_counts_in_rationals_are_an_exact_oracle_for_masses():
         assert split.pruned_mass == 0.0
         for got, want in zip((split.good, split.bad, split.frontier), exact):
             assert abs(Fraction(got) - want) <= bound, (p, got, float(want))
+
+
+@pytest.mark.parametrize("order, coefficients", [
+    (8, [1, -1, 1, -3, 7, -15, 29, -54]),
+    (12, [1, -1, 1, -3, 7, -15, 29, -54, 102, -197, 375, -687]),
+], ids=["order-8", "order-12"])
+def test_counts_expand_C_exactly_at_p_one(order, coefficients):
+    # good[n, e] counts minimal good words of weight p^n q^e, q = 1 - p.
+    # What is left unresolved at exponent e only adds to q^e and higher,
+    # so below the frontier's smallest exponent the coefficients of
+    # sum good[n, e] (1 - q)^n q^e are exact integers: no floats, and
+    # pruning at the default cap may not move a digit.
+    tables = stopping_tree_counts(order, order)
+    e_min = int(np.nonzero(tables.frontier)[1].min())
+    assert e_min >= order
+    good = [[int(c) for c in row] for row in tables.good]
+    assert np.array_equal(tables.good, good)
+    expansion = [
+        sum(good[n][e] * math.comb(n, j - e) * (-1) ** (j - e)
+            for n in range(len(good)) for e in range(j + 1))
+        for j in range(order)
+    ]
+    assert expansion == coefficients
 
 
 def test_state_cap_pruning_keeps_brackets_certified():

@@ -131,7 +131,6 @@ def test_repeated_min_letter_block_advances_front():
 def test_perfect_sample_dirac_one():
     sample = perfect_sample(Dirac(1), 3, seed=5)
     assert sample.scenery == (1, 1, 1)
-    assert sample.K == 3
     # doubling schedule certifies depth 3 at the first horizon >= 3
     assert sample.tau == 4
 
@@ -193,7 +192,7 @@ def test_perfect_samples_validate_before_drawing(monkeypatch):
     # a first block never holds letters past the horizon cap
     monkeypatch.setattr(rng, "first_uniforms", counted)
     with pytest.raises(CouplingHorizonError):
-        perfect_samples(mu, 64, 4, seed=0, max_horizon=8)
+        perfect_samples(mu, 8, 4, seed=0, max_horizon=8)
     assert requested and max(requested) <= 8
 
 
@@ -472,8 +471,8 @@ def test_sampling_outputs_are_pinned():
         if K == 32:  # outgrows a first block of 64 past letters
             assert max(s.tau for s in drawn) > 64
     for (p, n), expected in PINNED_GRAPH.items():
-        run = begraph.longest_path(n, p, seed=9, keep_per_vertex=True)
-        assert _digest(run.per_vertex) == expected, (p, n)
+        values = tuple(begraph._path_values(n, p, 9, 0))
+        assert _digest(values) == expected, (p, n)
     assert tuple(x.hex() for x in begraph.estimate_C(
         0.5, n=5000, replicas=40, seed=3)) == (
         "0x1.27c3b4f616723p-1", "0x1.1158f160f2a5cp-10")

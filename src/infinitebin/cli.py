@@ -10,12 +10,13 @@ perfect    exact stationary samples via coupling from the past
 begraph    longest-path growth rate in the random directed graph
 verify     cross-check the three estimators against each other
 
-Every command is deterministic given ``--seed`` and the command arguments.
-``--threads`` is accepted for compatibility and has no effect: every
-command runs on one thread.  ``--out`` is checked before the command does
-any work and written atomically: a command that fails leaves the file
-already at that path as it was.  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 size or horizon limit exceeded.
+Each command accepts only the options it reads and is deterministic given
+them, ``--seed`` included where it draws random numbers.  ``verify
+--threads`` is accepted for compatibility and has no effect: every command
+runs on one thread.  ``--out`` is checked before the command does any work
+and written atomically: a command that fails leaves the file already at
+that path as it was.  Exit codes: 0 success, 1 usage error, 2 verification
+failure, 3 size or horizon limit exceeded.
 """
 
 from __future__ import annotations
@@ -192,17 +193,6 @@ def cmd_classify(args, out):
 
 def cmd_speed(args, out):
     mu = parse_mu(args.mu)
-    if mu.blocked():
-        k = mu.support_min
-        sys.stderr.write(
-            f"warning: {mu.describe()} is a point mass at {k} >= 2; the "
-            "minimal-word speed identity does not hold for it\n"
-        )
-        sys.stdout.write(
-            "bracket suppressed; estimate by simulation instead, e.g.\n"
-            f"  infinitebin simulate {mu.describe()} --steps 1000000\n"
-        )
-        return EXIT_OK
     if args.store:  # only when asked: collecting words runs the word walk
         with WordStore(args.store) as store:
             def emit(word, verdict, _weight):
@@ -270,7 +260,7 @@ def cmd_perfect(args, out):
     samples = simulate.perfect_samples(
         mu, args.K, args.replicas, args.seed, max_horizon=args.max_horizon
     )
-    tail = simulate.TauTail(taus=tuple(s.tau for s in samples), K=args.K)
+    tail = simulate.TauTail(taus=tuple(s.tau for s in samples))
     first = samples[0]
     sys.stdout.write(
         f"scenery[replica 0]={list(first.scenery)} tau={first.tau} "
@@ -400,6 +390,8 @@ def _verify_one(spec, args, steps, samples, bracket_len):
 
 
 def cmd_verify(args, out):
+    if args.threads < 1:
+        raise _UsageError("--threads must be >= 1")
     budget = _parse_budget(args.budget)
     scale = budget / 60.0
     steps = max(2_000, int(100_000 * scale))
@@ -437,18 +429,13 @@ def cmd_verify(args, out):
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect "
-                             "(every command runs on one thread)")
-    common.add_argument("--out", type=str, default=None,
-                        help="write the structured result to this path")
-    common.add_argument("--store", type=str, default=None,
-                        help="word-classification cache path (classify "
-                             "defaults to $INFINITEBIN_WORD_STORE; speed "
-                             "collects its minimal words only into this path)")
+    # each command takes only the options it reads
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=str, default=None,
+                     help="write the structured result to this path")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="master seed (default 0)")
 
     parser = _Parser(
         prog="infinitebin",
@@ -458,21 +445,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[out],
                        help="classify one word (comma-separated letters)")
     p.add_argument("word", help="e.g. 2,3,2,2")
+    p.add_argument("--store", type=str, default=None,
+                   help="word-classification cache path "
+                        "(default $INFINITEBIN_WORD_STORE)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("speed", parents=[common],
+    p = sub.add_parser("speed", parents=[out],
                        help="certified speed bracket for a letter law")
     p.add_argument("mu", help="geom:p | unif:k | dirac:k | finite:p1,p2,...")
     p.add_argument("--len", type=int, default=12,
                    help="maximum word length (default 12)")
     p.add_argument("--max-letter", type=int, default=12,
                    help="maximum letter (default 12)")
+    p.add_argument("--store", type=str, default=None,
+                   help="collect the minimal words into this path (runs "
+                        "the word walk, which has a node budget)")
     p.set_defaults(func=cmd_speed)
 
-    p = sub.add_parser("curve", parents=[common],
+    p = sub.add_parser("curve", parents=[out],
                        help="bracket C(p) on a grid of p values (CSV)")
     p.add_argument("--grid", required=True,
                    help="start:stop:step or comma-separated p values")
@@ -482,7 +475,7 @@ def build_parser() -> _Parser:
                    help="maximum letter (default 10)")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[out, seed],
                        help="forward Monte Carlo speed estimate")
     p.add_argument("mu", help="letter law spec")
     p.add_argument("--steps", type=int, required=True)
@@ -490,7 +483,7 @@ def build_parser() -> _Parser:
                    help="start configuration as JSON (default: minimal)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("perfect", parents=[common],
+    p = sub.add_parser("perfect", parents=[out, seed],
                        help="perfect stationary samples via coupling "
                             "from the past")
     p.add_argument("mu", help="letter law spec")
@@ -503,22 +496,28 @@ def build_parser() -> _Parser:
                    help="also estimate the stationary speed")
     p.set_defaults(func=cmd_perfect)
 
-    p = sub.add_parser("begraph", parents=[common],
+    p = sub.add_parser("begraph", parents=[out, seed],
                        help="longest-path growth in the random graph")
     p.add_argument("--p", type=float, required=True,
                    help="edge probability in (0, 1]")
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--replicas", type=int, default=10)
-    p.add_argument("--trajectory", action="store_true",
-                   help="emit the front trajectory of one coupled run")
+    one_run = p.add_mutually_exclusive_group()
+    # argparse sees a conflict only in a value that is not the default
+    # object; a str default, converted by type, keeps --replicas 10 one
+    one_run.add_argument("--replicas", type=int, default="10")
+    one_run.add_argument("--trajectory", action="store_true",
+                         help="emit the front trajectory of one coupled run")
     p.set_defaults(func=cmd_begraph)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[out, seed],
                        help="cross-check bracket, forward MC, and perfect "
                             "sampling on four fixed laws")
     p.add_argument("--budget", type=str, default="60s",
                    help="work scale like '60s', not a time limit: sample "
                         "sizes grow with it deterministically")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect "
+                        "(verify runs on one thread)")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -527,8 +526,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         with _atomic_out(args.out) as out:
             return args.func(args, out)
     except _UsageError as exc:

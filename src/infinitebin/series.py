@@ -11,7 +11,6 @@ width is exactly the unresolved (frontier) mass — see
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from infinitebin.distributions import MoveDistribution, Uniform
@@ -59,16 +58,6 @@ class SpeedBracket:
         )
 
 
-def _maybe_warn_degenerate(mu: MoveDistribution) -> None:
-    if mu.blocked():
-        warnings.warn(
-            "letter law is a point mass at a letter >= 2: the minimal-word "
-            "speed identity does not apply and the bracket stays [0, 1]; "
-            "use forward simulation instead",
-            stacklevel=3,
-        )
-
-
 def _clamp(good: float, bad: float) -> tuple:
     """(lower, upper) bounds from good and bad mass, clamped into [0, 1]."""
     lower = min(max(good, 0.0), 1.0)
@@ -106,10 +95,17 @@ def enumerate_minimal(
     lumped engine also prunes states past the per-level cap and does not
     expand children below the birth floor.  Every cut weight is frontier
     mass; the fixed bounds are listed in :mod:`infinitebin.enumeration`.
+    The identity fails for a point mass at a letter >= 2, which raises
+    ValueError.
     """
+    if mu.blocked():
+        raise ValueError(
+            f"{mu.describe()} is a point mass at a letter >= 2: the "
+            "minimal-word speed identity does not hold for it; estimate its "
+            "speed by forward simulation"
+        )
     pmf_vec = mu.pmf_vector(max_letter)
     tail = mu.tail(max_letter)
-    _maybe_warn_degenerate(mu)
     if emit is not None:
         split = walk_minimal_words(pmf_vec, tail, max_len, max_letter, emit)
     else:

@@ -54,11 +54,14 @@ class CouplingHorizonError(RuntimeError):
         self.K = K
         self.horizon = horizon
         self.best_depth = best_depth
-        super().__init__(
-            f"no depth-{K} coupling certified within {horizon} past letters "
-            f"(deepest certified: {best_depth}); raise max_horizon or "
-            f"check that the letter law is not (nearly) degenerate"
-        )
+        if K > horizon:  # refused before any draw: see _check_perfect_args
+            why = ("; the tracker certifies at most one bin per letter, "
+                   f"so depth {K} needs at least {K} past letters")
+        else:
+            why = (f" (deepest certified: {best_depth}); raise max_horizon "
+                   "or check that the letter law is not (nearly) degenerate")
+        super().__init__(f"no depth-{K} coupling certified within {horizon} "
+                         f"past letters{why}")
 
 
 def _check_perfect_args(mu: MoveDistribution, K: int,
@@ -328,22 +331,14 @@ def coupling_convergence_check(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
-    future_gen = rng.stream(seed, rng.STREAM_FORWARD)
-    future: list = []
+    u = rng.stream(seed, rng.STREAM_FORWARD).random(n_max)
+    future = mu.letters_from_uniforms(u).tolist()
 
     need = K
     det, _h = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
     ev = _Evolver(start)
     streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
-    n = 0
-    while n < n_max:
-        if len(future) <= n:
-            fresh = mu.letters_from_uniforms(
-                future_gen.random(min(_LETTER_CHUNK, n_max - len(future)))
-            )
-            future.extend(fresh.tolist())
-        a = future[n]
-        n += 1
+    for n, a in enumerate(future, start=1):
         ev.step(a)
         _fold_determined((a,), det)
         while len(det) < K:
@@ -373,7 +368,6 @@ class TauTail:
     """
 
     taus: tuple
-    K: int
 
     def histogram(self) -> list:
         """Sorted (horizon, count) pairs."""
@@ -396,4 +390,4 @@ def tau_tail(
 ) -> TauTail:
     """Certified coupling horizons over independent replicas."""
     drawn = perfect_samples(mu, K, replicas, seed)
-    return TauTail(taus=tuple(s.tau for s in drawn), K=K)
+    return TauTail(taus=tuple(s.tau for s in drawn))

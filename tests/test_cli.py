@@ -124,12 +124,11 @@ def test_speed_prints_bracket_and_record(tmp_path, capsys):
     assert record["seed"] is None and record["tau_histogram"] is None
 
 
-def test_speed_dirac_two_suppresses_formula(capsys):
+def test_speed_dirac_two_exits_1(capsys):
     code, out, err = run_cli(capsys, "speed", "dirac:2")
-    assert code == 0
-    assert "suppressed" in out
-    assert "simulate" in out
-    assert "point mass" in err
+    assert code == 1 and out == ""
+    assert err.startswith("error: dirac:2 is a point mass")
+    assert err.count("\n") == 1 and "forward simulation" in err
 
 
 def test_speed_store_collects_minimal_words(tmp_path, capsys):
@@ -395,6 +394,8 @@ def test_perfect_depth_past_horizon_exits_3_before_any_draw(capsys,
                              "--max-horizon", "2097152")
     assert code == 3 and out == ""
     assert "no depth-3000000 coupling certified within 2097152" in err
+    assert "needs at least 3000000 past letters" in err
+    assert "degenerate" not in err
 
 
 def test_perfect_rejects_blocked_point_mass(capsys):
@@ -491,7 +492,72 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_bad_thread_count(capsys):
-    assert run_cli(capsys, "classify", "1", "--threads", "0")[0] == 1
+    assert run_cli(capsys, "verify", "--threads", "0")[0] == 1
+
+
+#: The options each command used to accept without reading them.
+_UNREAD_OPTIONS = [
+    (["classify", "1"], "--seed", "3"),
+    (["classify", "1"], "--threads", "2"),
+    (["speed", "geom:0.5"], "--seed", "3"),
+    (["speed", "geom:0.5"], "--threads", "2"),
+    (["curve", "--grid", "0.5"], "--seed", "3"),
+    (["curve", "--grid", "0.5"], "--threads", "8"),
+    (["curve", "--grid", "0.5"], "--store", "F"),
+    (["simulate", "geom:0.5", "--steps", "10"], "--threads", "2"),
+    (["simulate", "geom:0.5", "--steps", "10"], "--store", "F"),
+    (["perfect", "geom:0.5"], "--threads", "2"),
+    (["perfect", "geom:0.5"], "--store", "F"),
+    (["begraph", "--p", "0.5"], "--threads", "2"),
+    (["begraph", "--p", "0.5"], "--store", "F"),
+    (["verify"], "--store", "F"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", _UNREAD_OPTIONS,
+                         ids=[f"{a[0]}{f}" for a, f, _ in _UNREAD_OPTIONS])
+def test_unread_option_is_refused_before_any_work(tmp_path, capsys, argv,
+                                                  flag, value):
+    out_path = tmp_path / "old.txt"
+    out_path.write_text("previous result\n")
+    code, out, err = run_cli(capsys, *argv, flag, value,
+                             "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: " + flag)
+    assert "Traceback" not in err
+    assert out_path.read_bytes() == b"previous result\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+
+def test_parser_takes_only_read_options():
+    # verify --threads is the one option no command reads: benchmark
+    # scripts and acceptance criterion 9 pass it
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    options = {
+        name: sorted(action.option_strings[0] for action in sub._actions
+                     if action.option_strings and action.dest != "help")
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == {
+        "classify": ["--out", "--store"],
+        "speed": ["--len", "--max-letter", "--out", "--store"],
+        "curve": ["--grid", "--len", "--max-letter", "--out"],
+        "simulate": ["--out", "--seed", "--start", "--steps"],
+        "perfect": ["--estimate", "--max-horizon", "--out", "--replicas",
+                    "--seed", "-K"],
+        "begraph": ["--n", "--out", "--p", "--replicas", "--seed",
+                    "--trajectory"],
+        "verify": ["--budget", "--out", "--seed", "--threads"],
+    }
+    assert sum(map(len, options.values())) == 30
+
+
+@pytest.mark.parametrize("replicas", ["5", "10"])
+def test_begraph_trajectory_excludes_replicas(capsys, replicas):
+    code, out, err = run_cli(capsys, "begraph", "--p", "0.5", "--n", "10",
+                             "--trajectory", "--replicas", replicas)
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_console_entry_point_runs():

@@ -285,11 +285,10 @@ def test_emitted_words_are_minimal_with_true_weights():
         assert wt == pytest.approx(math.prod(mu.pmf(a) for a in word), abs=1e-15)
 
 
-def test_degenerate_point_mass_warns():
-    with pytest.warns(UserWarning):
-        bracket = enumerate_minimal(Dirac(2), 4, 4)
-    assert bracket.lower == 0.0
-    assert bracket.upper == 1.0
+def test_point_mass_bracket_is_refused():
+    # a point mass at k >= 2 has no minimal-word speed identity
+    with pytest.raises(ValueError, match="dirac:2 is a point mass"):
+        enumerate_minimal(Dirac(2), 4, 4)
 
 
 def test_bounds_validation():

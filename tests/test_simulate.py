@@ -358,7 +358,6 @@ def test_coupling_convergence_check_re_deepens_exactly(spec, K, start,
 def test_tau_tail_shape_and_quantisation():
     tail = tau_tail(Geometric(0.5), 1, 300, seed=2)
     assert len(tail.taus) == 300
-    assert tail.K == 1
     assert sum(c for _, c in tail.histogram()) == 300
     for t in tail.taus:
         assert t >= 1 and (t & (t - 1)) == 0  # doubling schedule values
@@ -367,8 +366,8 @@ def test_tau_tail_shape_and_quantisation():
     surv = [tail.survival(n) for n in ns]
     assert all(x >= y for x, y in zip(surv, surv[1:]))
     assert tail.median >= 1.0
-    assert simulate.TauTail(taus=(4, 1, 2), K=1).median == 2.0
-    assert simulate.TauTail(taus=(4, 1, 2, 8), K=1).median == 3.0
+    assert simulate.TauTail(taus=(4, 1, 2)).median == 2.0
+    assert simulate.TauTail(taus=(4, 1, 2, 8)).median == 3.0
 
 
 def test_tau_monotone_in_scenery_depth():

@@ -211,6 +211,11 @@ def cmd_speed(args, out):
             good_mass=bracket.good_mass,
             bad_mass=bracket.bad_mass,
             frontier_mass=bracket.frontier_mass,
+            frontier_tail=bracket.frontier_tail,
+            frontier_live=bracket.frontier_live,
+            frontier_capped=bracket.frontier_capped,
+            pruned_mass=bracket.pruned_mass,
+            peak_states=bracket.peak_states,
             rounding_bound=bracket.rounding_bound,
         )
         _write_record(

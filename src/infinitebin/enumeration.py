@@ -116,7 +116,11 @@ def _dedupe(packed: np.ndarray, weights: np.ndarray):
     if packed.shape[0] <= 1:
         return packed, weights
     nbytes = packed.shape[1]
-    keys = packed.view(f"V{nbytes}").ravel()
+    if nbytes in (1, 2, 4, 8):
+        # big-endian unsigned integers order exactly as their bytes
+        keys = packed.view(f">u{nbytes}").ravel().astype(f"u{nbytes}")
+    else:
+        keys = packed.view(f"V{nbytes}").ravel()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(

@@ -31,8 +31,12 @@ class SpeedBracket:
     ``lower`` is the accumulated weight of enumerated minimal good words,
     ``upper`` one minus that of minimal bad words; the true speed lies in
     [lower, upper] up to ``rounding_bound`` of floating-point slack.
-    ``params`` records the law and the truncation bounds that produced the
-    bracket.
+    ``frontier_tail``, ``frontier_live``, ``frontier_capped`` and
+    ``pruned_mass`` split ``frontier_mass`` by where the width came from
+    (see :class:`~infinitebin.enumeration.MassSplit`).  ``peak_states`` is
+    the most live states on one level before pruning, or the nodes the
+    word walk expanded.  ``params`` records the law and the truncation
+    bounds that produced the bracket.
     """
 
     lower: float
@@ -40,6 +44,11 @@ class SpeedBracket:
     good_mass: float
     bad_mass: float
     frontier_mass: float
+    frontier_tail: float
+    frontier_live: float
+    frontier_capped: float
+    pruned_mass: float
+    peak_states: int
     params: dict
     rounding_bound: float
 
@@ -72,6 +81,11 @@ def _bracket(split: MassSplit, mu_desc: str, L: int, A: int) -> SpeedBracket:
         good_mass=split.good,
         bad_mass=split.bad,
         frontier_mass=split.frontier,
+        frontier_tail=split.frontier_tail,
+        frontier_live=split.frontier_live,
+        frontier_capped=split.frontier_capped,
+        pruned_mass=split.pruned_mass,
+        peak_states=split.peak_states,
         params={"mu": mu_desc, "L": L, "A": A},
         rounding_bound=mass_rounding_bound(L, A),
     )

@@ -1,17 +1,22 @@
 """Random-graph longest paths and their coupling to the bin process."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from infinitebin import rng
 from infinitebin.begraph import (
+    _path_score,
     _path_values,
+    _top_class_sizes,
     estimate_C,
     fk_coupling_trajectory,
     longest_path,
 )
+from infinitebin.simulate import _mean_stderr
 
 
 def bernoulli_L_n(n, p, seed, replica):
@@ -120,3 +125,58 @@ def test_estimate_C_aggregates():
     assert 0.0 < est < 1.0 and se > 0.0
     _, se_single = estimate_C(0.5, n=500, replicas=1, seed=0)
     assert se_single == 0.0
+
+
+def edge_set_values(n, edges):
+    """Per-vertex longest-path lengths of the graph with the given edges."""
+    values = [0] * n
+    for i, j in edges:  # pairs in lexicographic order: i's value is final
+        values[j] = max(values[j], values[i] + 1)
+    return values
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_path_score_has_the_mean_of_L_n_exactly(p):
+    # every edge set of the graph on n <= 5 vertices, weighted in exact
+    # rationals: the library's top class sizes give E[A_n] = E[L_n]
+    q = 1 - p
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        mean_L = mean_A = Fraction(0)
+        for picks in itertools.product((False, True), repeat=len(pairs)):
+            edges = [e for e, on in zip(pairs, picks) if on]
+            weight = p ** len(edges) * q ** (len(pairs) - len(edges))
+            values = edge_set_values(n, edges)
+            mean_L += weight * max(values)
+            mean_A += weight * sum(1 - q ** int(m)
+                                   for m in _top_class_sizes(values))
+        assert mean_A == mean_L, n
+
+
+def plain_path_score(values, p):
+    """A_n by walking the vertices: top value, its class size, the sum."""
+    top, size, total = values[0], 1, 0.0
+    for v in values[1:]:
+        total += 1.0 - (1.0 - p) ** size
+        if v > top:
+            top, size = v, 1
+        elif v == top:
+            size += 1
+    return total
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_path_score_matches_a_plain_recomputation(p):
+    for replica in range(3):
+        values = _path_values(3_000, p, 4, replica)
+        assert _path_score(values, p) == pytest.approx(
+            plain_path_score(values, p), rel=1e-12, abs=0.0)
+    assert _path_score(_path_values(3_000, 1.0, 4, 0), 1.0) == 2_999.0
+
+
+def test_path_score_halves_the_stderr_at_half():
+    p, n, reps, seed = 0.5, 5_000, 40, 3
+    _, se = estimate_C(p, n=n, replicas=reps, seed=seed)
+    _, raw_se = _mean_stderr(
+        [longest_path(n, p, seed, replica=r).L_n / n for r in range(reps)])
+    assert se <= 0.5 * raw_se

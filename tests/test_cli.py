@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -120,8 +121,15 @@ def test_speed_prints_bracket_and_record(tmp_path, capsys):
     ]
     assert record["op"] == "speed"
     assert record["mu"] == "geom:0.7"
-    assert record["params"]["lower"] <= record["estimate"] <= record["params"]["upper"]
+    params = record["params"]
+    assert params["lower"] <= record["estimate"] <= params["upper"]
     assert record["seed"] is None and record["tau_histogram"] is None
+    # where the width came from
+    parts = [params[k] for k in ("frontier_tail", "frontier_live",
+                                 "frontier_capped", "pruned_mass")]
+    assert abs(math.fsum(parts) - params["frontier_mass"]) <= \
+        params["rounding_bound"]
+    assert params["peak_states"] > 0
 
 
 def test_speed_dirac_two_exits_1(capsys):
@@ -423,6 +431,7 @@ def test_replica_count_past_stream_limit_fails_before_any_draw(
         raise AssertionError(f"{drawer} ran before the replica check")
 
     monkeypatch.setattr(module, drawer, no_draw)
+    monkeypatch.setattr(rng, "stream", no_draw)  # every sampler opens one
     code, out, err = run_cli(capsys, *argv, "--replicas", str(2**32 + 1))
     assert code == 1 and out == ""
     assert err.startswith("error: replicas must be") and err.count("\n") == 1

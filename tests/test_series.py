@@ -56,6 +56,21 @@ def test_bracket_invariants_and_identity():
     assert bracket.rounding_bound == mass_rounding_bound(8, 8)
 
 
+@pytest.mark.parametrize("mu, L, A", [
+    (Geometric(0.5), 12, 12),  # the lumped engine prunes at the state cap
+    (Uniform(3), 9, 3),
+    (Geometric(0.6), 5, 5),
+])
+def test_frontier_parts_sum_to_the_width(mu, L, A):
+    walk = enumerate_minimal(mu, 5, 5, emit=lambda *_: None)
+    for bracket in (enumerate_minimal(mu, L, A), walk):
+        parts = (bracket.frontier_tail, bracket.frontier_live,
+                 bracket.frontier_capped, bracket.pruned_mass)
+        assert min(parts) >= 0.0 and bracket.peak_states > 0
+        assert abs(math.fsum(parts) - bracket.frontier_mass) <= \
+            bracket.rounding_bound
+
+
 def test_brackets_nest_as_bounds_grow():
     mu = Geometric(0.6)
     with patched(**EXACT):
@@ -258,6 +273,22 @@ def test_packed_children_match_bool_gather():
                 eq, (child[:, :half] == child[:, half:]).all(axis=1)), (d2, a, d)
             assert np.array_equal(enumeration._first_half(C, d2),
                                   np.packbits(child[:, :half], axis=1))
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 9, 16])
+def test_dedupe_merges_rows_in_byte_order(nbytes):
+    # integer keys (1, 2, 4, 8 bytes) and void keys must both give the
+    # distinct rows in memcmp order, with the bits of a stable void sort
+    gen = np.random.default_rng(nbytes)
+    rows = gen.integers(0, 4, size=(300, nbytes), dtype=np.uint8)
+    rows[:, 1:] *= 85  # few distinct rows, and bytes above 0x7f
+    weights = gen.random(300)
+    packed, sums = enumeration._dedupe(rows, weights)
+    assert [bytes(r) for r in packed] == sorted(set(map(bytes, rows)))
+    order = np.argsort(rows.view(f"V{nbytes}").ravel(), kind="stable")
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (rows[order][1:] != rows[order][:-1]).any(axis=1))))
+    assert np.array_equal(sums, np.add.reduceat(weights[order], starts))
 
 
 def test_walk_past_node_budget_is_a_size_limit(monkeypatch, tmp_path):

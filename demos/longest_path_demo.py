@@ -28,9 +28,10 @@ print(f"series bracket   : [{bracket.lower:.5f}, {bracket.upper:.5f}]")
 
 print()
 
-# Processing vertices in order while recording the best path ending at
-# each value class is exactly a bin process run; the trajectory of the
-# running maximum matches a forward simulation step for step in law.
+# Each vertex is a ball in the bin of its longest-path length, so the
+# graph is sampled as a bin process run (letters clamped at the vertex
+# count); the trajectory of the running maximum matches a forward
+# simulation step for step in law.
 n = 20_000
 traj = fk_coupling_trajectory(n, p, seed=3)
 ibm = run_forward(Geometric(p), MINIMAL_CONFIG, n, seed=3)

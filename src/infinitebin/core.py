@@ -119,8 +119,8 @@ class _Evolver:
     """Mutable fast path for the move dynamics.
 
     Single implementation shared by the public ``apply_move``/``apply_word``,
-    the word classifier, and the forward simulator, so the dynamics cannot
-    drift apart between them.
+    the word classifier, the forward simulator and the random-graph
+    sampler, so the dynamics cannot drift apart between them.
     """
 
     __slots__ = ("window", "front")

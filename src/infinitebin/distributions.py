@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Geometric inversion saturates near this letter, since int64 cannot hold
+#: all the letters of p below about 1e-18; no bin process reaches it.
+_MAX_LETTER = float(1 << 62)
+
 
 class MoveDistribution(ABC):
     """A probability law on the positive integers."""
@@ -95,7 +99,9 @@ class Geometric(MoveDistribution):
         if self.p == 1.0:
             return np.ones(np.shape(u), dtype=np.int64)
         base = math.log1p(-self.p)
-        j = 1 + np.floor(np.log1p(-u) / base).astype(np.int64)
+        with np.errstate(over="ignore"):  # subnormal p: inf saturates too
+            j = np.floor(np.log1p(-u) / base)
+        j = 1 + np.minimum(j, _MAX_LETTER).astype(np.int64)
         j = np.maximum(j, 1)
         # round-off guard: enforce cdf(j-1) < u <= cdf(j) exactly
         j = np.where(-np.expm1(j * base) < u, j + 1, j)

@@ -95,6 +95,12 @@ def _mean_stderr(values) -> tuple:
     return mean, math.sqrt(var / n)
 
 
+def _front_score(mu: MoveDistribution, fronts: list) -> float:
+    """Sum of mu([1, c]) over letters, ``fronts[c]`` of which met a front
+    bin count c (see :meth:`core._Evolver.run`)."""
+    return sum(n * mu.cdf(c) for c, n in enumerate(fronts) if n)
+
+
 def speed_floor(mu: MoveDistribution) -> float:
     """Universal lower bound on the speed for a non-degenerate-free check.
 
@@ -160,7 +166,7 @@ def run_forward(
         for at in range(lo, hi, _LETTER_CHUNK):
             u = gen.random(min(_LETTER_CHUNK, hi - at))
             ev.run(mu.letters_from_uniforms(u).tolist(), fronts)
-        block_sum = sum(n * mu.cdf(c) for c, n in enumerate(fronts) if n)
+        block_sum = _front_score(mu, fronts)
         total += block_sum
         block_speeds.append(block_sum / (hi - lo))
     return RunStats(

@@ -9,7 +9,9 @@ its newline that does not parse is an append cut short by a crash, skipped
 on load and cut off by the next append, while any other malformed line is
 an error.  A store appends through one handle, opened on its first new
 record and held until ``close`` (or the end of a ``with`` block); it is
-line-buffered, so each record is in the file when ``add`` returns.
+line-buffered, so each record is in the file when ``add`` returns.  A
+``with`` block that raises puts the file back as it was loaded (removing
+it if there was none), so a failed run adds no records.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def default_store_path() -> str | None:
 class WordStore:
     """Append-only word-classification cache backed by one JSONL file.
 
-    Use it as a context manager (or call ``close``) when it may append.
+    Use it as a context manager (or call ``close``) when it may append;
+    an exception inside the ``with`` block undoes this store's appends.
     """
 
     def __init__(self, path):
@@ -89,8 +92,12 @@ class WordStore:
         self._torn_at: int | None = None
         #: The file ends in a complete record that lacks its newline.
         self._unterminated = False
+        #: (length before any torn line, that line) as loaded, or None.
+        self._loaded = None
+        self._changed = False
         if not self.path.exists():
             return
+        torn = b""
         with self.path.open("rb") as fh:
             offset = 0
             for lineno, line in enumerate(fh, start=1):
@@ -99,7 +106,7 @@ class WordStore:
                     rec = WordStoreRecord.from_line(text) if text else None
                 except ValueError as exc:  # JSON and UTF-8 decode errors too
                     if not line.endswith(b"\n"):  # the last line, torn
-                        self._torn_at = offset
+                        self._torn_at, torn = offset, line
                         break
                     raise ValueError(
                         f"{self.path}:{lineno}: bad cache record: {exc}"
@@ -110,12 +117,26 @@ class WordStore:
                 self._check_consistent(rec)
                 self._records[rec.word] = rec
                 self._unterminated = not line.endswith(b"\n")
+        self._loaded = (offset, torn)
 
     def __enter__(self) -> "WordStore":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
         self.close()
+        if exc_type is not None and self._changed:
+            self._restore()
+
+    def _restore(self) -> None:
+        """Put the file back as it was loaded."""
+        if self._loaded is None:
+            self.path.unlink(missing_ok=True)
+            return
+        length, torn = self._loaded
+        with self.path.open("r+b") as fh:
+            fh.truncate(length)
+            fh.seek(length)
+            fh.write(torn)
 
     def close(self) -> None:
         """Close the append handle, if one is open."""
@@ -148,6 +169,7 @@ class WordStore:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8", buffering=1)
+            self._changed = True
             if self._torn_at is not None:
                 self._fh.truncate(self._torn_at)
                 self._torn_at = None

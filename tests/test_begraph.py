@@ -1,22 +1,20 @@
 """Random-graph longest paths and their coupling to the bin process."""
 
+import bisect
 import itertools
 import math
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from infinitebin import rng
-from infinitebin.begraph import (
-    _path_score,
-    _path_values,
-    _top_class_sizes,
-    estimate_C,
-    fk_coupling_trajectory,
-    longest_path,
-)
-from infinitebin.simulate import _mean_stderr
+from infinitebin import begraph, rng
+from infinitebin.begraph import estimate_C, fk_coupling_trajectory, longest_path
+from infinitebin.core import _Evolver
+from infinitebin.distributions import Geometric
+from infinitebin.simulate import _front_score, _mean_stderr
 
 
 def bernoulli_L_n(n, p, seed, replica):
@@ -37,13 +35,20 @@ def bernoulli_L_n(n, p, seed, replica):
 def test_full_graph_path_is_hamiltonian():
     run = longest_path(500, 1.0, seed=0)
     assert run.L_n == 499
-    assert _path_values(500, 1.0, 0, 0) == list(range(500))
+    assert fk_coupling_trajectory(500, 1.0, seed=0).tolist() == list(range(500))
 
 
 def test_empty_graph_has_no_edges():
     run = longest_path(500, 0.0, seed=0)
     assert run.L_n == 0
     assert longest_path(1, 0.7, seed=3).L_n == 0
+
+
+def test_tiny_p_has_no_edges():
+    # letters near 1e19 saturate instead of wrapping round int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert longest_path(1000, 1e-19, seed=0).L_n == 0
 
 
 def test_validation():
@@ -95,26 +100,14 @@ def test_bernoulli_tape_is_monotone_in_p():
         assert lo <= hi
 
 
-def test_per_vertex_values_are_path_lengths():
-    values = _path_values(200, 0.5, 6, 0)
-    assert len(values) == 200
-    assert values[0] == 0
-    for j, v in enumerate(values):
-        assert 0 <= v <= j
-    assert max(values) == longest_path(200, 0.5, seed=6).L_n
-
-
 def test_trajectory_matches_run_and_is_tight():
     fronts = fk_coupling_trajectory(400, 0.45, seed=7)
     run = longest_path(400, 0.45, seed=7)
     assert len(fronts) == 400
     assert int(fronts[-1]) == run.L_n
+    assert fronts[0] == 0
     steps = np.diff(fronts)
     assert steps.min() >= 0 and steps.max() <= 1
-    # the front is the running max of per-vertex path lengths
-    running = np.maximum.accumulate(
-        np.asarray(_path_values(400, 0.45, 7, 0)))
-    assert np.array_equal(fronts, running)
 
 
 def test_estimate_C_aggregates():
@@ -135,43 +128,73 @@ def edge_set_values(n, edges):
     return values
 
 
+def clamped_words(n, p):
+    """Every letter sequence of vertices 2..n with its exact weight.
+
+    Vertex j's letter is Geometric(p) clamped at j: k < j with weight
+    p q^(k-1), or j, no edge from the j - 1 earlier vertices, with q^(j-1).
+    """
+    q = 1 - p
+    for word in itertools.product(*(range(1, j + 1) for j in range(2, n + 1))):
+        weight = Fraction(1)
+        for j, k in enumerate(word, start=2):
+            weight *= p * q ** (k - 1) if k < j else q ** (j - 1)
+        yield word, weight
+
+
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
 def test_path_score_has_the_mean_of_L_n_exactly(p):
-    # every edge set of the graph on n <= 5 vertices, weighted in exact
-    # rationals: the library's top class sizes give E[A_n] = E[L_n]
+    # no floating point: every edge set of the graph on n <= 5 vertices
+    # against every clamped letter sequence run through the bin engine
+    # from the sampler's start.  The front has the law of L_n, and the
+    # score, sum of fronts[c] (1 - q^c), has its mean.
     q = 1 - p
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
-        mean_L = mean_A = Fraction(0)
+        law_L = Counter()
         for picks in itertools.product((False, True), repeat=len(pairs)):
             edges = [e for e, on in zip(pairs, picks) if on]
             weight = p ** len(edges) * q ** (len(pairs) - len(edges))
-            values = edge_set_values(n, edges)
-            mean_L += weight * max(values)
-            mean_A += weight * sum(1 - q ** int(m)
-                                   for m in _top_class_sizes(values))
-        assert mean_A == mean_L, n
+            law_L[max(edge_set_values(n, edges))] += weight
+        law_front, mean_score = Counter(), Fraction(0)
+        for word, weight in clamped_words(n, p):
+            ev, fronts = _Evolver(begraph._START), []
+            ev.run(word, fronts)
+            law_front[ev.front] += weight
+            mean_score += weight * sum(m * (1 - q ** c)
+                                       for c, m in enumerate(fronts))
+        assert sum(law_front.values()) == 1, n
+        assert law_front == law_L, n
+        assert mean_score == sum(L * w for L, w in law_L.items()), n
 
 
-def plain_path_score(values, p):
-    """A_n by walking the vertices: top value, its class size, the sum."""
-    top, size, total = values[0], 1, 0.0
-    for v in values[1:]:
-        total += 1.0 - (1.0 - p) ** size
-        if v > top:
-            top, size = v, 1
-        elif v == top:
-            size += 1
-    return total
+def plain_path_score(letters, p):
+    """(A_n, L_n) by building the graph's values vertex by vertex: vertex
+    j's letter k < j takes the k-th highest earlier value plus one, and
+    A_n adds 1 - (1-p)^m for the size m of the top value class."""
+    values, total = [0], 0.0  # ascending; vertex 1 has value 0
+    for j, k in enumerate(letters, start=2):
+        m = len(values) - bisect.bisect_left(values, values[-1])
+        total += 1.0 - (1.0 - p) ** m
+        bisect.insort(values, values[-k] + 1 if k < j else 0)
+    return total, values[-1]
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_path_score_matches_a_plain_recomputation(p):
+    n = 3_000
     for replica in range(3):
-        values = _path_values(3_000, p, 4, replica)
-        assert _path_score(values, p) == pytest.approx(
-            plain_path_score(values, p), rel=1e-12, abs=0.0)
-    assert _path_score(_path_values(3_000, 1.0, 4, 0), 1.0) == 2_999.0
+        letters = [k for chunk in begraph._letters(n, p, 4, replica)
+                   for k in chunk]
+        assert len(letters) == n - 1
+        assert all(1 <= k <= j for j, k in enumerate(letters, start=2))
+        fronts = []
+        L_n = begraph._front(n, p, 4, replica, fronts)
+        score, plain_L_n = plain_path_score(letters, p)
+        assert L_n == plain_L_n
+        assert _front_score(Geometric(p), fronts) == pytest.approx(
+            score, rel=1e-12, abs=0.0)
+    assert estimate_C(1.0, n=n, replicas=1, seed=4) == ((n - 1) / n, 0.0)
 
 
 def test_path_score_halves_the_stderr_at_half():

@@ -152,6 +152,34 @@ def test_speed_store_collects_minimal_words(tmp_path, capsys):
     assert store.lookup((1,)).verdict == "good"
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_speed_store_failed_walk_leaves_the_store_as_it_was(
+        tmp_path, capsys, monkeypatch, existing):
+    store_path = tmp_path / "minimal.jsonl"
+    before = b'{"word": [9], "verdict": "good", "minimal": true}\n'
+    if existing:
+        store_path.write_bytes(before)
+    appended = []
+    real_add = WordStore.add
+
+    def counting_add(self, rec):
+        appended.append(rec)
+        real_add(self, rec)
+
+    monkeypatch.setattr(WordStore, "add", counting_add)
+    monkeypatch.setattr(enumeration, "_NODE_BUDGET", 200)
+    code, out, _ = run_cli(
+        capsys, "speed", "geom:0.5", "--len", "8", "--max-letter", "8",
+        "--store", str(store_path),
+    )
+    assert code == cli.EXIT_LIMIT and out == ""
+    assert len(appended) > 10  # the walk wrote records before it stopped
+    if existing:
+        assert store_path.read_bytes() == before
+    else:
+        assert not store_path.exists()
+
+
 def test_speed_store_appends_through_one_handle(tmp_path, capsys, monkeypatch):
     opens = []
     real_open = pathlib.Path.open

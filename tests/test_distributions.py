@@ -117,6 +117,17 @@ def test_letters_from_uniforms_keeps_the_shape(mu):
     assert letters.ravel().tolist() == mu.letters_from_uniforms(u.ravel()).tolist()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1e-19, 1e-20])
+def test_geometric_letters_saturate_at_tiny_p(p):
+    # a letter past int64 saturates instead of wrapping round to 1 or 2;
+    # cdf(10^15) < 1e-3, so no uniform >= 1e-3 maps below 10^15
+    u = rng.stream(7, rng.STREAM_CORPUS).random(100_000)
+    letters = Geometric(p).letters_from_uniforms(u[u >= 1e-3])
+    assert letters.min() >= 10**15
+    assert letters.dtype == np.int64
+
+
 def test_empirical_frequencies_match_pmf():
     mu = Geometric(0.6)
     gen = rng.stream(123, rng.STREAM_CORPUS)

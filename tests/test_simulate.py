@@ -437,7 +437,7 @@ PINNED_PERFECT = {
         "fdf429df2af25fb60b3d286529c3f18ab65cd4f06a3474267a9aabdc900fb7c7",
 }
 
-#: (p, n) -> SHA-256 of the class-max per-vertex values of longest_path(seed=9).
+#: (p, n) -> SHA-256 of fk_coupling_trajectory(n, p, seed=9) as a tuple of ints.
 _ONE_VERTEX = "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633"
 PINNED_GRAPH = {
     (0.0, 1): _ONE_VERTEX,
@@ -445,10 +445,10 @@ PINNED_GRAPH = {
     (0.0, 5000): "8f6c80056aa9c1bb83c364a4e32b7316c78cf38b08b9db7740e91d20e7d99e67",
     (0.1, 1): _ONE_VERTEX,
     (0.1, 2): "9d37e282dff85f7c8fffc4daf3461561337a4a9da281111f2dbf927b7a99db77",
-    (0.1, 5000): "71a09aadd843d37b54d3c2db107a7d7f0f08908338e59eec0abc9db8d4506814",
+    (0.1, 5000): "aa0b4cffaa9cc9c0080a24a9648f703b7da5851ce89902809044aa53a97195fe",
     (0.5, 1): _ONE_VERTEX,
     (0.5, 2): "a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d",
-    (0.5, 5000): "3795c19e4a306a4b339013e96573bff5971ebe7d99e352487c7b7adabb5814a4",
+    (0.5, 5000): "77b8cc3c97c6f242b9d762f39af01948b78374ce068e3d9e04127809d7e890e2",
     (1.0, 1): _ONE_VERTEX,
     (1.0, 2): "a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d",
     (1.0, 5000): "546bffd2f12202d064a96adcf23aa09a3ac37136e9ff352fc49aa8846cd0de16",
@@ -470,8 +470,8 @@ def test_sampling_outputs_are_pinned():
         if K == 32:  # outgrows a first block of 64 past letters
             assert max(s.tau for s in drawn) > 64
     for (p, n), expected in PINNED_GRAPH.items():
-        values = tuple(begraph._path_values(n, p, 9, 0))
-        assert _digest(values) == expected, (p, n)
+        fronts = tuple(begraph.fk_coupling_trajectory(n, p, 9).tolist())
+        assert _digest(fronts) == expected, (p, n)
     assert tuple(x.hex() for x in begraph.estimate_C(
         0.5, n=5000, replicas=40, seed=3)) == (
-        "0x1.27ec692f6e82ap-1", "0x1.3ca1f850f5043p-12")
+        "0x1.286f4c6e6d9bep-1", "0x1.18997aefd012dp-12")

@@ -120,6 +120,24 @@ def test_store_terminates_a_complete_final_line_before_appending(tmp_path):
     assert len(WordStore(path)) == 2
 
 
+@pytest.mark.parametrize("before", [
+    None, "", GOOD_LINE, GOOD_LINE + TORN_LINE, GOOD_LINE.rstrip("\n"),
+], ids=["missing", "empty", "records", "torn", "unterminated"])
+def test_failed_with_block_leaves_the_file_as_it_was(tmp_path, before):
+    path = tmp_path / "cache.jsonl"
+    if before is not None:
+        path.write_text(before)
+    with pytest.raises(RuntimeError, match="walk failed"):
+        with WordStore(path) as store:
+            store.add(WordStoreRecord(word=(3,), verdict="bad", minimal=False))
+            store.add(WordStoreRecord(word=(4,), verdict="bad", minimal=False))
+            raise RuntimeError("walk failed")
+    if before is None:
+        assert not path.exists()
+    else:
+        assert path.read_text() == before
+
+
 def test_classify_through_store_caches(tmp_path):
     path = tmp_path / "cache.jsonl"
     with WordStore(path) as store:

@@ -54,7 +54,6 @@ from infinitebin.simulate import (
     PerfectSample,
     RunStats,
     TauTail,
-    coupling_convergence_check,
     perfect_sample,
     run_forward,
     speed_floor,
@@ -106,7 +105,6 @@ __all__ = [
     "perfect_sample",
     "speed_floor",
     "stationary_speed",
-    "coupling_convergence_check",
     "tau_tail",
     "LongestPathRun",
     "longest_path",

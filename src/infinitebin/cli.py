@@ -16,7 +16,7 @@ them, ``--seed`` included where it draws random numbers.  ``verify
 runs on one thread.  ``--out`` is checked before the command does any work
 and written atomically: a command that fails leaves the file already at
 that path as it was.  Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 size or horizon limit exceeded.
+failure, 3 size, horizon or memory limit exceeded.
 """
 
 from __future__ import annotations
@@ -529,6 +529,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         with _atomic_out(args.out) as out:
@@ -538,6 +539,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SizeLimitError, CouplingHorizonError) as exc:
         sys.stderr.write(f"limit exceeded: {exc}\n")
+        return EXIT_LIMIT
+    except MemoryError:
+        # geom:p at tiny p draws letters near 2^62, each placing that many bins
+        law = getattr(args, "mu", None)
+        where = f" under the letter law {law}" if law else ""
+        sys.stderr.write(f"limit exceeded: out of memory{where}\n")
         return EXIT_LIMIT
     except (ValueError, OSError) as exc:  # OSError: unwritable --out path
         sys.stderr.write(f"error: {exc}\n")

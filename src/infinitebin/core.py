@@ -129,10 +129,6 @@ class _Evolver:
         self.window = list(config.window)
         self.front = config.front
 
-    def step(self, k: int) -> bool:
-        """Apply the rank-k move; return True iff the front advanced."""
-        return self.run((k,)) == 1
-
     def run(self, letters: Iterable[int], fronts: list | None = None) -> int:
         """Apply the moves of ``letters`` in order; return how many of them
         advanced the front.

@@ -309,9 +309,7 @@ class MassSplit:
     """Resolved/unresolved weight of the truncated stopping tree.
 
     ``frontier`` is the exactly-summed total of the unresolved weight; the
-    four components record how each piece exited the enumeration, which
-    downstream bounds for non-probability weights need to treat
-    differently:
+    four components record how each piece exited the enumeration:
 
     - ``frontier_tail``: a continuation letter fell beyond the alphabet
       (includes the root term: first letter beyond A);
@@ -367,7 +365,6 @@ def _stopping_tree(
     record,
     *,
     q_ref: float,
-    birth_floor: float,
 ) -> tuple:
     """The lumped stopping-tree level loop, in either weight algebra.
 
@@ -377,8 +374,9 @@ def _stopping_tree(
     e + ``tail_shift``.  Every piece of weight leaving the tree is reported
     as ``record(kind, n, e, weight)`` with n the word length and kind one
     of good, bad, tail, live, capped or pruned (the last four are
-    frontier).  Pruning ranks states by weight * q_ref**e.  Returns
-    (peak live states per level before pruning, states pruned).
+    frontier).  Pruning ranks states by weight * q_ref**e.  Children
+    lighter than ``_BIRTH_FLOOR`` are capped, which no count ever is.
+    Returns (peak live states per level before pruning, states pruned).
     """
     record("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
     pending: dict = {}
@@ -388,7 +386,7 @@ def _stopping_tree(
             continue
         if a == 1:
             record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
-        elif a > _DEPTH_CAP or w < birth_floor:
+        elif a > _DEPTH_CAP or w < _BIRTH_FLOOR:
             record("capped", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
@@ -424,7 +422,7 @@ def _stopping_tree(
                         continue
                     cw = wc * w
                     Pa, Va = P, V
-                    alive = cw >= birth_floor
+                    alive = cw >= _BIRTH_FLOOR
                     if not alive.all():
                         dead = ~alive
                         _record_sums(record, "capped", level, e2[dead], cw[dead])
@@ -460,8 +458,6 @@ def stopping_tree_masses(
     tail_mass: float,
     L: int,
     A: int,
-    *,
-    birth_floor: float | None = None,
 ) -> MassSplit:
     """Run the lumped stopping-tree DP with per-letter weights.
 
@@ -469,7 +465,7 @@ def stopping_tree_masses(
     and ``tail_mass`` the weight of "letter beyond A" per prepend step.
     For a probability law these are mu(a) and mu((A, inf)); the engine
     never assumes they sum to 1, so monomial weights work too.  Children
-    lighter than ``birth_floor`` (default ``_BIRTH_FLOOR``) are frontier.
+    lighter than ``_BIRTH_FLOOR`` are frontier.
     """
     _check_bounds(L, A, pmf_vec)
     parts: dict = defaultdict(list)
@@ -478,7 +474,6 @@ def stopping_tree_masses(
         float(tail_mass), 0, L, A,
         lambda kind, n, e, w: parts[kind].append(w),
         q_ref=1.0,
-        birth_floor=_BIRTH_FLOOR if birth_floor is None else birth_floor,
     )
     return _mass_split(parts, peak)
 
@@ -507,28 +502,36 @@ class CountTables:
     """Exact leaf/frontier counts by (word length n, exponent e).
 
     Entry [n, e] counts words contributing the monomial p^n (1-p)^e under
-    Geometric(p) letter weights: resolved minimal good/bad words in
-    ``good``/``bad``; unresolved contributions in ``frontier`` (branches
-    needing a letter beyond A enter at exponent e + A, branches still
-    alive at length L at their own exponent, plus capped/pruned states).
-    Counts are exact integers stored as float64.
+    Geometric(p) letter weights, one table per record kind as in
+    :class:`MassSplit`: ``good``, ``bad``, and the frontier kinds
+    ``tail`` (at the parent's n and exponent e + A), ``live``, ``capped``
+    and ``pruned``, whose sum is ``frontier``.  Counts are exact integers
+    stored as float64.
     """
 
     good: np.ndarray
     bad: np.ndarray
-    frontier: np.ndarray
+    tail: np.ndarray
+    live: np.ndarray
+    capped: np.ndarray
+    pruned: np.ndarray
     pruned_states: int
+
+    @property
+    def frontier(self) -> np.ndarray:
+        return self.tail + self.live + self.capped + self.pruned
 
     def evaluate(self, p: float) -> tuple:
         """(good, bad, frontier) mass at Geometric(p); masses sum to 1."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {p}")
-        n_pow = np.power(float(p), np.arange(self.good.shape[0]))
-        e_pow = np.power(1.0 - float(p), np.arange(self.good.shape[1]))
-        return tuple(
-            float(n_pow @ table @ e_pow)
-            for table in (self.good, self.bad, self.frontier)
-        )
+        return self._sums(p, 1.0 - p, self.good, self.bad, self.frontier)
+
+    def _sums(self, x: float, y: float, *tables) -> tuple:
+        """Sum of table[n, e] * x^n * y^e for each of ``tables``."""
+        n_pow = np.power(float(x), np.arange(self.good.shape[0]))
+        e_pow = np.power(float(y), np.arange(self.good.shape[1]))
+        return tuple(float(n_pow @ table @ e_pow) for table in tables)
 
 
 def count_rounding_bound(L: int, A: int) -> float:
@@ -565,21 +568,17 @@ def stopping_tree_counts(
             f"word counts up to {A}^{L} exceed exact float64 integers"
         )
     E = L * (A - 1) + A
-    good = np.zeros((L + 1, E + 1))
-    bad = np.zeros((L + 1, E + 1))
-    frontier = np.zeros((L + 1, E + 1))
-    tables = {GOOD: good, BAD: bad}
+    tables = {kind: np.zeros((L + 1, E + 1))
+              for kind in (GOOD, BAD, *_FRONTIER_KINDS)}
 
     def record(kind, n, e, w):
-        tables.get(kind, frontier)[n, e] += w
+        tables[kind][n, e] += w
 
     _peak, pruned_states = _stopping_tree(
         [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
-        q_ref=1.0 - reference_p, birth_floor=0.0,
+        q_ref=1.0 - reference_p,
     )
-    return CountTables(good=good, bad=bad, frontier=frontier,
-                       pruned_states=pruned_states)
-
+    return CountTables(**tables, pruned_states=pruned_states)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from infinitebin.distributions import MoveDistribution, Uniform
 from infinitebin.enumeration import (
@@ -140,32 +141,34 @@ def bivariate_D(
     the (p, q) quadrant; on the diagonal q = 1 - p it equals the
     longest-path growth rate.  Returns ``(lower, frontier)``: the partial
     sum over enumerated minimal good words, and a bound on the remaining
-    series mass.  The bound multiplies each unresolved branch by its
-    worst-case continuation mass, geometric with ratio r = p/(1-q); it is
-    finite only for r < 1 (strictly inside the product region) or when
-    enumeration left nothing unresolved.  The lumped engine keeps its
-    per-level state cap (see :mod:`infinitebin.enumeration`) and expands
-    every child.
+    series mass, rounded upward.  The bound multiplies each unresolved
+    branch by its worst-case continuation mass, geometric with ratio
+    r = p/(1-q); it is finite only for r < 1 (strictly inside the product
+    region) or when enumeration left nothing unresolved.  Both evaluate
+    the count tables of :func:`~infinitebin.enumeration.stopping_tree_counts`
+    with pruning ranked at q, whose guard raises SizeLimitError for A^L
+    at or above 2^53.
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
-    pmf_vec = [0.0] + [p * q ** (a - 1) for a in range(1, max_letter + 1)]
-    # q = 0 has no tail; skipping 0.0 ** max_letter leaves a bound below 1
-    # to the engine's check
-    tail = p * q ** max_letter / (1.0 - q) if 0.0 < q < 1.0 else 0.0
-    split = stopping_tree_masses(pmf_vec, tail, max_len, max_letter,
-                                 birth_floor=0.0)
-    unresolved_now = split.frontier_live + split.pruned_mass
-    unresolved_next = split.frontier_tail + split.frontier_capped
-    if q >= 1.0 and p > 0.0:
-        return split.good, math.inf
-    if unresolved_now == 0.0 and unresolved_next == 0.0:
-        return split.good, 0.0
-    r = p / (1.0 - q)
-    if r >= 1.0:
-        return split.good, math.inf
-    frontier = unresolved_next / (1.0 - r) + unresolved_now * r / (1.0 - r)
-    return split.good, frontier
+    tables = stopping_tree_counts(max_len, max_letter, reference_p=1.0 - q)
+    good, tail, capped, live, pruned = tables._sums(
+        p, q, tables.good, tables.tail, tables.capped, tables.live,
+        tables.pruned)
+    if q >= 1.0:
+        return good, math.inf if p > 0.0 else 0.0
+    # 1 - q rounded down covers the subtraction, and the rest is exact
+    # rational arithmetic until the bound is rounded upward
+    r = Fraction(p) / Fraction(math.nextafter(1.0 - q, 0.0))
+    # a tail entry sits at q^(e + A); its letters beyond A weigh r q^A
+    unresolved_next = Fraction(tail) * r + Fraction(capped)
+    unresolved_now = Fraction(live) + Fraction(pruned)
+    if unresolved_now == 0 and unresolved_next == 0:
+        return good, 0.0
+    if r >= 1:
+        return good, math.inf
+    bound = unresolved_next / (1 - r) + unresolved_now * r / (1 - r)
+    return good, math.nextafter(float(bound), math.inf)
 
 
 @dataclass(frozen=True)

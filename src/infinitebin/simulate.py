@@ -215,7 +215,7 @@ def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
             n = max(h, 2 * len(letters), _PAST_BLOCK)
             u = rng.stream(seed, rng.STREAM_PAST, replica).random(n)
             letters = mu.letters_from_uniforms(u).tolist()
-        det, _shift = _fold_determined(letters[h - 1 :: -1])
+        det = _fold_determined(letters[h - 1 :: -1])
         if len(det) >= need:
             return det, h
         best = max(best, len(det))
@@ -311,52 +311,6 @@ def stationary_speed(
     """
     drawn = perfect_samples(mu, K, samples, seed)
     return front_hit_rate(mu, drawn)
-
-
-def coupling_convergence_check(
-    mu: MoveDistribution,
-    start: Configuration,
-    K: int,
-    n_max: int,
-    seed: int,
-) -> int | None:
-    """First time from which the chain's K-scenery sticks to the
-    stationary one.
-
-    Runs the forward chain from ``start`` and the stationary chain over
-    the same future letter stream (times 1..n_max).  The stationary
-    K-scenery at each time is maintained exactly by extending the tracker
-    fold of the past letters one letter at a time, re-deepening into the
-    past whenever the certified depth dips below K (a deeper fold refines
-    the shallow one, so earlier comparisons stay valid).  Returns the
-    smallest t such that the sceneries agree at every checked time n with
-    t <= n <= n_max (0 when they agree from the start), or None if they
-    still differ at n_max — a short check window, not a failure.
-    """
-    _check_perfect_args(mu, K, DEFAULT_MAX_HORIZON)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-
-    u = rng.stream(seed, rng.STREAM_FORWARD).random(n_max)
-    future = mu.letters_from_uniforms(u).tolist()
-
-    need = K
-    det, _h = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
-    ev = _Evolver(start)
-    streak: int | None = 0 if ev.scenery(K) == _scenery(det, K) else None
-    for n, a in enumerate(future, start=1):
-        ev.step(a)
-        _fold_determined((a,), det)
-        while len(det) < K:
-            need = max(2 * need, 2 * K)
-            det, _h = _certify(mu, seed, 0, (), need, DEFAULT_MAX_HORIZON)
-            det, _shift = _fold_determined(future[:n], det)
-        if ev.scenery(K) == _scenery(det, K):
-            if streak is None:
-                streak = n
-        else:
-            streak = None
-    return streak
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def is_x_good(word: Sequence[int], config: Configuration) -> bool:
     _check_letters(word)
     ev = _Evolver(config)
     ev.run(word[:-1])
-    return ev.step(word[-1])
+    return ev.run(word[-1:]) == 1
 
 
 @lru_cache(maxsize=1 << 18)
@@ -199,12 +199,10 @@ class TrackerState:
 
     ``determined`` lists certified bin counts deepest-first (last entry =
     front bin).  Its length D is a lower bound on the coupling number of
-    the word processed so far.  ``front_shift`` counts front advances that
-    happened through certified front-bin hits since tracking began.
+    the word processed so far.
     """
 
     determined: tuple = ()
-    front_shift: int = 0
 
     @property
     def depth(self) -> int:
@@ -213,15 +211,11 @@ class TrackerState:
 
 def tracker_run(word: Iterable[int]) -> TrackerState:
     """Fold the tracker over a word's letters, left to right."""
-    det, shift = _fold_determined(word)
-    return TrackerState(tuple(det), shift)
+    return TrackerState(tuple(_fold_determined(word)))
 
 
-def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
-    """Fold letters into the determined counts ``det`` in place; returns
-    (determined list, front_shift).  Folding a word letter by letter, each
-    call continuing from the last one's ``det``, ends at the same counts,
-    and the calls' shifts sum to the one-call shift.
+def _fold_determined(word: Iterable[int]) -> list:
+    """Fold letters, from nothing certified, into the determined counts.
 
     Case analysis on each letter a against M = certified ball total:
       - a <= M: the a-th rightmost ball sits in a certified bin; the added
@@ -234,9 +228,8 @@ def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
         count can no longer be trusted and is dropped.
     The certified depth D never falls by more than 1 per letter.
     """
-    det = [] if det is None else det
-    shift = 0
-    M = sum(det)
+    det: list = []
+    M = 0
     for a in word:
         if a <= M:
             acc = 0
@@ -248,7 +241,6 @@ def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
                 j -= 1
             if j == len(det) - 1:
                 det.append(1)
-                shift += 1
             else:
                 det[j + 1] += 1
             M += 1
@@ -257,8 +249,7 @@ def _fold_determined(word: Iterable[int], det: list | None = None) -> tuple:
                 det[0] += 1
             else:
                 det.append(1)
-                shift += 1
             M += 1
         elif det:
             M -= det.pop(0)
-    return det, shift
+    return det

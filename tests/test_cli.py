@@ -362,6 +362,19 @@ def test_simulate_malformed_start_is_usage_error(capsys):
         assert err.startswith("error: ")
 
 
+def test_simulate_out_of_memory_is_a_limit():
+    # letters saturate near 2^62: placing one is refused before any
+    # allocation, so this costs nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "infinitebin.cli", "simulate", "geom:1e-320",
+         "--steps", "10"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_LIMIT
+    assert proc.stderr == ("limit exceeded: out of memory under the letter "
+                           "law geom:1e-320\n")
+
+
 def test_perfect_record_includes_histogram(tmp_path, capsys):
     out_path = tmp_path / "perfect.json"
     code, out, _ = run_cli(

@@ -41,7 +41,7 @@ def _unused_imports(tree: ast.Module) -> list:
 
 def test_no_unused_imports():
     unused = []
-    for folder in ("src/infinitebin", "tests", "demos"):
+    for folder in ("src/infinitebin", "tests", "demos", ".github"):
         for path in sorted((ROOT / folder).glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"

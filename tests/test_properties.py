@@ -16,7 +16,6 @@ from infinitebin import (
 )
 from infinitebin.core import _Evolver
 from infinitebin.distributions import FiniteSupport, Geometric
-from infinitebin.words import _fold_determined
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8).map(tuple)
 letters = st.integers(min_value=1, max_value=5)
@@ -26,19 +25,6 @@ letters = st.integers(min_value=1, max_value=5)
 @settings(deadline=None)
 def test_tracker_never_overstates_coupling(word):
     assert tracker_run(word).depth <= coupling_number(word)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=6), max_size=30))
-@settings(deadline=None)
-def test_tracker_steps_fold_to_tracker_run(word):
-    # the incremental fold coupling_convergence_check relies on
-    det, front_shift = [], 0
-    for a in word:
-        det, shift = _fold_determined((a,), det)
-        front_shift += shift
-    run = tracker_run(word)
-    assert tuple(det) == run.determined
-    assert front_shift == run.front_shift
 
 
 @given(words, letters)
@@ -119,7 +105,7 @@ deep_words = st.lists(st.integers(min_value=1, max_value=12), max_size=40)
 def test_run_equals_folding_step(x, word):
     ran, stepped = _Evolver(x), _Evolver(x)
     advances = ran.run(word)
-    assert advances == sum(stepped.step(k) for k in word)
+    assert advances == sum(stepped.run((k,)) for k in word)
     reference = list(x.window)
     assert advances == sum(_reference_move(reference, k) for k in word)
     assert ran.window == stepped.window == reference
@@ -131,12 +117,10 @@ def test_run_equals_folding_step(x, word):
 @settings(deadline=None)
 def test_letter_zero_is_rejected_by_every_entry(x, before, after):
     word = before + [0] + after
-    with pytest.raises(ValueError, match="letter must be >= 1"):
-        _Evolver(x).step(0)
     ev = _Evolver(x)
     with pytest.raises(ValueError, match="letter must be >= 1"):
         ev.run(word)
-    # the moves before the bad letter stay applied, as when folding step
+    # the moves before the bad letter stay applied, as when run one by one
     prefix = _Evolver(x)
     prefix.run(before)
     assert (ev.front, ev.window) == (prefix.front, prefix.window)

@@ -337,6 +337,8 @@ def test_bounds_validation():
     # 10^16 words pass 2^53: refused before any level is enumerated
     with pytest.raises(SizeLimitError, match="exceed exact float64"):
         stopping_tree_counts(16, 10)
+    with pytest.raises(SizeLimitError, match="exceed exact float64"):
+        bivariate_D(0.4, 0.5, 16, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +362,40 @@ def test_bivariate_degenerate_corners():
     # r = p/(1-q) >= 1: nothing forces convergence, bound is infinite
     _, frontier = bivariate_D(0.5, 0.6, 5, 5)
     assert math.isinf(frontier)
+    # on the diagonal r = 1, though 0.3 / (1 - 0.7) rounds to 1 - 2^-52
+    _, frontier = bivariate_D(0.3, 0.7, 8, 8)
+    assert math.isinf(frontier)
     _, frontier = bivariate_D(0.2, 1.0, 5, 5)
     assert math.isinf(frontier)
     with pytest.raises(ValueError):
         bivariate_D(-0.1, 0.5, 5, 5)
+
+
+def _bivariate_by_masses(p, q, L, A):
+    """The bivariate bound from a mass pass with weights p q^(a-1) and
+    tail p q^A / (1 - q): the reference for the count-table route."""
+    pmf_vec = [0.0] + [p * q ** (a - 1) for a in range(1, A + 1)]
+    tail = p * q ** A / (1.0 - q) if q > 0.0 else 0.0
+    split = stopping_tree_masses(pmf_vec, tail, L, A)
+    now = split.frontier_live + split.pruned_mass
+    after = split.frontier_tail + split.frontier_capped
+    r = p / (1.0 - q)
+    if now == 0.0 and after == 0.0:
+        return split.good, 0.0
+    if r >= 1.0:
+        return split.good, math.inf
+    return split.good, after / (1.0 - r) + now * r / (1.0 - r)
+
+
+@pytest.mark.parametrize("p, q, L, A", [
+    (0.4, 0.5, 8, 8), (0.2, 0.3, 7, 7), (0.1, 0.6, 6, 9), (0.3, 0.0, 8, 8),
+    (0.5, 0.6, 5, 5),
+])
+def test_bivariate_counts_match_a_mass_pass(p, q, L, A):
+    with patched(**EXACT):
+        got = bivariate_D(p, q, L, A)
+        want = _bivariate_by_masses(p, q, L, A)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_bivariate_monotone_in_truncation():
@@ -491,8 +523,8 @@ def test_birth_floor_keeps_brackets_certified():
     with patched(**EXACT):
         exact = enumerate_minimal(mu, L, A)
     for floor in (1e-3, 0.05):
-        split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A,
-                                     birth_floor=floor)
+        with patched(_BIRTH_FLOOR=floor):
+            split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
         slack = mass_rounding_bound(L, A)
         assert split.frontier_capped > 0.0
         assert split.good <= exact.lower + slack

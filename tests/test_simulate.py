@@ -17,7 +17,6 @@ from infinitebin.distributions import (
 )
 from infinitebin.simulate import (
     CouplingHorizonError,
-    coupling_convergence_check,
     perfect_sample,
     perfect_samples,
     run_forward,
@@ -25,7 +24,7 @@ from infinitebin.simulate import (
     stationary_speed,
     tau_tail,
 )
-from infinitebin.words import test_set as patterns_for, tracker_run
+from infinitebin.words import test_set as patterns_for
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +163,6 @@ def test_perfect_sample_rejects_bad_inputs():
         perfect_sample(Geometric(0.5), 1, seed=0, max_horizon=0)
     with pytest.raises(ValueError, match="at least one perfect sample"):
         simulate.front_hit_rate(Geometric(0.5), ())
-    with pytest.raises(ValueError, match="n_max must be >= 0"):
-        coupling_convergence_check(Geometric(0.5), MINIMAL_CONFIG, 1,
-                                   n_max=-1, seed=0)
 
 
 def test_perfect_samples_validate_before_drawing(monkeypatch):
@@ -292,67 +288,8 @@ def test_stationary_speed_dirac_one_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# convergence checks and coupling-time statistics
+# coupling-time statistics
 # ---------------------------------------------------------------------------
-
-
-def test_coupling_convergence_check_trivial_law():
-    coupled_at = coupling_convergence_check(
-        Dirac(1), MINIMAL_CONFIG, 1, n_max=64, seed=0
-    )
-    assert coupled_at == 0
-
-
-def test_coupling_convergence_check_geometric():
-    coupled_at = coupling_convergence_check(
-        Geometric(0.5), MINIMAL_CONFIG, 2, n_max=512, seed=13
-    )
-    assert coupled_at is not None
-    assert 0 <= coupled_at <= 512
-    again = coupling_convergence_check(
-        Geometric(0.5), MINIMAL_CONFIG, 2, n_max=512, seed=13
-    )
-    assert again == coupled_at
-
-
-@pytest.mark.parametrize("spec, K", [
-    ("geom:0.5", 1), ("geom:0.3", 1), ("geom:0.3", 2),
-])
-@pytest.mark.parametrize("start", [MINIMAL_CONFIG, Configuration(0, (1, 6))])
-def test_coupling_convergence_check_re_deepens_exactly(spec, K, start,
-                                                       monkeypatch):
-    # These runs' certified depth dips below K after the first fold, so
-    # the check re-deepens into the past at least once.
-    mu, seed, n_max = parse_mu(spec), 2, 256
-    certify, needs = simulate._certify, []
-
-    def counted(mu, seed, replica, letters, need, max_horizon):
-        needs.append(need)
-        return certify(mu, seed, replica, letters, need, max_horizon)
-
-    monkeypatch.setattr(simulate, "_certify", counted)
-    coupled_at = coupling_convergence_check(mu, start, K, n_max, seed)
-    assert len(needs) > 1 and needs[0] == K
-
-    # Recompute both sceneries at every n from scratch: the forward chain
-    # by applying the first n future letters to the start, the stationary
-    # one by one tracker fold over a deep past and those letters.
-    future = mu.letters_from_uniforms(
-        rng.stream(seed, rng.STREAM_FORWARD).random(n_max)).tolist()
-    u = rng.first_uniforms(seed, rng.STREAM_PAST, (0,), 1024)
-    past = mu.letters_from_uniforms(u[0]).tolist()[::-1]
-    agree = []
-    for n in range(n_max + 1):
-        det = tracker_run(past + future[:n]).determined
-        assert len(det) >= K
-        stationary = tuple(reversed(det))[:K]
-        agree.append(start.apply_word(future[:n]).scenery(K) == stationary)
-    expected = None
-    for n in range(n_max, -1, -1):
-        if not agree[n]:
-            break
-        expected = n
-    assert coupled_at == expected
 
 
 def test_tau_tail_shape_and_quantisation():

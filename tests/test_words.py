@@ -11,7 +11,6 @@ from infinitebin.words import (
     NEITHER,
     SizeLimitError,
     classify,
-    _fold_determined,
     coupling_number,
     horizon,
     is_x_good,
@@ -160,14 +159,12 @@ def test_repeated_ones_couple_exactly_their_count():
 def test_tracker_init_empty():
     state = tracker_run(())
     assert state.depth == 0
-    assert state.front_shift == 0
 
 
 def test_tracker_ones_certify_one_bin_each():
     for i in range(1, 5):
         state = tracker_run((1,) * i)
         assert state.depth == i
-        assert state.front_shift == i
     assert state.determined == (1, 1, 1, 1)
 
 
@@ -178,11 +175,9 @@ def test_tracker_depth_lower_bounds_coupling_number():
 
 
 def test_tracker_depth_drops_at_most_one_per_letter():
-    det = []
-    for a in (1, 1, 1, 9, 9, 1, 2, 7, 1, 1, 3, 8):
-        depth = len(det)
-        det, _shift = _fold_determined((a,), det)
-        assert len(det) >= depth - 1
+    word = (1, 1, 1, 9, 9, 1, 2, 7, 1, 1, 3, 8)
+    depths = [tracker_run(word[:n]).depth for n in range(len(word) + 1)]
+    assert min(b - a for a, b in zip(depths, depths[1:])) == -1
 
 
 def test_tracker_is_sound_certificate():

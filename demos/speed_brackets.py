@@ -31,7 +31,8 @@ for mu in (Geometric(0.5), Uniform(2), Uniform(3)):
 print()
 
 # For edge density p the growth rate C(p) equals the speed under the
-# geometric(p) law; one enumeration prices the whole grid.
+# geometric(p) law; one enumeration prices the whole grid.  At low p the
+# lazy-law and first-moment bounds of infinitebin.series set the ends.
 grid = [0.1 * j for j in range(1, 10)]
 print("p      lower     upper")
 for row in curve(grid, max_len=10, max_letter=10):

@@ -208,6 +208,8 @@ def cmd_speed(args, out):
         params.update(
             lower=bracket.lower,
             upper=bracket.upper,
+            lower_from=bracket.lower_from,
+            upper_from=bracket.upper_from,
             good_mass=bracket.good_mass,
             bad_mass=bracket.bad_mass,
             frontier_mass=bracket.frontier_mass,

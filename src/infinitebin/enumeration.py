@@ -43,7 +43,8 @@ constants: a cap of 10,000 live lumped states per level (``_MAX_STATES``;
 lowest weights dropped, deterministic tie handling), a birth-weight floor
 of 1e-18 below which children are not expanded (``_BIRTH_FLOOR``), a depth
 cap of 16 on goodness vectors (``_DEPTH_CAP``) and the walk's budget of
-3,000,000 expanded nodes (``_NODE_BUDGET``).
+3,000,000 expanded nodes (``_NODE_BUDGET``).  An alphabet bound A above
+65,536 (``_MAX_ALPHABET``) is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ from infinitebin.words import BAD, GOOD, SizeLimitError
 #: frontier, "pruned"), the birth weight below which a child is not
 #: expanded, the deepest goodness vector expanded (deeper children are
 #: frontier, "capped") and the explicit walk's budget of expanded nodes.
+#: ``_MAX_ALPHABET`` is the largest alphabet bound A accepted: letters past
+#: the depth cap are never expanded, so a larger A only moves frontier
+#: weight from tail to capped, at a cost linear in A per level.  It is
+#: checked before any array sized by A is allocated.
 #: Read at call time, so tests can patch them.  The state cap trades
 #: time for width.  Against a cap of 50,000, 10,000 widens geom:0.5 at
 #: the speed default L = A = 12 by 0.9% in a quarter of the time, and
@@ -71,6 +76,7 @@ _MAX_STATES = 10_000
 _BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
+_MAX_ALPHABET = 1 << 16
 
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
@@ -346,11 +352,18 @@ def _mass_split(parts: dict, peak_states: int) -> MassSplit:
 
 def _check_bounds(L: int, A: int, pmf_vec=None) -> None:
     """Validate the length and alphabet bounds, and that ``pmf_vec`` (when
-    given) has a weight for every letter 1..A."""
+    given) has a weight for every letter 1..A; an alphabet past
+    ``_MAX_ALPHABET`` raises SizeLimitError."""
     if L < 1:
         raise ValueError(f"max word length must be >= 1, got {L}")
     if A < 1:
         raise ValueError(f"max letter must be >= 1, got {A}")
+    if A > _MAX_ALPHABET:
+        raise SizeLimitError(
+            f"max letter {A} is past the alphabet bound {_MAX_ALPHABET} "
+            f"(--max-letter): letters past the depth cap {_DEPTH_CAP} are "
+            f"never expanded, so a larger bound only adds capped frontier"
+        )
     if pmf_vec is not None and len(pmf_vec) < A + 1:
         raise ValueError("pmf_vec must cover letters 1..A")
 
@@ -458,6 +471,8 @@ def stopping_tree_masses(
     tail_mass: float,
     L: int,
     A: int,
+    *,
+    on_good=None,
 ) -> MassSplit:
     """Run the lumped stopping-tree DP with per-letter weights.
 
@@ -465,15 +480,21 @@ def stopping_tree_masses(
     and ``tail_mass`` the weight of "letter beyond A" per prepend step.
     For a probability law these are mu(a) and mu((A, inf)); the engine
     never assumes they sum to 1, so monomial weights work too.  Children
-    lighter than ``_BIRTH_FLOOR`` are frontier.
+    lighter than ``_BIRTH_FLOOR`` are frontier.  With ``on_good`` given,
+    each piece of good weight is also reported as ``on_good(n, weight)``,
+    n the length of its words.
     """
     _check_bounds(L, A, pmf_vec)
     parts: dict = defaultdict(list)
+
+    def record(kind, n, e, w):
+        parts[kind].append(w)
+        if kind == GOOD and on_good is not None:
+            on_good(n, w)
+
     peak, _pruned = _stopping_tree(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
-        float(tail_mass), 0, L, A,
-        lambda kind, n, e, w: parts[kind].append(w),
-        q_ref=1.0,
+        float(tail_mass), 0, L, A, record, q_ref=1.0,
     )
     return _mass_split(parts, peak)
 

@@ -4,40 +4,63 @@ curve of the random-graph longest path.
 The front speed of the infinite-bin process under letter law mu equals the
 total mu-weight of minimal good words, and one minus the weight of minimal
 bad words.  Truncated enumeration therefore yields two-sided brackets whose
-width is exactly the unresolved (frontier) mass — see
-:mod:`infinitebin.enumeration` for the engine and its accounting.
+width is at most the unresolved (frontier) mass — see
+:mod:`infinitebin.enumeration` for the engine and its accounting.  Two
+bounds that need no further enumeration tighten the ends where the
+alphabet tail is heavy (low p):
+
+- a lazy-law lower bound (Foss & Konstantopoulos, Markov Process. Related
+  Fields 9, 2003): letters past the alphabet bound A, done as no-ops,
+  never let the front pass the full run's, so v(mu) >= (1 - t) v(nu) with
+  t = mu((A, inf)) and nu = mu conditioned on [1, A], and the enumerated
+  minimal good words w price v(nu) from below at mu(w) (1 - t)^(-|w|);
+- for Geometric(p) letters, whose speed is the longest-path growth rate
+  C(p), Newman's first-moment bound (Random Structures Algorithms 3, 1992):
+  P(L_n >= k) <= C(n, k+1) p^k gives C(p) <= c*(p), the root in (p, 1) of
+  H(c) + c ln p = 0 with H the entropy in nats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from infinitebin.distributions import MoveDistribution, Uniform
+import numpy as np
+
+from infinitebin.distributions import Geometric, MoveDistribution, Uniform
 from infinitebin.enumeration import (
     MassSplit,
+    _check_bounds,
     count_rounding_bound,
     mass_rounding_bound,
     stopping_tree_counts,
     stopping_tree_masses,
     walk_minimal_words,
 )
+from infinitebin.words import GOOD
 
 
 @dataclass(frozen=True)
 class SpeedBracket:
     """Two-sided certified bracket for the front speed.
 
-    ``lower`` is the accumulated weight of enumerated minimal good words,
-    ``upper`` one minus that of minimal bad words; the true speed lies in
-    [lower, upper] up to ``rounding_bound`` of floating-point slack.
-    ``frontier_tail``, ``frontier_live``, ``frontier_capped`` and
-    ``pruned_mass`` split ``frontier_mass`` by where the width came from
-    (see :class:`~infinitebin.enumeration.MassSplit`).  ``peak_states`` is
-    the most live states on one level before pruning, or the nodes the
-    word walk expanded.  ``params`` records the law and the truncation
-    bounds that produced the bracket.
+    The true speed lies in [lower, upper] up to ``rounding_bound`` of
+    floating-point slack.  ``lower`` is the better of ``good_mass``, the
+    accumulated weight of enumerated minimal good words, and the lazy-law
+    bound on the same words; ``lower_from`` says which (``"good"`` or
+    ``"lazy"``).  ``upper`` is the better of one minus ``bad_mass``, that
+    of minimal bad words, and, for Geometric laws, the first-moment bound;
+    ``upper_from`` says which (``"bad"`` or ``"first_moment"``).  Both
+    bounds are described in :mod:`infinitebin.series`.  ``good_mass +
+    bad_mass + frontier_mass`` is 1, and ``frontier_tail``,
+    ``frontier_live``, ``frontier_capped`` and ``pruned_mass`` split
+    ``frontier_mass`` by where it came from (see
+    :class:`~infinitebin.enumeration.MassSplit`).  ``peak_states`` is the
+    most live states on one level before pruning, or the nodes the word
+    walk expanded.  ``params`` records the law and the truncation bounds
+    that produced the bracket.
     """
 
     lower: float
@@ -52,6 +75,8 @@ class SpeedBracket:
     peak_states: int
     params: dict
     rounding_bound: float
+    lower_from: str
+    upper_from: str
 
     @property
     def width(self) -> float:
@@ -68,14 +93,80 @@ class SpeedBracket:
         )
 
 
-def _clamp(good: float, bad: float) -> tuple:
-    """(lower, upper) bounds from good and bad mass, clamped into [0, 1]."""
-    lower = min(max(good, 0.0), 1.0)
-    return lower, min(max(1.0 - bad, lower), 1.0)
+def _lazy_factors(tail: float, L: int) -> list:
+    """(1 - tail)^(1 - n) for n = 0..L, each rounded down to a float.
+
+    Exact in rationals until the one rounding, so every factor is 1.0 at
+    tail = 0; a factor past the largest float is held at it.
+    """
+    keep = 1 - Fraction(tail)
+    top = Fraction(sys.float_info.max)
+    factors = []
+    for n in range(L + 1):
+        exact = min(keep ** (1 - n), top)
+        f = float(exact)
+        factors.append(math.nextafter(f, 0.0) if f > exact else f)
+    return factors
 
 
-def _bracket(split: MassSplit, mu_desc: str, L: int, A: int) -> SpeedBracket:
-    lower, upper = _clamp(split.good, split.bad)
+def _first_moment_bound(p: float) -> float:
+    """Newman's bound c*(p) >= C(p): the root in (p, 1) of H(c) + c ln p,
+    from above.
+
+    H(c) + c ln p is positive below the root and negative above it, so any
+    c where it is negative bounds C(p).  Bisection keeps the upper end at
+    points where the sign is negative by more than the rounding of its
+    terms, and returns that end; c*(1) = 1.
+    """
+    if p >= 1.0:
+        return 1.0
+    log_p = math.log(p)
+    lo, hi = p, 1.0  # H(p) + p ln p > 0; at c = 1 the value is ln p < 0
+    while True:
+        c = 0.5 * (lo + hi)
+        if not lo < c < hi:
+            return hi
+        terms = (-c * math.log(c), -(1.0 - c) * math.log1p(-c), c * log_p)
+        # each term is within a few ulps; subnormal c rounds absolutely
+        slack = 16.0 * math.ulp(1.0) * math.fsum(map(abs, terms)) \
+            + 16.0 * math.ulp(0.0)
+        if math.fsum(terms) + slack < 0.0:
+            hi = c
+        else:
+            lo = c
+
+
+def _ends(good: float, bad: float, good_by_len, tail: float,
+          p: float | None = None) -> tuple:
+    """Certified (lower, upper, lower_from, upper_from), clamped into [0, 1].
+
+    ``good_by_len[n]`` is the good mass of words of length n and ``tail``
+    the letter law's mass past the alphabet bound (the lazy-law bound
+    needs 0 < tail < 1); ``p`` is given for Geometric(p) letters only.
+    The lazy factors round down and c*(p) up, and the lazy terms
+    total at most 1 - tail, so the rounding bound of the good mass covers
+    the lazy bound too.
+    """
+    lower, lower_from = good, "good"
+    if 0.0 < tail < 1.0:
+        factors = _lazy_factors(tail, len(good_by_len) - 1)
+        lazy = math.fsum(g * f for g, f in zip(good_by_len, factors))
+        if lazy > lower:
+            lower, lower_from = lazy, "lazy"
+    upper, upper_from = 1.0 - bad, "bad"
+    if p is not None:
+        c_star = _first_moment_bound(p)
+        if c_star < upper:
+            upper, upper_from = c_star, "first_moment"
+    lower = min(max(lower, 0.0), 1.0)
+    return lower, min(max(upper, lower), 1.0), lower_from, upper_from
+
+
+def _bracket(split: MassSplit, good_by_len, tail: float, mu: MoveDistribution,
+             L: int, A: int) -> SpeedBracket:
+    p = mu.p if isinstance(mu, Geometric) else None
+    lower, upper, lower_from, upper_from = _ends(
+        split.good, split.bad, good_by_len, tail, p)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -87,8 +178,10 @@ def _bracket(split: MassSplit, mu_desc: str, L: int, A: int) -> SpeedBracket:
         frontier_capped=split.frontier_capped,
         pruned_mass=split.pruned_mass,
         peak_states=split.peak_states,
-        params={"mu": mu_desc, "L": L, "A": A},
+        params={"mu": mu.describe(), "L": L, "A": A},
         rounding_bound=mass_rounding_bound(L, A),
+        lower_from=lower_from,
+        upper_from=upper_from,
     )
 
 
@@ -110,8 +203,12 @@ def enumerate_minimal(
     lumped engine also prunes states past the per-level cap and does not
     expand children below the birth floor.  Every cut weight is frontier
     mass; the fixed bounds are listed in :mod:`infinitebin.enumeration`.
-    The identity fails for a point mass at a letter >= 2, which raises
-    ValueError.
+    Both engines also give the good mass by word length, from which the
+    lazy-law bound raises ``lower`` when mu has mass past max_letter; for
+    Geometric(p) laws the first-moment bound may lower ``upper`` (see
+    :class:`SpeedBracket`).  The identity fails for a point mass at a
+    letter >= 2, which raises ValueError; an alphabet past the engine's
+    bound raises SizeLimitError before anything is allocated.
     """
     if mu.blocked():
         raise ValueError(
@@ -119,13 +216,26 @@ def enumerate_minimal(
             "minimal-word speed identity does not hold for it; estimate its "
             "speed by forward simulation"
         )
+    _check_bounds(max_len, max_letter)
     pmf_vec = mu.pmf_vector(max_letter)
     tail = mu.tail(max_letter)
+    pieces = [[] for _ in range(max_len + 1)]  # good weight by word length
     if emit is not None:
-        split = walk_minimal_words(pmf_vec, tail, max_len, max_letter, emit)
+        def emit_and_tally(word, verdict, weight):
+            if verdict == GOOD:
+                pieces[len(word)].append(weight)
+            emit(word, verdict, weight)
+
+        split = walk_minimal_words(pmf_vec, tail, max_len, max_letter,
+                                   emit_and_tally)
     else:
-        split = stopping_tree_masses(pmf_vec, tail, max_len, max_letter)
-    return _bracket(split, mu.describe(), max_len, max_letter)
+        split = stopping_tree_masses(
+            pmf_vec, tail, max_len, max_letter,
+            on_good=lambda n, weight: pieces[n].append(weight))
+    # where nu, mu on 1..A, is a point mass at a letter >= 2 it has no
+    # speed identity, but no good words either, so the lazy bound is 0
+    good_by_len = [math.fsum(ws) for ws in pieces]
+    return _bracket(split, good_by_len, tail, mu, max_len, max_letter)
 
 
 def bivariate_D(
@@ -173,7 +283,13 @@ def bivariate_D(
 
 @dataclass(frozen=True)
 class CurveRow:
-    """One growth-curve grid point with its certified bracket."""
+    """One growth-curve grid point with its certified bracket.
+
+    C(p) lies in [lower, upper] up to ``rounding_bound``; the ends are
+    those of :class:`SpeedBracket` at Geometric(p) letters, lazy-law and
+    first-moment bounds included.  ``good_mass + bad_mass +
+    frontier_mass`` is 1.
+    """
 
     p: float
     lower: float
@@ -194,10 +310,13 @@ def curve(
     Runs the enumeration once, collecting exact integer coefficients of
     the monomials p^n (1-p)^e, and evaluates the resulting polynomials at
     every grid point — the minimal-word sets do not depend on p, only the
-    weights do.  Every p must lie in (0, 1] (p = 0 has no geometric letter
-    law).  States past the per-level cap of :mod:`infinitebin.enumeration`
-    are pruned, prioritised at the grid midpoint but frontier-accounted,
-    so each returned bracket is valid at its own p.
+    weights do.  The lazy-law bound evaluates the same good counts with
+    word length n weighted by (1 - (1-p)^A)^(1 - n), and the first-moment
+    bound needs no counts, so neither costs another enumeration.  Every p
+    must lie in (0, 1] (p = 0 has no geometric letter law).  States past
+    the per-level cap of :mod:`infinitebin.enumeration` are pruned,
+    prioritised at the grid midpoint but frontier-accounted, so each
+    returned bracket is valid at its own p.
     """
     ps = [float(p) for p in p_grid]
     if not ps:
@@ -208,13 +327,18 @@ def curve(
     reference_p = 0.5 * (min(ps) + max(ps))
     tables = stopping_tree_counts(max_len, max_letter, reference_p=reference_p)
     bound = count_rounding_bound(max_len, max_letter)
+    n_range = np.arange(tables.good.shape[0])
+    e_range = np.arange(tables.good.shape[1])
     rows = []
     for p in ps:
-        good, bad, _frontier = tables.evaluate(p)
-        lower, upper = _clamp(good, bad)
+        good, bad, frontier = tables.evaluate(p)
+        q = 1.0 - p
+        good_by_len = np.power(p, n_range) * (tables.good @ np.power(q, e_range))
+        lower, upper, _, _ = _ends(good, bad, good_by_len.tolist(),
+                                   q ** max_letter, p)
         rows.append(CurveRow(
             p=p, lower=lower, upper=upper,
-            good_mass=good, bad_mass=bad, frontier_mass=_frontier,
+            good_mass=good, bad_mass=bad, frontier_mass=frontier,
             rounding_bound=bound,
         ))
     return rows

@@ -132,6 +132,44 @@ def test_speed_prints_bracket_and_record(tmp_path, capsys):
     assert params["peak_states"] > 0
 
 
+@pytest.mark.parametrize("spec, max_letter, lower_from, upper_from", [
+    ("geom:0.1", "6", "lazy", "first_moment"),
+    ("geom:0.7", "6", "lazy", "bad"),
+    ("unif:2", "2", "good", "bad"),
+])
+def test_speed_record_names_the_bound_at_each_end(tmp_path, capsys, spec,
+                                                  max_letter, lower_from,
+                                                  upper_from):
+    out_path = tmp_path / "speed.json"
+    code, _, _ = run_cli(capsys, "speed", spec, "--len", "6", "--max-letter",
+                         max_letter, "--out", str(out_path))
+    assert code == 0
+    params = json.loads(out_path.read_text())["params"]
+    assert (params["lower_from"], params["upper_from"]) == (lower_from,
+                                                            upper_from)
+    # the masses stay the raw partition the ends were tightened from
+    total = params["good_mass"] + params["bad_mass"] + params["frontier_mass"]
+    assert abs(total - 1.0) <= params["rounding_bound"]
+    assert params["lower"] >= params["good_mass"]
+    assert params["upper"] <= 1.0 - params["bad_mass"]
+    if (lower_from, upper_from) == ("good", "bad"):
+        assert params["lower"] == params["good_mass"]
+        assert params["upper"] == 1.0 - params["bad_mass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["speed", "geom:0.5", "--len", "1"],
+    ["curve", "--grid", "0.5", "--len", "1"],
+])
+def test_huge_alphabet_is_refused_before_any_allocation(capsys, argv):
+    # an 8 TB pmf vector or count table: numpy refuses those at once, so
+    # a regression shows as an out-of-memory message, not as swapping
+    code, _, err = run_cli(capsys, *argv, "--max-letter", "1000000000000")
+    assert code == cli.EXIT_LIMIT
+    assert err.startswith("limit exceeded: max letter 1000000000000 ")
+    assert "--max-letter" in err
+
+
 def test_speed_dirac_two_exits_1(capsys):
     code, out, err = run_cli(capsys, "speed", "dirac:2")
     assert code == 1 and out == ""
@@ -518,8 +556,8 @@ def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # at the earlier default of 50,000.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "db4df604bc2e655ebf80ede60949ebe7ca06326f8fd055593af4a6689d11845e"),
-        (50_000, "fe185b884fed245e23fd3f4af0773c4782967f8ce0095777709e7e81449f1a42"),
+        (None, "716557d60680acbf257440d810fa5dbb052c9a4f422a98b8fc029280aae0cd2e"),
+        (50_000, "a245ecc8e86ac5ae317891b036b188121a88ea4da17299ece5d1360c7f0295f2"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)

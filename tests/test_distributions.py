@@ -21,6 +21,7 @@ def test_geometric_pmf_cdf_tail():
     assert mu.pmf(3) == pytest.approx(0.3 * 0.7**2)
     assert mu.cdf(4) == pytest.approx(1 - 0.7**4)
     assert mu.tail(4) == pytest.approx(0.7**4)
+    assert mu.tail(0) == 1.0
     assert mu.support_min == 1 and mu.support_max is None
     assert not mu.blocked()
     assert mu.pmf(0) == 0.0

@@ -10,7 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from decimal import Decimal, localcontext
+
 from infinitebin import cli, enumeration
+from infinitebin.core import Configuration, _Evolver
 from infinitebin.distributions import Dirac, FiniteSupport, Geometric, Uniform
 from infinitebin.enumeration import (
     count_rounding_bound,
@@ -20,6 +23,8 @@ from infinitebin.enumeration import (
     walk_minimal_words,
 )
 from infinitebin.series import (
+    _first_moment_bound,
+    _lazy_factors,
     bivariate_D,
     curve,
     enumerate_minimal,
@@ -51,7 +56,11 @@ def test_bracket_invariants_and_identity():
     assert 0.0 <= bracket.lower <= bracket.upper <= 1.0
     total = bracket.good_mass + bracket.bad_mass + bracket.frontier_mass
     assert abs(total - 1.0) <= 1e-9
-    assert bracket.width == pytest.approx(bracket.frontier_mass, abs=1e-12)
+    # the raw ends span exactly the frontier; the lazy-law bound narrows it
+    raw_width = (1.0 - bracket.bad_mass) - bracket.good_mass
+    assert raw_width == pytest.approx(bracket.frontier_mass, abs=1e-12)
+    assert bracket.lower_from == "lazy"
+    assert bracket.width < bracket.frontier_mass
     assert bracket.params["L"] == 8 and bracket.params["A"] == 8
     assert bracket.rounding_bound == mass_rounding_bound(8, 8)
 
@@ -72,6 +81,10 @@ def test_frontier_parts_sum_to_the_width(mu, L, A):
 
 
 def test_brackets_nest_as_bounds_grow():
+    # The lazy-law lower bound need not nest as (L, A) grow: a larger A
+    # shrinks its tail t and so its factors (1 - t)^(1 - n).  Exactly, at
+    # geom:0.1 it is 0.12110 at L = A = 4 and 0.12074 at L = A = 5.  This
+    # case nests with it.
     mu = Geometric(0.6)
     with patched(**EXACT):
         b_small = enumerate_minimal(mu, 6, 6)
@@ -539,6 +552,145 @@ def test_curve_rejects_bad_grids():
         curve([0.5, 1.2], 5, 5)
     with pytest.raises(ValueError):
         curve([], 5, 5)
+
+
+# ---------------------------------------------------------------------------
+# bounds at low p: the lazy law and the first moment
+# ---------------------------------------------------------------------------
+
+
+def _ball_positions(config, K):
+    """Bins of the K rightmost balls of ``config``, rightmost first."""
+    out = []
+    for depth, count in enumerate(config.scenery(K)):
+        out.extend([config.front - depth] * count)
+    return out[:K]
+
+
+def _below(X, Y):
+    """[i, j]: every ball of configuration i is at or left of the same-rank
+    ball of configuration j (rows are ball positions)."""
+    return (X[:, None, :] <= Y[None, :, :]).all(axis=2)
+
+
+def test_moves_keep_the_ball_order():
+    # X <= Y when X's k-th rightmost ball sits at or left of Y's, every k.
+    # The lazy-law bound rests on three moves that keep X <= Y: the same
+    # letter on both, a smaller letter on Y, and a no-op on X against any
+    # move on Y.  K covers every window ball, below which both
+    # configurations hold one ball per bin, so the order is settled there.
+    K = 32
+    configs = [Configuration(front, window) for front in (0, 1)
+               for width in range(1, 5)
+               for window in itertools.product((1, 2, 3), repeat=width)]
+    P = np.array([_ball_positions(c, K) for c in configs])
+    moved = {a: np.array([_ball_positions(c.apply_move(a), K)
+                          for c in configs]) for a in range(1, 9)}
+    order = _below(P, P)
+    assert order.sum() - np.count_nonzero(order & order.T) > 5000
+    for a in range(1, 9):
+        for b in range(1, a + 1):  # b == a: the same letter on both
+            assert not (order & ~_below(moved[a], moved[b])).any(), (a, b)
+        assert not (order & ~_below(P, moved[a])).any(), a
+
+
+def test_lazy_run_never_passes_the_full_run():
+    # The same letters on both runs, the lazy one skipping those past A:
+    # its front never passes the full run's, and its balls stay ordered.
+    gen = np.random.default_rng(22)
+    for p, A in [(0.1, 6), (0.3, 2), (0.5, 1), (0.5, 3)]:
+        letters = Geometric(p).letters_from_uniforms(gen.random(3000))
+        full, lazy = _Evolver(), _Evolver()
+        skipped = 0
+        for step, a in enumerate(letters.tolist()):
+            full.run((a,))
+            if a <= A:
+                lazy.run((a,))
+            else:
+                skipped += 1
+            assert lazy.front <= full.front, (p, A, step)
+            if step % 100 == 0:
+                X, Y = lazy.snapshot(), full.snapshot()
+                K = max(sum(X.window), sum(Y.window)) + 1
+                assert _below(np.array([_ball_positions(X, K)]),
+                              np.array([_ball_positions(Y, K)]))[0, 0]
+        assert skipped > 0 and lazy.front < full.front
+
+
+def test_lazy_lower_bound_matches_a_rational_oracle():
+    # finite:0.25,0.5,0.25 at A = 2 has tail t = 1/4 and nu = (1/3, 2/3):
+    # the lazy bound from mu's tables is (1 - t) times nu's plain lower
+    # bound, priced here in rationals over every minimal good word.
+    mu, L, A = FiniteSupport([0.25, 0.5, 0.25]), 7, 2
+    nu = {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    nu_lower = Fraction(0)
+    for n in range(1, L + 1):
+        for word in itertools.product((1, 2), repeat=n):
+            c = classify(word)
+            if c.verdict == "good" and c.minimal:
+                nu_lower += math.prod(nu[a] for a in word)
+    want = Fraction(3, 4) * nu_lower
+    lumped = enumerate_minimal(mu, L, A)
+    walk = enumerate_minimal(mu, L, A, emit=lambda *a: None)
+    for bracket in (lumped, walk):
+        assert bracket.lower_from == "lazy"
+        assert bracket.lower > bracket.good_mass
+        assert abs(Fraction(bracket.lower) - want) <= bracket.rounding_bound
+    # each factor rounds down from its exact value, and is 1 at t = 0
+    for n, f in enumerate(_lazy_factors(0.25, L)):
+        exact = Fraction(4, 3) ** (n - 1)
+        assert f <= exact and math.nextafter(f, math.inf) > exact
+    assert _lazy_factors(0.0, L) == [1.0] * (L + 1)
+    # nu a point mass at 2 has no identity and no good words: no lazy bound
+    blocked = enumerate_minimal(FiniteSupport([0.0, 0.5, 0.5]), 5, 2)
+    assert blocked.lower_from == "good"
+    assert blocked.lower == blocked.good_mass == 0.0
+
+
+def _newman_exponent(c, p):
+    """H(c) + c ln p in 60-digit decimals (float arguments are exact), and
+    the sum of its terms' sizes."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, p = Decimal(c), Decimal(p)
+        terms = (-c * c.ln(), -(1 - c) * (1 - c).ln(), c * p.ln())
+        return sum(terms), sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("p, rounded", [
+    (0.05, 0.1272), (0.1, 0.2387), (0.2, 0.4233), (0.3, 0.5680),
+])
+def test_first_moment_bound_is_certified_and_tight(p, rounded):
+    c_star = _first_moment_bound(p)
+    assert round(c_star, 4) == rounded
+    # the exponent is negative at c*, so C(p) <= c*, by more than a float
+    # evaluation's rounding of its terms could hide; and positive just
+    # below c*, so c* is within 1e-10 of the root
+    value, size = _newman_exponent(c_star, p)
+    assert value < -4 * Decimal(math.ulp(1.0)) * size
+    assert _newman_exponent(c_star * (1 - 1e-10), p)[0] > 0
+
+
+def test_first_moment_bound_shape():
+    assert _first_moment_bound(1.0) == 1.0
+    grid = [1e-300, 1e-12, *np.linspace(1e-3, 1.0, 300).tolist()]
+    values = [_first_moment_bound(p) for p in grid]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert all(p < c <= 1.0 for p, c in zip(grid[:-1], values))
+    # Newman: c*(p) / p -> e as p -> 0, with error near (e^2 / 2) p
+    for p in (1e-4, 1e-8, 1e-300):
+        assert abs(_first_moment_bound(p) / p - math.e) <= 4 * p + 1e-10
+
+
+def test_low_p_bounds_tighten_the_curve():
+    # the count tables' ends at L = A = 10, pruned at p = 0.5 as on the
+    # default grid, where the tail mu((10, inf)) is 0.35 at p = 0.1: both
+    # bounds move the ends at p <= 0.2, and only the lazy one at 0.3
+    rows = curve([0.1, 0.2, 0.3, 0.9], 10, 10)
+    got = [(round(r.lower, 4), round(r.upper, 4)) for r in rows[:3]]
+    assert got == [(0.1188, 0.2387), (0.2495, 0.4233), (0.3755, 0.4715)]
+    for row in rows[:3]:
+        assert row.upper - row.lower < row.frontier_mass
 
 
 # ---------------------------------------------------------------------------

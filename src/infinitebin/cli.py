@@ -466,7 +466,8 @@ def build_parser() -> _Parser:
     p.add_argument("--len", type=int, default=12,
                    help="maximum word length (default 12)")
     p.add_argument("--max-letter", type=int, default=12,
-                   help="maximum letter (default 12)")
+                   help="maximum letter (default 12); letters past 16, the "
+                        "depth cap, are priced as alphabet tail")
     p.add_argument("--store", type=str, default=None,
                    help="collect the minimal words into this path (runs "
                         "the word walk, which has a node budget)")
@@ -479,7 +480,8 @@ def build_parser() -> _Parser:
     p.add_argument("--len", type=int, default=10,
                    help="maximum word length (default 10)")
     p.add_argument("--max-letter", type=int, default=10,
-                   help="maximum letter (default 10)")
+                   help="maximum letter (default 10); letters past 16, the "
+                        "depth cap, are priced as alphabet tail")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("simulate", parents=[out, seed],

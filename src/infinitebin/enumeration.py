@@ -38,13 +38,14 @@ column, whose states go through the letters together; their children are
 split back into (depth, e) buckets when stashed.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
-length bound L and alphabet bound A (contract parameters), and four fixed
-constants: a cap of 10,000 live lumped states per level (``_MAX_STATES``;
-lowest weights dropped, deterministic tie handling), a birth-weight floor
-of 1e-18 below which children are not expanded (``_BIRTH_FLOOR``), a depth
-cap of 16 on goodness vectors (``_DEPTH_CAP``) and the walk's budget of
-3,000,000 expanded nodes (``_NODE_BUDGET``).  An alphabet bound A above
-65,536 (``_MAX_ALPHABET``) is refused before anything is allocated.
+length bound L and alphabet bound A (contract parameters), with A at most
+the depth cap of 16 on goodness vectors (``_DEPTH_CAP``; letter a needs
+depth a, and callers price letters past ``_alphabet(L, A)`` = min(A, 16)
+as tail), and three fixed constants: a cap of 10,000 live lumped states
+per level (``_MAX_STATES``; lowest weights dropped, deterministic tie
+handling), a birth-weight floor of 1e-18 below which children are not
+expanded (``_BIRTH_FLOOR``) and the walk's budget of 3,000,000 expanded
+nodes (``_NODE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -61,12 +62,8 @@ from infinitebin.words import BAD, GOOD, SizeLimitError
 
 #: Fixed resource bounds: live lumped states kept per level (the rest are
 #: frontier, "pruned"), the birth weight below which a child is not
-#: expanded, the deepest goodness vector expanded (deeper children are
-#: frontier, "capped") and the explicit walk's budget of expanded nodes.
-#: ``_MAX_ALPHABET`` is the largest alphabet bound A accepted: letters past
-#: the depth cap are never expanded, so a larger A only moves frontier
-#: weight from tail to capped, at a cost linear in A per level.  It is
-#: checked before any array sized by A is allocated.
+#: expanded (frontier, "capped"), the deepest goodness vector (so also the
+#: largest letter) and the explicit walk's budget of expanded nodes.
 #: Read at call time, so tests can patch them.  The state cap trades
 #: time for width.  Against a cap of 50,000, 10,000 widens geom:0.5 at
 #: the speed default L = A = 12 by 0.9% in a quarter of the time, and
@@ -76,7 +73,6 @@ _MAX_STATES = 10_000
 _BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
-_MAX_ALPHABET = 1 << 16
 
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
@@ -320,9 +316,11 @@ class MassSplit:
     - ``frontier_tail``: a continuation letter fell beyond the alphabet
       (includes the root term: first letter beyond A);
     - ``frontier_live``: still unresolved at the length bound;
-    - ``frontier_capped``: child state not expanded (depth cap or
-      birth-weight floor);
+    - ``frontier_capped``: child state not expanded, being lighter than the
+      birth-weight floor (the lumped engine only);
     - ``pruned_mass``: live states dropped by the state-count cap.
+
+    ``good_by_len[n]`` is the good weight of words of length n, n = 0..L.
     """
 
     good: float
@@ -333,37 +331,51 @@ class MassSplit:
     frontier_capped: float
     pruned_mass: float
     peak_states: int
+    good_by_len: tuple
 
 
-def _mass_split(parts: dict, peak_states: int) -> MassSplit:
-    """The MassSplit of per-kind lists of weight pieces (a defaultdict, so
-    a kind never recorded sums to 0.0); every sum is exactly rounded."""
-    return MassSplit(
-        good=math.fsum(parts[GOOD]),
-        bad=math.fsum(parts[BAD]),
-        frontier=math.fsum(w for kind in _FRONTIER_KINDS for w in parts[kind]),
-        frontier_tail=math.fsum(parts["tail"]),
-        frontier_live=math.fsum(parts["live"]),
-        frontier_capped=math.fsum(parts["capped"]),
-        pruned_mass=math.fsum(parts["pruned"]),
-        peak_states=peak_states,
-    )
+class _MassTally:
+    """The weight pieces the mass engines report as ``record(kind, n, e,
+    w)``, by kind and word length n.  Every sum is exactly rounded, so it
+    does not depend on the order of the pieces."""
+
+    def __init__(self):
+        self.pieces: dict = defaultdict(list)
+
+    def record(self, kind: str, n: int, e: int, w: float) -> None:
+        self.pieces[kind, n].append(w)
+
+    def split(self, L: int, peak_states: int) -> MassSplit:
+        def total(*kinds):  # 0.0 for a kind never recorded
+            return math.fsum(w for (kind, _n), ws in self.pieces.items()
+                             if kind in kinds for w in ws)
+
+        return MassSplit(
+            total(GOOD), total(BAD), total(*_FRONTIER_KINDS), total("tail"),
+            total("live"), total("capped"), total("pruned"), peak_states,
+            tuple(math.fsum(self.pieces.get((GOOD, n), ()))
+                  for n in range(L + 1)),
+        )
 
 
-def _check_bounds(L: int, A: int, pmf_vec=None) -> None:
-    """Validate the length and alphabet bounds, and that ``pmf_vec`` (when
-    given) has a weight for every letter 1..A; an alphabet past
-    ``_MAX_ALPHABET`` raises SizeLimitError."""
+def _alphabet(L: int, A: int) -> int:
+    """min(A, ``_DEPTH_CAP``), the alphabet to run for bounds L and A, after
+    checking both.  Letter a needs goodness vectors of depth a, so letters
+    past the cap add no term to the series: they are alphabet tail."""
     if L < 1:
         raise ValueError(f"max word length must be >= 1, got {L}")
     if A < 1:
         raise ValueError(f"max letter must be >= 1, got {A}")
-    if A > _MAX_ALPHABET:
-        raise SizeLimitError(
-            f"max letter {A} is past the alphabet bound {_MAX_ALPHABET} "
-            f"(--max-letter): letters past the depth cap {_DEPTH_CAP} are "
-            f"never expanded, so a larger bound only adds capped frontier"
-        )
+    return min(A, _DEPTH_CAP)
+
+
+def _check_bounds(L: int, A: int, pmf_vec=None) -> None:
+    """Validate an engine's bounds: A at most the depth cap (see
+    ``_alphabet``), and ``pmf_vec`` (when given) has a weight for every
+    letter 1..A."""
+    if _alphabet(L, A) < A:
+        raise ValueError(f"max letter {A} is past the depth cap {_DEPTH_CAP}; "
+                         f"letters past it are alphabet tail")
     if pmf_vec is not None and len(pmf_vec) < A + 1:
         raise ValueError("pmf_vec must cover letters 1..A")
 
@@ -389,6 +401,7 @@ def _stopping_tree(
     of good, bad, tail, live, capped or pruned (the last four are
     frontier).  Pruning ranks states by weight * q_ref**e.  Children
     lighter than ``_BIRTH_FLOOR`` are capped, which no count ever is.
+    A is at most ``_DEPTH_CAP``, so every state fits under it.
     Returns (peak live states per level before pruning, states pruned).
     """
     record("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
@@ -399,7 +412,7 @@ def _stopping_tree(
             continue
         if a == 1:
             record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
-        elif a > _DEPTH_CAP or w < _BIRTH_FLOOR:
+        elif w < _BIRTH_FLOOR:
             record("capped", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
@@ -430,9 +443,6 @@ def _stopping_tree(
                         continue
                     d2 = max(a, d - 1, 1)
                     e2 = ec + shifts[a]
-                    if d2 > _DEPTH_CAP:
-                        _record_sums(record, "capped", level, e2, wc, w)
-                        continue
                     cw = wc * w
                     Pa, Va = P, V
                     alive = cw >= _BIRTH_FLOOR
@@ -471,8 +481,6 @@ def stopping_tree_masses(
     tail_mass: float,
     L: int,
     A: int,
-    *,
-    on_good=None,
 ) -> MassSplit:
     """Run the lumped stopping-tree DP with per-letter weights.
 
@@ -480,23 +488,16 @@ def stopping_tree_masses(
     and ``tail_mass`` the weight of "letter beyond A" per prepend step.
     For a probability law these are mu(a) and mu((A, inf)); the engine
     never assumes they sum to 1, so monomial weights work too.  Children
-    lighter than ``_BIRTH_FLOOR`` are frontier.  With ``on_good`` given,
-    each piece of good weight is also reported as ``on_good(n, weight)``,
-    n the length of its words.
+    lighter than ``_BIRTH_FLOOR`` are frontier.  An A past ``_DEPTH_CAP``
+    raises ValueError.
     """
     _check_bounds(L, A, pmf_vec)
-    parts: dict = defaultdict(list)
-
-    def record(kind, n, e, w):
-        parts[kind].append(w)
-        if kind == GOOD and on_good is not None:
-            on_good(n, w)
-
+    tally = _MassTally()
     peak, _pruned = _stopping_tree(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
-        float(tail_mass), 0, L, A, record, q_ref=1.0,
+        float(tail_mass), 0, L, A, tally.record, q_ref=1.0,
     )
-    return _mass_split(parts, peak)
+    return tally.split(L, peak)
 
 
 def mass_rounding_bound(L: int, A: int) -> float:
@@ -525,8 +526,9 @@ class CountTables:
     Entry [n, e] counts words contributing the monomial p^n (1-p)^e under
     Geometric(p) letter weights, one table per record kind as in
     :class:`MassSplit`: ``good``, ``bad``, and the frontier kinds
-    ``tail`` (at the parent's n and exponent e + A), ``live``, ``capped``
-    and ``pruned``, whose sum is ``frontier``.  Counts are exact integers
+    ``tail`` (at the parent's n and exponent e + A), ``live`` and
+    ``pruned``, whose sum is ``frontier``.  No count is ever capped: counts
+    are at least 1, above the birth floor.  Counts are exact integers
     stored as float64.
     """
 
@@ -534,13 +536,12 @@ class CountTables:
     bad: np.ndarray
     tail: np.ndarray
     live: np.ndarray
-    capped: np.ndarray
     pruned: np.ndarray
     pruned_states: int
 
     @property
     def frontier(self) -> np.ndarray:
-        return self.tail + self.live + self.capped + self.pruned
+        return self.tail + self.live + self.pruned
 
     def evaluate(self, p: float) -> tuple:
         """(good, bad, frontier) mass at Geometric(p); masses sum to 1."""
@@ -581,7 +582,7 @@ def stopping_tree_counts(
     by requiring A^L < 2^53).  Pruning priority uses the reference p so a
     single pass serves a whole p-grid; whatever is pruned is still
     frontier-accounted at its own (n, e), keeping every evaluated bracket
-    valid at every p.
+    valid at every p.  An A past ``_DEPTH_CAP`` raises ValueError.
     """
     _check_bounds(L, A)
     if L * math.log2(max(A, 2)) >= 53:
@@ -589,8 +590,9 @@ def stopping_tree_counts(
             f"word counts up to {A}^{L} exceed exact float64 integers"
         )
     E = L * (A - 1) + A
+    # no "capped" table: a capped count would fail here loudly
     tables = {kind: np.zeros((L + 1, E + 1))
-              for kind in (GOOD, BAD, *_FRONTIER_KINDS)}
+              for kind in (GOOD, BAD, "tail", "live", "pruned")}
 
     def record(kind, n, e, w):
         tables[kind][n, e] += w
@@ -622,11 +624,12 @@ def walk_minimal_words(
     over first letters A down to 2, each later letter prepended in
     increasing order.  Raises SizeLimitError past its fixed node budget
     (see the module docstring) — the walk is for bounds where the word
-    tree itself is tractable; use the lumped engines otherwise.
+    tree itself is tractable; use the lumped engines otherwise.  An A past
+    ``_DEPTH_CAP`` raises ValueError.
     """
     _check_bounds(L, A, pmf_vec)
-    parts: dict = defaultdict(list)
-    parts["tail"].append(float(tail_mass))
+    tally = _MassTally()
+    tally.record("tail", 0, 0, float(tail_mass))
     expanded = 0
     stack: list = []
     for a in range(1, A + 1):
@@ -635,9 +638,7 @@ def walk_minimal_words(
             continue
         if a == 1:  # resolves immediately: all-true
             emit((1,), GOOD, w)
-            parts[GOOD].append(w)
-        elif a > _DEPTH_CAP:
-            parts["capped"].append(w)
+            tally.record(GOOD, 1, 0, w)
         else:  # popped last-pushed first: births walk from letter A down
             v = np.zeros(1 << (a - 1), dtype=bool)
             v[0] = True
@@ -646,7 +647,7 @@ def walk_minimal_words(
     while stack:
         word, d, v, w = stack.pop()
         if len(word) >= L:
-            parts["live"].append(w)
+            tally.record("live", L, 0, w)
             continue
         expanded += 1
         if expanded > _NODE_BUDGET:
@@ -655,16 +656,13 @@ def walk_minimal_words(
                 f"nodes at length-bound {L}, alphabet {A}; use the lumped "
                 f"bracket engine for bounds this large"
             )
-        parts["tail"].append(w * tail_mass)
+        tally.record("tail", len(word), 0, w * tail_mass)
         children = []
         for a in range(1, A + 1):
             wa = float(pmf_vec[a])
             if wa <= 0.0:
                 continue
             d2 = max(a, d - 1, 1)
-            if d2 > _DEPTH_CAP:
-                parts["capped"].append(w * wa)
-                continue
             child = v[image_table(d2, a, d)]
             cw = w * wa
             cword = (a,) + word
@@ -673,11 +671,11 @@ def walk_minimal_words(
             true = bits.count(1)
             if true == len(bits):
                 emit(cword, GOOD, cw)
-                parts[GOOD].append(cw)
+                tally.record(GOOD, len(cword), 0, cw)
                 continue
             if not true:
                 emit(cword, BAD, cw)
-                parts[BAD].append(cw)
+                tally.record(BAD, len(cword), 0, cw)
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)
@@ -688,4 +686,4 @@ def walk_minimal_words(
             children.append((cword, d2, child[: len(bits)], cw))
         stack.extend(reversed(children))
 
-    return _mass_split(parts, expanded)
+    return tally.split(L, expanded)

@@ -10,10 +10,12 @@ bounds that need no further enumeration tighten the ends where the
 alphabet tail is heavy (low p):
 
 - a lazy-law lower bound (Foss & Konstantopoulos, Markov Process. Related
-  Fields 9, 2003): letters past the alphabet bound A, done as no-ops,
-  never let the front pass the full run's, so v(mu) >= (1 - t) v(nu) with
+  Fields 9, 2003): letters past the alphabet A, done as no-ops, never let
+  the front pass the full run's, so v(mu) >= (1 - t) v(nu) with
   t = mu((A, inf)) and nu = mu conditioned on [1, A], and the enumerated
-  minimal good words w price v(nu) from below at mu(w) (1 - t)^(-|w|);
+  minimal good words w price v(nu) from below at mu(w) (1 - t)^(-|w|).
+  A is min(max_letter, 16): no word with a letter past the enumeration's
+  depth cap of 16 is expanded, so those letters are alphabet tail;
 - for Geometric(p) letters, whose speed is the longest-path growth rate
   C(p), Newman's first-moment bound (Random Structures Algorithms 3, 1992):
   P(L_n >= k) <= C(n, k+1) p^k gives C(p) <= c*(p), the root in (p, 1) of
@@ -32,14 +34,13 @@ import numpy as np
 from infinitebin.distributions import Geometric, MoveDistribution, Uniform
 from infinitebin.enumeration import (
     MassSplit,
-    _check_bounds,
+    _alphabet,
     count_rounding_bound,
     mass_rounding_bound,
     stopping_tree_counts,
     stopping_tree_masses,
     walk_minimal_words,
 )
-from infinitebin.words import GOOD
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,22 @@ class SpeedBracket:
         )
 
 
-def _lazy_factors(tail: float, L: int) -> list:
-    """(1 - tail)^(1 - n) for n = 0..L, each rounded down to a float.
+def _lazy_factors(tail: float, n_max: int) -> list:
+    """(1 - tail)^(1 - n) for n = 0..n_max, each rounded down to a float.
 
     Exact in rationals until the one rounding, so every factor is 1.0 at
-    tail = 0; a factor past the largest float is held at it.
+    tail = 0; factors past the largest float are held at it.  Each factor
+    is the last one divided by 1 - tail, none computed past that ceiling.
     """
     keep = 1 - Fraction(tail)
     top = Fraction(sys.float_info.max)
     factors = []
-    for n in range(L + 1):
-        exact = min(keep ** (1 - n), top)
+    exact = keep
+    while len(factors) <= n_max and exact <= top:
         f = float(exact)
         factors.append(math.nextafter(f, 0.0) if f > exact else f)
-    return factors
+        exact /= keep
+    return factors + [sys.float_info.max] * (n_max + 1 - len(factors))
 
 
 def _first_moment_bound(p: float) -> float:
@@ -149,7 +152,9 @@ def _ends(good: float, bad: float, good_by_len, tail: float,
     """
     lower, lower_from = good, "good"
     if 0.0 < tail < 1.0:
-        factors = _lazy_factors(tail, len(good_by_len) - 1)
+        # factors only as far as the longest length with good mass
+        n_max = max((n for n, g in enumerate(good_by_len) if g), default=0)
+        factors = _lazy_factors(tail, n_max)
         lazy = math.fsum(g * f for g, f in zip(good_by_len, factors))
         if lazy > lower:
             lower, lower_from = lazy, "lazy"
@@ -162,11 +167,11 @@ def _ends(good: float, bad: float, good_by_len, tail: float,
     return lower, min(max(upper, lower), 1.0), lower_from, upper_from
 
 
-def _bracket(split: MassSplit, good_by_len, tail: float, mu: MoveDistribution,
+def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
              L: int, A: int) -> SpeedBracket:
     p = mu.p if isinstance(mu, Geometric) else None
     lower, upper, lower_from, upper_from = _ends(
-        split.good, split.bad, good_by_len, tail, p)
+        split.good, split.bad, split.good_by_len, tail, p)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -193,22 +198,22 @@ def enumerate_minimal(
 ) -> SpeedBracket:
     """Bracket the speed by enumerating minimal words up to the bounds.
 
-    Words use letters 1..max_letter and lengths up to max_len; everything
-    beyond is frontier mass (bracket width).  With ``emit`` given, an
-    explicit depth-first walk visits each resolved minimal word once and
-    calls ``emit(word, verdict, weight)`` — exact but exponential, so it
-    raises SizeLimitError past the walk's node budget; without ``emit`` a
-    lumped state engine is used, which reaches much larger bounds.  Both
-    engines leave goodness vectors past the depth cap unexpanded; the
-    lumped engine also prunes states past the per-level cap and does not
+    Words use letters 1..A, A = min(max_letter, 16), and lengths up to
+    max_len; everything beyond is frontier mass (bracket width).  Letters
+    past 16 would need goodness vectors deeper than the depth cap of
+    :mod:`infinitebin.enumeration`, so they are alphabet tail like letters
+    past max_letter; ``params["A"]`` keeps max_letter.  With ``emit``
+    given, an explicit depth-first walk visits each resolved minimal word
+    once and calls ``emit(word, verdict, weight)`` — exact but
+    exponential, so it raises SizeLimitError past the walk's node budget;
+    without ``emit`` a lumped state engine is used, which reaches much
+    larger bounds, prunes states past the per-level cap and does not
     expand children below the birth floor.  Every cut weight is frontier
     mass; the fixed bounds are listed in :mod:`infinitebin.enumeration`.
-    Both engines also give the good mass by word length, from which the
-    lazy-law bound raises ``lower`` when mu has mass past max_letter; for
-    Geometric(p) laws the first-moment bound may lower ``upper`` (see
-    :class:`SpeedBracket`).  The identity fails for a point mass at a
-    letter >= 2, which raises ValueError; an alphabet past the engine's
-    bound raises SizeLimitError before anything is allocated.
+    The good mass by word length gives the lazy-law bound, which raises
+    ``lower`` when mu has mass past A; for Geometric(p) laws the
+    first-moment bound may lower ``upper`` (see :class:`SpeedBracket`).
+    A point mass at a letter >= 2 raises ValueError.
     """
     if mu.blocked():
         raise ValueError(
@@ -216,26 +221,16 @@ def enumerate_minimal(
             "minimal-word speed identity does not hold for it; estimate its "
             "speed by forward simulation"
         )
-    _check_bounds(max_len, max_letter)
-    pmf_vec = mu.pmf_vector(max_letter)
-    tail = mu.tail(max_letter)
-    pieces = [[] for _ in range(max_len + 1)]  # good weight by word length
+    A = _alphabet(max_len, max_letter)
+    pmf_vec = mu.pmf_vector(A)
+    tail = mu.tail(A)
     if emit is not None:
-        def emit_and_tally(word, verdict, weight):
-            if verdict == GOOD:
-                pieces[len(word)].append(weight)
-            emit(word, verdict, weight)
-
-        split = walk_minimal_words(pmf_vec, tail, max_len, max_letter,
-                                   emit_and_tally)
+        split = walk_minimal_words(pmf_vec, tail, max_len, A, emit)
     else:
-        split = stopping_tree_masses(
-            pmf_vec, tail, max_len, max_letter,
-            on_good=lambda n, weight: pieces[n].append(weight))
+        split = stopping_tree_masses(pmf_vec, tail, max_len, A)
     # where nu, mu on 1..A, is a point mass at a letter >= 2 it has no
     # speed identity, but no good words either, so the lazy bound is 0
-    good_by_len = [math.fsum(ws) for ws in pieces]
-    return _bracket(split, good_by_len, tail, mu, max_len, max_letter)
+    return _bracket(split, tail, mu, max_len, max_letter)
 
 
 def bivariate_D(
@@ -257,21 +252,22 @@ def bivariate_D(
     region) or when enumeration left nothing unresolved.  Both evaluate
     the count tables of :func:`~infinitebin.enumeration.stopping_tree_counts`
     with pruning ranked at q, whose guard raises SizeLimitError for A^L
-    at or above 2^53.
+    at or above 2^53.  As in :func:`enumerate_minimal`, A is
+    min(max_letter, 16) and letters past it are alphabet tail.
     """
     if p < 0 or q < 0:
         raise ValueError("monomial variables must be >= 0")
-    tables = stopping_tree_counts(max_len, max_letter, reference_p=1.0 - q)
-    good, tail, capped, live, pruned = tables._sums(
-        p, q, tables.good, tables.tail, tables.capped, tables.live,
-        tables.pruned)
+    tables = stopping_tree_counts(max_len, _alphabet(max_len, max_letter),
+                                  reference_p=1.0 - q)
+    good, tail, live, pruned = tables._sums(
+        p, q, tables.good, tables.tail, tables.live, tables.pruned)
     if q >= 1.0:
         return good, math.inf if p > 0.0 else 0.0
     # 1 - q rounded down covers the subtraction, and the rest is exact
     # rational arithmetic until the bound is rounded upward
     r = Fraction(p) / Fraction(math.nextafter(1.0 - q, 0.0))
     # a tail entry sits at q^(e + A); its letters beyond A weigh r q^A
-    unresolved_next = Fraction(tail) * r + Fraction(capped)
+    unresolved_next = Fraction(tail) * r
     unresolved_now = Fraction(live) + Fraction(pruned)
     if unresolved_now == 0 and unresolved_next == 0:
         return good, 0.0
@@ -310,13 +306,15 @@ def curve(
     Runs the enumeration once, collecting exact integer coefficients of
     the monomials p^n (1-p)^e, and evaluates the resulting polynomials at
     every grid point — the minimal-word sets do not depend on p, only the
-    weights do.  The lazy-law bound evaluates the same good counts with
-    word length n weighted by (1 - (1-p)^A)^(1 - n), and the first-moment
-    bound needs no counts, so neither costs another enumeration.  Every p
-    must lie in (0, 1] (p = 0 has no geometric letter law).  States past
-    the per-level cap of :mod:`infinitebin.enumeration` are pruned,
-    prioritised at the grid midpoint but frontier-accounted, so each
-    returned bracket is valid at its own p.
+    weights do.  Letters past A = min(max_letter, 16) are alphabet tail,
+    as in :func:`enumerate_minimal`.  The lazy-law bound evaluates the
+    same good counts with word length n weighted by (1 - (1-p)^A)^(1 - n),
+    and the first-moment bound needs no counts, so neither costs another
+    enumeration.  Every p must lie in (0, 1] (p = 0 has no geometric
+    letter law).  States past the per-level cap of
+    :mod:`infinitebin.enumeration` are pruned, prioritised at the grid
+    midpoint but frontier-accounted, so each returned bracket is valid at
+    its own p.
     """
     ps = [float(p) for p in p_grid]
     if not ps:
@@ -324,9 +322,10 @@ def curve(
     for p in ps:
         if not 0.0 < p <= 1.0:
             raise ValueError(f"grid edge density must be in (0, 1], got {p}")
+    A = _alphabet(max_len, max_letter)
     reference_p = 0.5 * (min(ps) + max(ps))
-    tables = stopping_tree_counts(max_len, max_letter, reference_p=reference_p)
-    bound = count_rounding_bound(max_len, max_letter)
+    tables = stopping_tree_counts(max_len, A, reference_p=reference_p)
+    bound = count_rounding_bound(max_len, A)
     n_range = np.arange(tables.good.shape[0])
     e_range = np.arange(tables.good.shape[1])
     rows = []
@@ -334,8 +333,7 @@ def curve(
         good, bad, frontier = tables.evaluate(p)
         q = 1.0 - p
         good_by_len = np.power(p, n_range) * (tables.good @ np.power(q, e_range))
-        lower, upper, _, _ = _ends(good, bad, good_by_len.tolist(),
-                                   q ** max_letter, p)
+        lower, upper, _, _ = _ends(good, bad, good_by_len.tolist(), q ** A, p)
         rows.append(CurveRow(
             p=p, lower=lower, upper=upper,
             good_mass=good, bad_mass=bad, frontier_mass=frontier,
@@ -345,11 +343,11 @@ def curve(
 
 
 def uniform_speed_terms(k: int, max_len: int) -> SpeedBracket:
-    """Bracket the uniform-law speed w_k; the alphabet is exactly 1..k.
+    """Bracket the uniform-law speed w_k.
 
-    With letters uniform on {1..k} there is no alphabet truncation, so the
-    frontier consists purely of words still unresolved at the length
-    bound.
+    For k <= 16 the alphabet is exactly 1..k, with no truncation, so the
+    frontier is purely words still unresolved at the length bound; past
+    16 the letters are alphabet tail (see :func:`enumerate_minimal`).
     """
     if k < 2:
         raise ValueError(f"uniform support bound must be >= 2, got {k}")

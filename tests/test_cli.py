@@ -157,17 +157,45 @@ def test_speed_record_names_the_bound_at_each_end(tmp_path, capsys, spec,
         assert params["upper"] == 1.0 - params["bad_mass"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["speed", "geom:0.5", "--len", "1"],
-    ["curve", "--grid", "0.5", "--len", "1"],
-])
-def test_huge_alphabet_is_refused_before_any_allocation(capsys, argv):
-    # an 8 TB pmf vector or count table: numpy refuses those at once, so
-    # a regression shows as an out-of-memory message, not as swapping
-    code, _, err = run_cli(capsys, *argv, "--max-letter", "1000000000000")
-    assert code == cli.EXIT_LIMIT
-    assert err.startswith("limit exceeded: max letter 1000000000000 ")
-    assert "--max-letter" in err
+@pytest.mark.parametrize("argv, field", [
+    (["speed", "geom:0.1", "--len", "3"], '"A": {}, '),
+    (["curve", "--grid", "0.1,0.5", "--len", "3"], ",3,{},"),
+], ids=["speed", "curve"])
+def test_huge_alphabet_runs_at_the_depth_cap(tmp_path, capsys, argv, field):
+    # letters past the depth cap of 16 are alphabet tail, so a bound of
+    # 10^12 does the work of 16 (an 8 TB pmf vector or count table would
+    # show as an out-of-memory exit) and differs only in the A it reports
+    outs = []
+    for max_letter in ("1000000000000", "16"):
+        path = tmp_path / f"{max_letter}.out"
+        code, _, err = run_cli(capsys, *argv, "--max-letter", max_letter,
+                               "--out", str(path))
+        assert (code, err) == (0, "")
+        outs.append(path.read_text())
+    assert field.format(10**12) in outs[0]
+    assert outs[0].replace(field.format(10**12), field.format(16)) == outs[1]
+
+
+@pytest.mark.parametrize("law, short", [
+    # the word (1,) is the only good word
+    (["geom:0.3", "--max-letter", "1"], "2"),
+    # every branch ends by length 22, and the lazy factors of the tail
+    # 1e-12 stay below the float ceiling far past 100,000
+    (["geom:0.9"], "1000"),
+], ids=["one-letter", "small-tail"])
+def test_long_length_bound_costs_only_the_words_it_has(tmp_path, law, short):
+    # The bracket at length bound 100,000 is the one at the short bound,
+    # and costs seconds.  A child process, so that the timeout stops a
+    # run that does not.
+    def ends(length):
+        path = tmp_path / f"{length}.json"
+        subprocess.run(
+            [sys.executable, "-m", "infinitebin.cli", "speed", *law,
+             "--len", length, "--out", str(path)],
+            capture_output=True, timeout=60, check=True)
+        params = json.loads(path.read_text())["params"]
+        return params["lower"], params["upper"]
+    assert ends("100000") == ends(short)
 
 
 def test_speed_dirac_two_exits_1(capsys):

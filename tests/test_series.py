@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -102,22 +103,42 @@ def test_walk_and_lumped_engines_agree_exactly():
             lumped = enumerate_minimal(mu, L, A)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
         assert walk.upper == pytest.approx(lumped.upper, abs=1e-13)
-
-
-def test_depth_cap_is_frontier_in_both_engines():
-    # Letters 17 and 18 need goodness vectors deeper than the depth cap.
-    mu, A = Geometric(0.3), 18
-    pmf = mu.pmf_vector(A)
-    for L in (1, 3):
+        # the good mass by word length, as the engines give it
+        pmf, tail = mu.pmf_vector(A), mu.tail(A)
         with patched(**EXACT):
-            lumped = stopping_tree_masses(pmf, mu.tail(A), L, A)
-        walk = walk_minimal_words(pmf, mu.tail(A), L, A, lambda *a: None)
-        assert lumped.frontier_capped == walk.frontier_capped > 0.0
-        if L == 1:
-            assert lumped.frontier_capped == pmf[17] + pmf[18]
-        for split in (lumped, walk):
-            total = split.good + split.bad + split.frontier
-            assert abs(total - 1.0) <= mass_rounding_bound(L, A)
+            splits = (stopping_tree_masses(pmf, tail, L, A),
+                      walk_minimal_words(pmf, tail, L, A, lambda *a: None))
+        lumped_by_len, walk_by_len = (s.good_by_len for s in splits)
+        assert len(lumped_by_len) == len(walk_by_len) == L + 1
+        assert lumped_by_len == pytest.approx(walk_by_len, abs=1e-13)
+        for split in splits:
+            assert math.fsum(split.good_by_len) == pytest.approx(split.good,
+                                                                 abs=1e-15)
+
+
+def test_letters_past_the_depth_cap_are_alphabet_tail():
+    # Letters 17 and 18 would need goodness vectors deeper than the depth
+    # cap, so at A = 18 both engines run A = 16 and price them as tail.
+    # Where they were frontier, A = 18 gave a lower end of 0.3 at L = 1
+    # and 0.3197770580169682 at L = 3.
+    mu = Geometric(0.3)
+    was = {1: 0.3, 3: 0.3197770580169682}
+    for L in (1, 3):
+        lumped = [enumerate_minimal(mu, L, A) for A in (18, 16)]
+        walk = [enumerate_minimal(mu, L, A, emit=lambda *a: None)
+                for A in (18, 16)]
+        for at_18, at_16 in (lumped, walk):
+            assert at_18.good_mass.hex() == at_16.good_mass.hex()
+            assert at_18.bad_mass.hex() == at_16.bad_mass.hex()
+            assert at_18.lower >= was[L]
+            assert at_18.params["A"] == 18
+        assert walk[0].frontier_capped == 0.0
+    pmf, tail = mu.pmf_vector(17), mu.tail(17)
+    for run in (lambda: stopping_tree_masses(pmf, tail, 3, 17),
+                lambda: walk_minimal_words(pmf, tail, 3, 17, lambda *a: None),
+                lambda: stopping_tree_counts(3, 17)):
+        with pytest.raises(ValueError, match="past the depth cap 16"):
+            run()
 
 
 def _count_tables_digest(tables) -> str:
@@ -142,10 +163,10 @@ PINNED_MASSES = [
      ("0x1.a5c2db1aef619p-1", "0x1.68f3cd08482dep-3", "0x1.8d17f497e820dp-20",
       "0x1.127f0f7a1c347p-23", "0x1.6ac812365603bp-20",
       "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
-    # depth cap
-    ((0.3, 3, 18, {}),
+    # at the depth cap, the largest alphabet
+    ((0.3, 3, 16, {}),
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
-      "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4ffp-3", "0x1.b86f546bfcd70p-9",
+      "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4ffp-3", "0x0.0p+0",
       "0x0.0p+0", 1253)),
     # pruning at a cap of 50,000
     ((0.5, 8, 8, {"_MAX_STATES": 50_000}),
@@ -164,18 +185,21 @@ PINNED_WALK = [
     ((Uniform(3), 7, 3),
      ("0x1.ef60ce0472b6dp-2", "0x1.db3e9fe5c7944p-2", "0x1.ab0490ae2da6bp-5",
       "0x0.0p+0", "0x1.ab0490ae2da6bp-5", "0x0.0p+0", "0x0.0p+0", 106)),
-    # depth cap
-    ((Geometric(0.3), 3, 18),
+    # at the depth cap
+    ((Geometric(0.3), 3, 16),
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
-      "0x1.a729b580d9d39p-9", "0x1.9d1bb5e4de4fep-3", "0x1.b86f546bfcd70p-9",
+      "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4fep-3", "0x0.0p+0",
       "0x0.0p+0", 135)),
 ]
 
 
 def _hex_fields(split) -> tuple:
+    # good_by_len was added after the pins; the engines are checked
+    # against each other on it in test_walk_and_lumped_engines_agree_exactly
     return tuple(
         v.hex() if isinstance(v, float) else v
-        for v in (getattr(split, f.name) for f in dataclasses.fields(split))
+        for v in (getattr(split, f.name) for f in dataclasses.fields(split)
+                  if f.name != "good_by_len")
     )
 
 
@@ -641,6 +665,10 @@ def test_lazy_lower_bound_matches_a_rational_oracle():
         exact = Fraction(4, 3) ** (n - 1)
         assert f <= exact and math.nextafter(f, math.inf) > exact
     assert _lazy_factors(0.0, L) == [1.0] * (L + 1)
+    # 4^(n - 1) is a float up to n = 512; later factors are held at the
+    # largest float
+    assert _lazy_factors(0.75, 600) == [4.0 ** (n - 1) for n in range(513)] \
+        + [sys.float_info.max] * 88
     # nu a point mass at 2 has no identity and no good words: no lazy bound
     blocked = enumerate_minimal(FiniteSupport([0.0, 0.5, 0.5]), 5, 2)
     assert blocked.lower_from == "good"

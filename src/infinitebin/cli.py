@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -139,7 +140,7 @@ def _parse_grid(text):
             raise _UsageError(
                 f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
         count = math.floor(span) + 1
-        return [round(start + i * step, 12) for i in range(count)]
+        return [float(f"{start + i * step:.12g}") for i in range(count)]
     try:
         return [float(x) for x in text.split(",")]
     except ValueError as exc:
@@ -204,22 +205,8 @@ def cmd_speed(args, out):
         bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
     sys.stdout.write(str(bracket) + "\n")
     if out is not None:
-        params = dict(bracket.params)
-        params.update(
-            lower=bracket.lower,
-            upper=bracket.upper,
-            lower_from=bracket.lower_from,
-            upper_from=bracket.upper_from,
-            good_mass=bracket.good_mass,
-            bad_mass=bracket.bad_mass,
-            frontier_mass=bracket.frontier_mass,
-            frontier_tail=bracket.frontier_tail,
-            frontier_live=bracket.frontier_live,
-            frontier_capped=bracket.frontier_capped,
-            pruned_mass=bracket.pruned_mass,
-            peak_states=bracket.peak_states,
-            rounding_bound=bracket.rounding_bound,
-        )
+        record = dataclasses.asdict(bracket)
+        params = {**record.pop("params"), **record}
         _write_record(
             out, "speed", mu.describe(), params,
             bracket.midpoint, 0.5 * bracket.width, None, None,

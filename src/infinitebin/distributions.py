@@ -2,7 +2,9 @@
 
 Each law exposes exact pmf/cdf/tail values and an inversion sampler that
 maps uniforms to letters (smallest j with cdf(j) >= u), so letter streams
-are a deterministic function of the underlying uniform stream.
+are a deterministic function of the underlying uniform stream.  A point
+mass (``Dirac``) is the one-letter finite law.  ``describe`` writes the
+spec that ``parse_mu`` reads back as the same law.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import numpy as np
 #: Geometric inversion saturates near this letter, since int64 cannot hold
 #: all the letters of p below about 1e-18; no bin process reaches it.
 _MAX_LETTER = float(1 << 62)
+
+
+def _num(x: float) -> str:
+    """x as ``:g`` if that reads back as x, else as repr: no digit lost."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 class MoveDistribution(ABC):
@@ -110,7 +118,7 @@ class Geometric(MoveDistribution):
         return j
 
     def describe(self) -> str:
-        return f"geom:{self.p:g}"
+        return f"geom:{_num(self.p)}"
 
 
 @dataclass(frozen=True)
@@ -139,31 +147,6 @@ class Uniform(MoveDistribution):
 
     def describe(self) -> str:
         return f"unif:{self.k}"
-
-
-@dataclass(frozen=True)
-class Dirac(MoveDistribution):
-    """Point mass at letter k."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("dirac letter must be >= 1")
-        object.__setattr__(self, "support_min", self.k)
-        object.__setattr__(self, "support_max", self.k)
-
-    def pmf(self, j: int) -> float:
-        return 1.0 if j == self.k else 0.0
-
-    def cdf(self, j: int) -> float:
-        return 1.0 if j >= self.k else 0.0
-
-    def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), self.k, dtype=np.int64)
-
-    def describe(self) -> str:
-        return f"dirac:{self.k}"
 
 
 def _letter_probs(probs) -> list:
@@ -236,13 +219,26 @@ class FiniteSupport(MoveDistribution):
 
     def describe(self) -> str:
         dense = [self._probs.get(j, 0.0) for j in range(1, self.support_max + 1)]
-        return "finite:" + ",".join(f"{q:g}" for q in dense)
+        return "finite:" + ",".join(map(_num, dense))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteSupport) and self._probs == other._probs
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._probs.items())))
+
+
+class Dirac(FiniteSupport):
+    """Point mass at letter k: ``FiniteSupport({k: 1.0})``, spelled dirac:k."""
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("dirac letter must be >= 1")
+        self.k = k
+        super().__init__({k: 1.0})
+
+    def describe(self) -> str:
+        return f"dirac:{self.k}"
 
 
 def parse_mu(spec: str) -> MoveDistribution:

@@ -224,11 +224,11 @@ def _runs(e: np.ndarray) -> tuple:
     return tuple(zip(starts, [*cuts, len(e)], e[starts].tolist()))
 
 
-def _record_sums(record, kind: str, n: int, e: np.ndarray, w: np.ndarray,
-                 scale: float = 1.0) -> None:
-    """Report the weight of rows w, summed per exponent run, times scale."""
+def _record_sums(record, kind: str, n: int, e: np.ndarray,
+                 w: np.ndarray) -> None:
+    """Report the weight of rows w, summed per exponent run."""
     for lo, hi, ek in _runs(e):
-        record(kind, n, ek, float(w[lo:hi].sum()) * scale)
+        record(kind, n, ek, float(w[lo:hi].sum()))
 
 
 def _append(pending: dict, depth: int, e: np.ndarray, rows: np.ndarray,

@@ -61,11 +61,14 @@ class SpeedBracket:
     :class:`~infinitebin.enumeration.MassSplit`).  ``peak_states`` is the
     most live states on one level before pruning, or the nodes the word
     walk expanded.  ``params`` records the law and the truncation bounds
-    that produced the bracket.
+    that produced the bracket.  The field order is the record's: ``speed
+    --out`` writes ``params`` and then every other field, in this order.
     """
 
     lower: float
     upper: float
+    lower_from: str
+    upper_from: str
     good_mass: float
     bad_mass: float
     frontier_mass: float
@@ -74,10 +77,8 @@ class SpeedBracket:
     frontier_capped: float
     pruned_mass: float
     peak_states: int
-    params: dict
     rounding_bound: float
-    lower_from: str
-    upper_from: str
+    params: dict
 
     @property
     def width(self) -> float:
@@ -175,6 +176,8 @@ def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
     return SpeedBracket(
         lower=lower,
         upper=upper,
+        lower_from=lower_from,
+        upper_from=upper_from,
         good_mass=split.good,
         bad_mass=split.bad,
         frontier_mass=split.frontier,
@@ -183,10 +186,8 @@ def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
         frontier_capped=split.frontier_capped,
         pruned_mass=split.pruned_mass,
         peak_states=split.peak_states,
-        params={"mu": mu.describe(), "L": L, "A": A},
         rounding_bound=mass_rounding_bound(L, A),
-        lower_from=lower_from,
-        upper_from=upper_from,
+        params={"mu": mu.describe(), "L": L, "A": A},
     )
 
 
@@ -255,8 +256,8 @@ def bivariate_D(
     at or above 2^53.  As in :func:`enumerate_minimal`, A is
     min(max_letter, 16) and letters past it are alphabet tail.
     """
-    if p < 0 or q < 0:
-        raise ValueError("monomial variables must be >= 0")
+    if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):  # nan fails too
+        raise ValueError("monomial variables must be finite and >= 0")
     tables = stopping_tree_counts(max_len, _alphabet(max_len, max_letter),
                                   reference_p=1.0 - q)
     good, tail, live, pruned = tables._sums(

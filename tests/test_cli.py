@@ -132,6 +132,22 @@ def test_speed_prints_bracket_and_record(tmp_path, capsys):
     assert params["peak_states"] > 0
 
 
+def test_speed_record_params_are_the_bracket_fields(tmp_path, capsys):
+    # the law is named with every digit it was computed with
+    out_path = tmp_path / "speed.json"
+    code, _, _ = run_cli(capsys, "speed", "geom:0.123456789", "--len", "4",
+                         "--max-letter", "4", "--out", str(out_path))
+    assert code == 0
+    record = json.loads(out_path.read_text())
+    assert record["mu"] == record["params"]["mu"] == "geom:0.123456789"
+    assert list(record["params"]) == [
+        "mu", "L", "A", "lower", "upper", "lower_from", "upper_from",
+        "good_mass", "bad_mass", "frontier_mass", "frontier_tail",
+        "frontier_live", "frontier_capped", "pruned_mass", "peak_states",
+        "rounding_bound",
+    ]
+
+
 @pytest.mark.parametrize("spec, max_letter, lower_from, upper_from", [
     ("geom:0.1", "6", "lazy", "first_moment"),
     ("geom:0.7", "6", "lazy", "bad"),
@@ -322,6 +338,10 @@ def test_grid_range_stops_at_stop():
     assert cli._parse_grid("0.1:0.96:0.1") == ninths  # no p = 1 past the stop
     assert cli._parse_grid("0.5:1.0:0.25") == [0.5, 0.75, 1.0]
     assert cli._parse_grid("0.5:0.5:0.1") == [0.5]
+    # 12 significant digits, not 12 decimal places
+    assert cli._parse_grid("1e-13:5e-13:1e-13") == [1e-13, 2e-13, 3e-13,
+                                                     4e-13, 5e-13]
+    assert cli._parse_grid("1.4e-12:1.4e-12:1") == [1.4e-12]
 
 
 @pytest.mark.parametrize("grid", [

@@ -55,6 +55,17 @@ def test_dirac_law():
         Dirac(0)
 
 
+def test_dirac_is_the_one_letter_finite_law():
+    assert Dirac(2) == FiniteSupport({2: 1.0})
+    assert hash(Dirac(2)) == hash(FiniteSupport({2: 1.0}))
+    assert Dirac(2) != Dirac(3)
+    u = np.array([[0.0, 0.25, 0.5], [0.75, 0.999, 1.0 - 2.0**-53]])
+    for k in (1, 2, 7):
+        letters = Dirac(k).letters_from_uniforms(u)
+        assert letters.dtype == np.int64 and letters.shape == (2, 3)
+        assert (letters == k).all()
+
+
 def test_finite_support_exact_and_normalized():
     mu = FiniteSupport([0.5, 0.25, 0.25])
     assert mu.pmf(2) == 0.25
@@ -149,6 +160,29 @@ def test_parse_mu_round_trips():
         parse_mu("zipf:2")
     with pytest.raises(ValueError):
         parse_mu("geom:1.5")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [
+    *(Geometric(p) for p in (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                             0.9, 1.0, 1e-12, 1e-320)),
+    Uniform(2), Uniform(3), Uniform(4), Uniform(7), Dirac(1), Dirac(2),
+    Dirac(3),
+    *(FiniteSupport(probs) for probs in (
+        [0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5],
+        [0.0, 0.5, 0.5], [0.5, 0.0, 0.5])),
+    Geometric(0.123456789), Geometric(0.30000000000000004),
+    FiniteSupport([1 / 3] * 3),
+], ids=lambda mu: mu.describe())
+def test_describe_round_trips(mu):
+    assert parse_mu(mu.describe()) == mu
+
+
+@pytest.mark.filterwarnings("error")
+def test_describe_round_trips_a_normalized_law():
+    with pytest.warns(UserWarning, match="normalizing"):
+        mu = parse_mu("finite:0.2,0.3,0.4995")
+    assert parse_mu(mu.describe()) == mu  # no second normalization
 
 
 def test_stream_determinism_and_separation():

@@ -15,7 +15,7 @@ from infinitebin import (
     tracker_run,
 )
 from infinitebin.core import _Evolver
-from infinitebin.distributions import FiniteSupport, Geometric
+from infinitebin.distributions import FiniteSupport, Geometric, parse_mu
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8).map(tuple)
 letters = st.integers(min_value=1, max_value=5)
@@ -148,3 +148,8 @@ def test_mass_identity_for_random_finite_laws(mu):
 def test_geometric_tail_matches_closed_form(p, j):
     mu = Geometric(p)
     assert abs(mu.tail(j) - (1.0 - p) ** j) <= 1e-12
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_geometric_describe_round_trips(p):
+    assert parse_mu(Geometric(p).describe()) == Geometric(p)

@@ -367,6 +367,9 @@ def test_bounds_validation():
     for p, q, L, A in [(0.5, 0.5, 0, 4), (0.5, 0.5, 4, 0), (0.5, 0.0, 4, -1)]:
         with pytest.raises(ValueError):
             bivariate_D(p, q, L, A)
+    for p, q in [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            bivariate_D(p, q, 4, 4)
     with pytest.raises(ValueError, match="pmf_vec must cover letters 1..A"):
         stopping_tree_masses(np.zeros(4), 0.0, 4, 4)
     with pytest.raises(ValueError, match="p must be in"):

@@ -35,17 +35,22 @@ and equal halves are tested on the packed bytes.
 Each level walks every depth once: ``_settle`` dedupes the level's (depth,
 e) buckets and hands each depth on as one group with a sorted per-row e
 column, whose states go through the letters together; their children are
-split back into (depth, e) buckets when stashed.
+split back into (depth, e) buckets when stashed.  Children still
+unresolved at the length bound are recorded as live as they are: nothing
+is stashed, merged or pruned at the last level.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), with A at most
 the depth cap of 16 on goodness vectors (``_DEPTH_CAP``; letter a needs
 depth a, and callers price letters past ``_alphabet(L, A)`` = min(A, 16)
-as tail), and three fixed constants: a cap of 10,000 live lumped states
-per level (``_MAX_STATES``; lowest weights dropped, deterministic tie
-handling), a birth-weight floor of 1e-18 below which children are not
-expanded (``_BIRTH_FLOOR``) and the walk's budget of 3,000,000 expanded
-nodes (``_NODE_BUDGET``).
+as tail), and four fixed constants.  Two prune the levels below L, the
+lightest states first, whichever drops more winning, with deterministic
+tie handling: a cap of 10,000 live lumped states per level
+(``_MAX_STATES``), and a width budget (``_PRUNE_SHARE``) that drops states
+while their weight stays within 2% / L of the weight projected to be live
+at L.  The others are a birth-weight floor of 1e-18 below which children
+are not expanded (``_BIRTH_FLOOR``) and the walk's budget of 3,000,000
+expanded nodes (``_NODE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -60,16 +65,19 @@ import numpy as np
 
 from infinitebin.words import BAD, GOOD, SizeLimitError
 
-#: Fixed resource bounds: live lumped states kept per level (the rest are
-#: frontier, "pruned"), the birth weight below which a child is not
-#: expanded (frontier, "capped"), the deepest goodness vector (so also the
-#: largest letter) and the explicit walk's budget of expanded nodes.
-#: Read at call time, so tests can patch them.  The state cap trades
-#: time for width.  Against a cap of 50,000, 10,000 widens geom:0.5 at
-#: the speed default L = A = 12 by 0.9% in a quarter of the time, and
-#: 5,000 by 2.9%; larger bounds pay more (4.2% at L = A = 14).  See
-#: BENCH_14.json.
+#: Fixed resource bounds: live lumped states kept per level and the share
+#: of the projected live weight the width budget may drop (what either
+#: drops is frontier, "pruned"), the birth weight below which a child is
+#: not expanded (frontier, "capped"), the deepest goodness vector (so also
+#: the largest letter) and the explicit walk's budget of expanded nodes.
+#: Read at call time, so tests can patch them.  Pruning trades time for
+#: width.  With the cap alone, 10,000 widened geom:0.5 at the speed
+#: default L = A = 12 by 0.9% against a cap of 50,000, in a quarter of the
+#: time (BENCH_14.json).  The budget then cuts the engine's time at
+#: L = A = 10 by 33% on geom:0.5 and 57% on geom:0.8, for 0.5% and 1.4%
+#: more width (2 vCPU Xeon; BENCH_25.json).
 _MAX_STATES = 10_000
+_PRUNE_SHARE = 0.02
 _BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
 _NODE_BUDGET = 3_000_000
@@ -77,9 +85,10 @@ _NODE_BUDGET = 3_000_000
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
 #: to 64 MiB of one letter's gathered bits (children stay packed).  Real
-#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 578
-#: such rows, and its 383 MB peak RSS is the pending states of a level
-#: (156,711 rows), whose number grows with ``_MAX_STATES``.
+#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 37
+#: such rows, and its 348 MB peak RSS is the pending states of a level
+#: (up to 156,536 rows, 82 MiB packed, before the dedupe copies them),
+#: whose number grows with ``_MAX_STATES``.
 _CHUNK_ROWS = 4096
 
 #: Record kinds of the unresolved (frontier) weight.
@@ -263,31 +272,54 @@ def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
         _append(pending, d, e, C, w)
 
 
-def _settle(pending: dict, q_ref: float, record, n: int):
-    """Dedupe the pending buckets, drop lowest-priority states over
-    ``_MAX_STATES`` and hand the rest on grouped by depth.
+def _settle(pending: dict, q_ref: float, record, n: int, L: int,
+            level_factor: float, kept: float):
+    """Dedupe the pending buckets of level n < L, drop the lightest states
+    and hand the rest on grouped by depth.
 
-    A state in bucket (depth, e) with weight w has priority w * q_ref**e,
-    which is its weight under Geometric(1 - q_ref) up to the level's common
-    factor (the raw weight when e = 0).  Dropped weight is reported as
-    ``record("pruned", n, e, weight)``, summed per e in bucket-key order.
-    Ties at the threshold are resolved deterministically in (depth, e,
-    row-byte) order.  Returns ({depth: (rows, weights, e)} in depth order,
-    with e the rows' sorted int32 exponent column; states before pruning;
-    states dropped).
+    A state in bucket (depth, e) with weight w has score w * q_ref**e, its
+    weight under Geometric(1 - q_ref) over the factor level_factor**n common
+    to the level (the raw weight when e = 0).  Two rules drop the lowest
+    scores, the one dropping more winning:
+
+    - the state cap keeps at most ``_MAX_STATES`` states;
+    - the width budget drops states while their summed score is at most
+      (``_PRUNE_SHARE`` / L) S rho**(L - n), where S is the level's summed
+      score, rho = min(1, level_factor S / kept) and ``kept`` the summed
+      score handed on at level n - 1, so that S rho**(L - n) projects the
+      weight still live at L.  A ``kept`` of 0 (as at n = 1) sets no budget.
+
+    Dropped weight is reported as ``record("pruned", n, e, weight)``, summed
+    per e in bucket-key order.  Ties at the threshold are resolved
+    deterministically in (depth, e, row-byte) order.  Returns ({depth:
+    (rows, weights, e)} in depth order, with e the rows' sorted int32
+    exponent column; states before pruning; states dropped; summed score
+    handed on).
     """
     buckets = {key: _dedupe(*map(np.concatenate, pending.pop(key)))
                for key in sorted(pending)}
-    total = sum(len(w) for _rows, w in buckets.values())
+    if not buckets:
+        return {}, 0, 0, 0.0
+    score = np.concatenate(
+        [w * q_ref ** e for (_d, e), (_rows, w) in buckets.items()])
+    total = len(score)
+    summed = float(score.sum())
+    budget = 0.0
+    if kept > 0.0:
+        rho = min(1.0, level_factor * summed / kept)
+        budget = _PRUNE_SHARE / L * summed * rho ** (L - n)
+    ranked = np.sort(score)
     n_drop = max(total - _MAX_STATES, 0)
+    if budget > 0.0:
+        n_drop = max(n_drop, int(np.searchsorted(np.cumsum(ranked), budget,
+                                                 side="right")))
     keep = np.ones(total, dtype=bool)
     if n_drop:
-        score = np.concatenate(
-            [w * q_ref ** e for (_d, e), (_rows, w) in buckets.items()])
-        thresh = np.partition(score, n_drop - 1)[n_drop - 1]
+        thresh = ranked[n_drop - 1]
         keep = score > thresh
         ties = np.flatnonzero(score == thresh)
-        keep[ties[: _MAX_STATES - np.count_nonzero(keep)]] = True
+        keep[ties[: total - n_drop - np.count_nonzero(keep)]] = True
+        summed = float(score[keep].sum())
     groups: dict = defaultdict(list)
     dropped: dict = {}
     lo = 0
@@ -303,7 +335,7 @@ def _settle(pending: dict, q_ref: float, record, n: int):
         record("pruned", n, e, w)
     # a depth with one bucket (every depth, for masses) is handed on uncopied
     return {d: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
-            for d, p in groups.items()}, total, n_drop
+            for d, p in groups.items()}, total, n_drop, summed
 
 
 @dataclass(frozen=True)
@@ -318,9 +350,14 @@ class MassSplit:
     - ``frontier_live``: still unresolved at the length bound;
     - ``frontier_capped``: child state not expanded, being lighter than the
       birth-weight floor (the lumped engine only);
-    - ``pruned_mass``: live states dropped by the state-count cap.
+    - ``pruned_mass``: live states dropped at a level below the length
+      bound, by the state-count cap or the width budget (the lumped
+      engine only).
 
-    ``good_by_len[n]`` is the good weight of words of length n, n = 0..L.
+    ``peak_states`` is the most live lumped states on one level below the
+    length bound, before pruning (0 when L = 1), or the nodes the word walk
+    expanded.  ``good_by_len[n]`` is the good weight of words of length n,
+    n = 0..L.
     """
 
     good: float
@@ -390,6 +427,7 @@ def _stopping_tree(
     record,
     *,
     q_ref: float,
+    level_factor: float,
 ) -> tuple:
     """The lumped stopping-tree level loop, in either weight algebra.
 
@@ -399,10 +437,13 @@ def _stopping_tree(
     e + ``tail_shift``.  Every piece of weight leaving the tree is reported
     as ``record(kind, n, e, weight)`` with n the word length and kind one
     of good, bad, tail, live, capped or pruned (the last four are
-    frontier).  Pruning ranks states by weight * q_ref**e.  Children
-    lighter than ``_BIRTH_FLOOR`` are capped, which no count ever is.
-    A is at most ``_DEPTH_CAP``, so every state fits under it.
-    Returns (peak live states per level before pruning, states pruned).
+    frontier).  Children unresolved at the length bound L are live as
+    they are: they are neither merged nor pruned.  Pruning ranks states by
+    weight * q_ref**e, which is the weight at the reference law over
+    ``level_factor``**n (see ``_settle``).  Children lighter than
+    ``_BIRTH_FLOOR`` are capped, which no count ever is.  A is at most
+    ``_DEPTH_CAP``, so every state fits under it.  Returns (most live
+    states on one level n < L before pruning, states pruned).
     """
     record("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
     pending: dict = {}
@@ -414,11 +455,14 @@ def _stopping_tree(
             record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
         elif w < _BIRTH_FLOOR:
             record("capped", 1, shifts[a], w)
+        elif L == 1:
+            record("live", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
             _stash(pending, np.full(1, shifts[a], dtype=np.int32), row,
                    np.array([w]), a)
-    groups, peak, pruned = _settle(pending, q_ref, record, 1)
+    groups, peak, pruned, kept = _settle(pending, q_ref, record, 1, L,
+                                         level_factor, 0.0)
 
     for level in range(2, L + 1):
         if not groups:
@@ -463,16 +507,19 @@ def _stopping_tree(
                     if b.any():
                         _record_sums(record, BAD, level, e2[b], cw[b])
                     keep = ~(g | b)
-                    if keep.all():
+                    if not keep.any():
+                        continue
+                    if not keep.all():
+                        e2, C, cw = e2[keep], C[keep], cw[keep]
+                    if level == L:
+                        _record_sums(record, "live", L, e2, cw)
+                    else:
                         _stash(pending, e2, C, cw, d2)
-                    elif keep.any():
-                        _stash(pending, e2[keep], C[keep], cw[keep], d2)
-        groups, total, n_pruned = _settle(pending, q_ref, record, level)
-        peak = max(peak, total)
-        pruned += n_pruned
-
-    for _rows, wts, es in groups.values():
-        _record_sums(record, "live", L, es, wts)
+        if level < L:
+            groups, total, n_pruned, kept = _settle(
+                pending, q_ref, record, level, L, level_factor, kept)
+            peak = max(peak, total)
+            pruned += n_pruned
     return peak, pruned
 
 
@@ -495,7 +542,7 @@ def stopping_tree_masses(
     tally = _MassTally()
     peak, _pruned = _stopping_tree(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
-        float(tail_mass), 0, L, A, tally.record, q_ref=1.0,
+        float(tail_mass), 0, L, A, tally.record, q_ref=1.0, level_factor=1.0,
     )
     return tally.split(L, peak)
 
@@ -599,7 +646,7 @@ def stopping_tree_counts(
 
     _peak, pruned_states = _stopping_tree(
         [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
-        q_ref=1.0 - reference_p,
+        q_ref=1.0 - reference_p, level_factor=reference_p,
     )
     return CountTables(**tables, pruned_states=pruned_states)
 

@@ -58,9 +58,10 @@ class SpeedBracket:
     bad_mass + frontier_mass`` is 1, and ``frontier_tail``,
     ``frontier_live``, ``frontier_capped`` and ``pruned_mass`` split
     ``frontier_mass`` by where it came from (see
-    :class:`~infinitebin.enumeration.MassSplit`).  ``peak_states`` is the
-    most live states on one level before pruning, or the nodes the word
-    walk expanded.  ``params`` records the law and the truncation bounds
+    :class:`~infinitebin.enumeration.MassSplit`); ``pruned_mass`` is the
+    weight the state cap and the width budget dropped below the length
+    bound.  ``peak_states`` is the most live states on one level below the
+    length bound before pruning, or the nodes the word walk expanded.  ``params`` records the law and the truncation bounds
     that produced the bracket.  The field order is the record's: ``speed
     --out`` writes ``params`` and then every other field, in this order.
     """

@@ -461,6 +461,24 @@ def test_simulate_out_of_memory_is_a_limit():
                            "law geom:1e-320\n")
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["curve", "--grid", "0.5"], "curve", "limit exceeded: out of memory\n"),
+    (["speed", "geom:0.5"], "enumerate_minimal",
+     "limit exceeded: out of memory under the letter law geom:0.5\n"),
+], ids=["curve", "speed"])
+def test_out_of_memory_is_a_limit(capsys, monkeypatch, argv, patched,
+                                  message):
+    # in process: a command with no letter law names none
+    monkeypatch.setattr(series, patched, _out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_LIMIT and out == ""
+    assert err == message
+
+
 def test_perfect_record_includes_histogram(tmp_path, capsys):
     out_path = tmp_path / "perfect.json"
     code, out, _ = run_cli(
@@ -600,15 +618,16 @@ def test_begraph_trajectory_record(tmp_path, capsys):
 def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # SHA-256 of the whole --out report: any change in the forward or
     # stationary replica statistics, or in the gates, shows here.  The
-    # report's brackets also pin the engine at the default state cap and
-    # at the earlier default of 50,000.
+    # report's brackets also pin the engine at its defaults and at the
+    # earlier default state cap of 50,000 with no width budget.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "716557d60680acbf257440d810fa5dbb052c9a4f422a98b8fc029280aae0cd2e"),
+        (None, "8f7cacc2df3de51514623f83497ff26e65514ccf9bf90e674da306ec764b03f5"),
         (50_000, "a245ecc8e86ac5ae317891b036b188121a88ea4da17299ece5d1360c7f0295f2"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)
+            monkeypatch.setattr(enumeration, "_PRUNE_SHARE", 0.0)
         code = cli.main(["verify", "--budget", "1s", "--seed", "0",
                          "--out", str(path)])
         capsys.readouterr()

@@ -33,7 +33,7 @@ from infinitebin.series import (
 )
 from infinitebin.words import SizeLimitError, classify
 
-EXACT = {"_MAX_STATES": 2_000_000, "_BIRTH_FLOOR": 0.0}
+EXACT = {"_MAX_STATES": 2_000_000, "_BIRTH_FLOOR": 0.0, "_PRUNE_SHARE": 0.0}
 
 
 @contextlib.contextmanager
@@ -151,33 +151,45 @@ def _count_tables_digest(tables) -> str:
 # Exact outputs of the lumped engine, the first three recorded before its
 # inner loop was rewritten on packed rows; any change in summation order or
 # pruning shows.  The cases recorded at the earlier default state cap of
-# 50,000 run at that cap.
+# 50,000 run at that cap.  The first five run with the width budget off, as
+# they were recorded; their live and pruned weight and peak moved when the
+# length bound stopped being settled.  The last two pin the defaults.
+NO_BUDGET = {"_PRUNE_SHARE": 0.0}
 PINNED_MASSES = [
     # pruning at _MAX_STATES = 300
-    ((0.5, 7, 7, {"_MAX_STATES": 300}),
+    ((0.5, 7, 7, {"_MAX_STATES": 300, **NO_BUDGET}),
      ("0x1.23c59fa000000p-1", "0x1.9c91bb1700000p-2", "0x1.be305a9000000p-6",
-      "0x1.de8cb8c120000p-7", "0x1.8a069ef600000p-7", "0x0.0p+0",
-      "0x1.3cd5d68e00000p-11", 1014)),
+      "0x1.de8cb8c120000p-7", "0x1.8d98f196e0000p-7", "0x0.0p+0",
+      "0x1.03b0ac8000000p-11", 1014)),
     # birth floor
-    ((0.8, 10, 10, {"_MAX_STATES": 50_000}),
+    ((0.8, 10, 10, {"_MAX_STATES": 50_000, **NO_BUDGET}),
      ("0x1.a5c2db1aef619p-1", "0x1.68f3cd08482dep-3", "0x1.8d17f497e820dp-20",
       "0x1.127f0f7a1c347p-23", "0x1.6ac812365603bp-20",
       "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
     # at the depth cap, the largest alphabet
-    ((0.3, 3, 16, {}),
+    ((0.3, 3, 16, NO_BUDGET),
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
-      "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4ffp-3", "0x0.0p+0",
-      "0x0.0p+0", 1253)),
+      "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4fep-3", "0x0.0p+0",
+      "0x0.0p+0", 120)),
     # pruning at a cap of 50,000
-    ((0.5, 8, 8, {"_MAX_STATES": 50_000}),
+    ((0.5, 8, 8, {"_MAX_STATES": 50_000, **NO_BUDGET}),
      ("0x1.2571d7d5f12c0p-1", "0x1.a5767e049690dp-2", "0x1.f4ba49f0e2e54p-7",
-      "0x1.e507f8f146f80p-8", "0x1.02364b1aaa34bp-7", "0x1.c600000000000p-56",
-      "0x1.2eca99d2c0000p-30", 82262)),
+      "0x1.e507f8f146f80p-8", "0x1.02364d783f686p-7", "0x1.c600000000000p-56",
+      "0x0.0p+0", 29390)),
     # pruning at the default cap, at the benchmark's bracket bounds
-    ((0.5, 10, 10, {}),
+    ((0.5, 10, 10, NO_BUDGET),
      ("0x1.270e472c49dcap-1", "0x1.ace60c33205d7p-2", "0x1.3f595d12fa573p-8",
-      "0x1.eab9c3bce7f34p-10", "0x1.87f963fecf2d4p-9", "0x0.0p+0",
-      "0x1.5c7448b187831p-17", 51210)),
+      "0x1.eab9c3bce7f34p-10", "0x1.88158934b4016p-9", "0x0.0p+0",
+      "0x1.404f12ccb36cap-17", 51046)),
+    # the width budget and the default cap
+    ((0.5, 10, 10, {}),
+     ("0x1.270dafdcdba88p-1", "0x1.ace13661e43c7p-2", "0x1.40da79191ca89p-8",
+      "0x1.eab4c1ee2558ep-10", "0x1.86c3c8f0e6e3ap-9", "0x0.0p+0",
+      "0x1.65b2128ff0402p-15", 35296)),
+    ((0.8, 10, 10, {}),
+     ("0x1.a5c2dae7a77dcp-1", "0x1.68f3cafbe6503p-3", "0x1.92caf771809cfp-20",
+      "0x1.127f0ec58f713p-23", "0x1.69f1e171abaddp-20", "0x0.0p+0",
+      "0x1.a24d09c8c03c0p-26", 2233)),
 ]
 
 # Exact outputs of the explicit word walk, recorded the same way.
@@ -218,27 +230,51 @@ def test_engine_outputs_are_pinned():
         tables = stopping_tree_counts(7, 7)
     assert tables.good.shape == (8, 50)
     assert _count_tables_digest(tables) == (
-        "3a6e68ad093a4ff202307494f7736dd36623dff3d46ec5851d2167b5400d1710")
-    assert tables.pruned_states == 2919
+        "5b0e062c47759042fb4214a6a39a11c16d31decf8a7323f4abb8fc7b9847ee82")
+    assert tables.pruned_states == 1956
     # pruning at an inexact reference (q_ref ** e rounds), as on curve grids
     with patched(_MAX_STATES=300):
         tables = stopping_tree_counts(7, 7, reference_p=0.3)
     assert _count_tables_digest(tables) == (
-        "092f15401bac9ac1a5a98c66674d70e0f2422ce47c90675cf1f6c19ebfcf0af3")
-    assert tables.pruned_states == 2999
+        "cab25067182f4cc1a878f35fedf64273f2e169f466b89996b8fb92621ed5ae89")
+    assert tables.pruned_states == 2027
     # pruning at a cap of 50,000
-    with patched(_MAX_STATES=50_000):
+    with patched(_MAX_STATES=50_000, **NO_BUDGET):
         tables = stopping_tree_counts(8, 8)
     assert tables.good.shape == (9, 65)
     assert _count_tables_digest(tables) == (
         "de63fcd3f50a1f2639ada91e9b3c11450e75ef1dece7b09d455d61c13c913520")
-    assert tables.pruned_states == 132520
+    assert tables.pruned_states == 13703
     # pruning at the default cap
-    tables = stopping_tree_counts(8, 8)
+    with patched(**NO_BUDGET):
+        tables = stopping_tree_counts(8, 8)
     assert tables.good.shape == (9, 65)
     assert _count_tables_digest(tables) == (
         "b2b1e3c871bf5ff8e3df13ea9cfb5c05b0f1f4a8398cdcaba36a5a1af3b9114f")
-    assert tables.pruned_states == 63001
+    assert tables.pruned_states == 35000
+    # the width budget, which drops more than either cap here
+    for cap in (10_000, 50_000):
+        with patched(_MAX_STATES=cap):
+            tables = stopping_tree_counts(8, 8)
+        assert _count_tables_digest(tables) == (
+            "21c8f23760c208f92e9f45e57927d3ca6e59236355f8db5ddae479de672aaf08")
+        assert tables.pruned_states == 16376
+
+
+def test_budget_off_keeps_the_good_weight_by_length():
+    # The good weight by word length of the pinned cases that run with the
+    # width budget off, as it was before the budget and before the length
+    # bound stopped being settled, bit for bit.
+    digest = hashlib.sha256()
+    for (p, L, A, caps), _expected in PINNED_MASSES:
+        if caps.get("_PRUNE_SHARE") == 0.0:
+            mu = Geometric(p)
+            with patched(**caps):
+                split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
+            digest.update(" ".join(map(float.hex, split.good_by_len)).encode()
+                          + b"\n")
+    assert digest.hexdigest() == (
+        "a5c8e2ef89154edcd8300b026e93ac3729d13139a8a231776fa97495a0644f29")
 
 
 def test_walk_emit_order_is_pinned():
@@ -474,10 +510,10 @@ def test_curve_matches_direct_enumeration_when_exact():
 
 def test_counts_in_rationals_are_an_exact_oracle_for_masses():
     # At L = A = 7 nothing is pruned (the counts engine only at a cap of
-    # 50,000), so the integer coefficients of p^n (1-p)^e evaluated in
-    # exact rationals split the whole stopping tree, with no rounding
-    # anywhere.
-    with patched(_MAX_STATES=50_000):
+    # 50,000, both with the width budget off), so the integer coefficients
+    # of p^n (1-p)^e evaluated in exact rationals split the whole stopping
+    # tree, with no rounding anywhere.
+    with patched(_MAX_STATES=50_000, **NO_BUDGET):
         tables = stopping_tree_counts(7, 7)
     assert tables.pruned_states == 0
     bound = mass_rounding_bound(7, 7)
@@ -490,7 +526,8 @@ def test_counts_in_rationals_are_an_exact_oracle_for_masses():
                              for c, i, j in zip(counts, n, e)))
         assert sum(exact) == 1, p
         mu = Geometric(float(p))
-        split = stopping_tree_masses(mu.pmf_vector(7), mu.tail(7), 7, 7)
+        with patched(**NO_BUDGET):
+            split = stopping_tree_masses(mu.pmf_vector(7), mu.tail(7), 7, 7)
         assert split.pruned_mass == 0.0
         for got, want in zip((split.good, split.bad, split.frontier), exact):
             assert abs(Fraction(got) - want) <= bound, (p, got, float(want))
@@ -548,11 +585,72 @@ def test_state_cap_pruning_keeps_brackets_certified():
 
 def test_state_cap_costs_little_width():
     # At the speed command's default bounds the default cap must prune
-    # only a small share of the bracket width (0.013 at a cap of 10,000).
+    # only a small share of the bracket width (0.017 with the cap of 10,000
+    # and the width budget; 0.013 with the cap alone).
     mu, L, A = Geometric(0.5), 12, 12
     split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
     assert split.pruned_mass > 0.0
     assert split.pruned_mass <= 0.02 * split.frontier
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8])
+def test_width_budget_costs_little_width(p):
+    # At the benchmark's bounds, where the budget drops more states than
+    # the cap, pruning stays a small share of the bracket width.
+    mu, L, A = Geometric(p), 10, 10
+    split = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
+    with patched(**NO_BUDGET):
+        capped_only = stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
+    assert split.peak_states < capped_only.peak_states
+    assert 0.0 < split.pruned_mass <= 0.02 * split.frontier
+
+
+def test_width_budget_keeps_brackets_certified():
+    grid = [0.3, 0.5, 0.7]
+    with patched(**EXACT):
+        exact = {p: enumerate_minimal(Geometric(p), 8, 8) for p in (0.5, 0.8)}
+        exact_rows = curve(grid, 7, 7)
+    for cap in (enumeration._MAX_STATES, 2_000_000):  # the budget alone
+        with patched(_MAX_STATES=cap):
+            brackets = [enumerate_minimal(Geometric(p), 8, 8) for p in exact]
+            rows = curve(grid, 7, 7)
+            assert stopping_tree_counts(7, 7, reference_p=0.5).pruned_states
+        for cut, full in [*zip(brackets, exact.values()),
+                          *zip(rows, exact_rows)]:
+            slack = cut.rounding_bound
+            assert cut.lower <= full.lower + slack
+            assert full.upper <= cut.upper + slack
+            total = cut.good_mass + cut.bad_mass + cut.frontier_mass
+            assert abs(total - 1.0) <= slack
+        assert all(b.pruned_mass > 0.0 for b in brackets)
+
+
+def test_nothing_is_pruned_at_the_length_bound(monkeypatch):
+    # Children unresolved at the length bound are live as they are, in
+    # both weight algebras: pruned records come only from shorter levels.
+    seen = []
+    run = enumeration._stopping_tree
+
+    def spy(*args, **kwargs):
+        *head, record = args
+
+        def recording(kind, n, e, w):
+            seen.append((kind, n))
+            record(kind, n, e, w)
+
+        return run(*head, recording, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_stopping_tree", spy)
+    mu, L = Geometric(0.5), 7
+    for engine in (lambda: stopping_tree_masses(mu.pmf_vector(L), mu.tail(L),
+                                                L, L),
+                   lambda: stopping_tree_counts(L, L)):
+        seen.clear()
+        with patched(_MAX_STATES=300):
+            engine()
+        pruned = {n for kind, n in seen if kind == "pruned"}
+        assert pruned and max(pruned) < L
+        assert {n for kind, n in seen if kind == "live"} == {L}
 
 
 def test_birth_floor_keeps_brackets_certified():
@@ -719,7 +817,7 @@ def test_low_p_bounds_tighten_the_curve():
     # bounds move the ends at p <= 0.2, and only the lazy one at 0.3
     rows = curve([0.1, 0.2, 0.3, 0.9], 10, 10)
     got = [(round(r.lower, 4), round(r.upper, 4)) for r in rows[:3]]
-    assert got == [(0.1188, 0.2387), (0.2495, 0.4233), (0.3755, 0.4715)]
+    assert got == [(0.1185, 0.2387), (0.2493, 0.4233), (0.3754, 0.4734)]
     for row in rows[:3]:
         assert row.upper - row.lower < row.frontier_mass
 

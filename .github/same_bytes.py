@@ -21,8 +21,10 @@ import tempfile
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: Point masses, the bracket engines (word walk and store included), the
-#: curve, both samplers with a horizon failure (exit 3), and verify at
-#: both thread counts; each command also gets ``--out out``.
+#: curve (once pruned across about 90 exponents), the birth floor on
+#: letters stacked at the depth cap, both samplers with a horizon failure
+#: (exit 3), and verify at both thread counts; each command also gets
+#: ``--out out``.
 PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed dirac:1 --len 4",
@@ -30,6 +32,8 @@ PANEL = (
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
     "speed geom:0.5 --len 6 --max-letter 6 --store store",
     "curve --grid 0.1:0.9:0.1",
+    "curve --grid 0.05:0.95:0.05 --len 12 --max-letter 8",
+    "speed geom:0.8 --len 10 --max-letter 16",
     "simulate dirac:1 --steps 10000",
     "simulate dirac:2 --steps 10000",
     "perfect dirac:1 -K 3 --estimate",

@@ -32,12 +32,14 @@ whose 8 placements map to one byte-aligned run of the parent is copied
 from the parent's packed row, and only the other bytes are gathered bit by
 bit from the unpacked parent and packed.  Good (all true), bad (none true)
 and equal halves are tested on the packed bytes.
-Each level walks every depth once: ``_settle`` dedupes the level's (depth,
-e) buckets and hands each depth on as one group with a sorted per-row e
-column, whose states go through the letters together; their children are
-split back into (depth, e) buckets when stashed.  Children still
-unresolved at the length bound are recorded as live as they are: nothing
-is stashed, merged or pruned at the last level.
+Each level walks every depth once.  A state carries its monomial exponent
+e (always 0 for masses) in a per-row column beside its weight, and each
+depth keeps one pending list of rows, weights and exponents.  ``_settle``
+dedupes each depth with one sort keyed on (e, row bytes) and hands it on
+in that order; the letters that map a depth's states to one child depth
+go through classification and stashing together, letter-major.  Children
+still unresolved at the length bound are recorded as live as they are:
+nothing is stashed, merged or pruned at the last level.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), with A at most
@@ -84,11 +86,13 @@ _NODE_BUDGET = 3_000_000
 
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
-#: to 64 MiB of one letter's gathered bits (children stay packed).  Real
-#: depth-16 chunks are smaller: geom:0.5 at L=10, A=16 has at most 37
-#: such rows, and its 348 MB peak RSS is the pending states of a level
-#: (up to 156,536 rows, 82 MiB packed, before the dedupe copies them),
-#: whose number grows with ``_MAX_STATES``.
+#: to 64 MiB of one letter's gathered bits.  Children stay packed, stacked
+#: over the letters that share a child depth in batches of at most 4 MiB
+#: (``_batch_rows``; one letter's 8 MiB when a full depth-16 chunk
+#: overflows it).  Real depth-16 chunks are smaller: geom:0.5 at L=10,
+#: A=16 has at most 37 such rows, and its 348 MB peak RSS is the pending
+#: states of a level (up to 156,536 rows, 82 MiB packed, before the dedupe
+#: copies them), whose number grows with ``_MAX_STATES``.
 _CHUNK_ROWS = 4096
 
 #: Record kinds of the unresolved (frontier) weight.
@@ -122,23 +126,32 @@ def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
     return diffs @ (1 << np.arange(dst_depth - 1, dtype=np.int64))
 
 
-def _dedupe(packed: np.ndarray, weights: np.ndarray):
-    """Merge identical packed rows, summing weights (byte-order output)."""
+def _dedupe(packed: np.ndarray, weights: np.ndarray, e: np.ndarray):
+    """Merge packed rows equal in bytes and in exponent ``e``, summing their
+    weights in input order.  Returns (rows, sums, e) in (e, byte) order."""
     if packed.shape[0] <= 1:
-        return packed, weights
+        return packed, weights, e
     nbytes = packed.shape[1]
-    if nbytes in (1, 2, 4, 8):
-        # big-endian unsigned integers order exactly as their bytes
-        keys = packed.view(f">u{nbytes}").ravel().astype(f"u{nbytes}")
+    if nbytes <= 32:
+        # stable radix passes over big-endian 16-bit digits (bytes, at an
+        # odd width), which order as the bytes; past 32 bytes one void sort
+        # is faster
+        digits = packed if nbytes % 2 else packed.view(">u2")
+        order = np.lexsort((*digits.T[::-1], e))
     else:
-        keys = packed.view(f"V{nbytes}").ravel()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    )
-    sums = np.add.reduceat(weights[order], starts)
-    return packed[order[starts]], sums
+        order = np.argsort(packed.view(f"V{nbytes}").ravel(), kind="stable")
+        order = order[np.argsort(e[order], kind="stable")]
+    sorted_e = e[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_e[1:], sorted_e[:-1], out=new[1:])
+    # compare neighbours an eighth of a row at a time: no sorted copy
+    for column in packed.view(f"V{max(1, nbytes // 8)}").T:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new)
+    return (packed[order[starts]], np.add.reduceat(weights[order], starts),
+            sorted_e[starts])
 
 
 class _RunPlan(NamedTuple):
@@ -223,39 +236,21 @@ def _first_half(C: np.ndarray, depth: int) -> np.ndarray:
     return C & np.uint8((0xFF << (8 - half)) & 0xFF)
 
 
-def _runs(e: np.ndarray) -> tuple:
-    """(lo, hi, exponent) runs of a sorted exponent column; one run when its
-    first and last entries agree, as always in the mass algebra."""
-    if e[0] == e[-1]:
-        return ((0, len(e), int(e[0])),)
-    cuts = (np.flatnonzero(e[1:] != e[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return tuple(zip(starts, [*cuts, len(e)], e[starts].tolist()))
-
-
-def _record_sums(record, kind: str, n: int, e: np.ndarray,
-                 w: np.ndarray) -> None:
-    """Report the weight of rows w, summed per exponent run."""
-    for lo, hi, ek in _runs(e):
-        record(kind, n, ek, float(w[lo:hi].sum()))
-
-
 def _append(pending: dict, depth: int, e: np.ndarray, rows: np.ndarray,
             w: np.ndarray) -> None:
-    """Append rows of one depth to the pending (depth, e) buckets."""
-    for lo, hi, ek in _runs(e):
-        bucket = pending.setdefault((depth, ek), ([], []))
-        bucket[0].append(rows[lo:hi])
-        bucket[1].append(w[lo:hi])
+    """Append rows of one depth to its pending rows, weights and exponents."""
+    for column, part in zip(pending.setdefault(depth, ([], [], [])),
+                            (rows, w, e)):
+        column.append(part)
 
 
 def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
            depth: int) -> None:
-    """Depth-reduce packed rows and append them to the pending buckets.
+    """Depth-reduce packed rows and append them to the pending depths.
 
-    Buckets are keyed (depth, e), with e the state's monomial exponent
-    (always 0 in the mass algebra); ``e`` holds the rows' exponents as a
-    sorted int32 column, split into runs on appending.
+    Each depth keeps its rows, weights and exponents (e, the state's
+    monomial exponent, always 0 in the mass algebra) as lists of pieces in
+    append order, which ``_settle`` concatenates.
     """
     d = depth
     while d > 1 and C.shape[0]:
@@ -272,15 +267,67 @@ def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
         _append(pending, d, e, C, w)
 
 
-def _settle(pending: dict, q_ref: float, record, n: int, L: int,
-            level_factor: float, kept: float):
-    """Dedupe the pending buckets of level n < L, drop the lightest states
-    and hand the rest on grouped by depth.
+def _width(depth: int) -> int:
+    """Bytes of a packed goodness vector of depth ``depth``."""
+    return max(1, 1 << (depth - 1) >> 3)
 
-    A state in bucket (depth, e) with weight w has score w * q_ref**e, its
-    weight under Geometric(1 - q_ref) over the factor level_factor**n common
-    to the level (the raw weight when e = 0).  Two rules drop the lowest
-    scores, the one dropping more winning:
+
+def _batch_rows(width: int) -> int:
+    """Rows of ``width`` packed bytes in one batch of 4 MiB (``_CHUNK_ROWS``
+    rows of 1 KiB), the most that one stack of children or one sorted run
+    of states holds.  At 8 MiB, stopping_tree_counts(13, 16) peaked at
+    233-245 MB RSS, above the 217 MB of one sort per (depth, e); at 4 MiB,
+    at 205 MB (2 vCPU Xeon)."""
+    return max(1, (_CHUNK_ROWS << 10) // width)
+
+
+def _deduped_runs(pieces: tuple):
+    """Dedupe one depth's pending (rows, weights, e) pieces into runs of
+    states in (e, row-byte) order, freeing the pieces as they are copied.
+
+    One sort covers the depth unless its rows pass ``_batch_rows``, which
+    only wide rows of many exponents do; such a depth is cut where the
+    running row count by e crosses a multiple of it, and each run of
+    consecutive exponents is sorted alone, so no copy of the depth's rows
+    is made whole.
+    """
+    rows, ws, es = pieces
+    ends = np.cumsum([len(x) for x in es]).tolist()
+    e = np.concatenate(es)
+    es.clear()
+    counts = np.cumsum(np.bincount(e))
+    cuts = np.flatnonzero(np.diff(counts // _batch_rows(rows[0].shape[1])))
+    if not len(cuts):
+        packed, w = np.concatenate(rows), np.concatenate(ws)
+        rows.clear()
+        ws.clear()
+        yield _dedupe(packed, w, e)
+        return
+    bins: list = [[] for _ in range(len(cuts) + 1)]
+    for lo, hi in zip([0, *ends], ends):  # split each piece by run
+        piece = rows.pop(0), ws.pop(0), e[lo:hi]
+        run = np.searchsorted(cuts, piece[2], side="left")
+        for j in np.unique(run).tolist():
+            at = run == j
+            bins[j].append([column[at] for column in piece])
+    del e
+    for j, part in enumerate(bins):
+        bins[j] = None
+        yield _dedupe(*map(np.concatenate, zip(*part)))
+
+
+def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
+            level_factor: float, kept: float):
+    """Dedupe the pending depths of level n < L, drop the lightest states
+    and hand the rest on as runs of one depth each.
+
+    Each depth is deduped on (e, row bytes) in one sort (see
+    ``_deduped_runs``), and the depths go in increasing order.  A state of
+    exponent e with weight w has score w * ``q_pow``[e], with
+    ``q_pow``[e] = q_ref**e, its weight under Geometric(1 - q_ref) over the
+    factor level_factor**n common to the level (the raw weight when
+    e = 0).  Two rules drop the lowest scores, the one dropping more
+    winning:
 
     - the state cap keeps at most ``_MAX_STATES`` states;
     - the width budget drops states while their summed score is at most
@@ -289,19 +336,17 @@ def _settle(pending: dict, q_ref: float, record, n: int, L: int,
       score handed on at level n - 1, so that S rho**(L - n) projects the
       weight still live at L.  A ``kept`` of 0 (as at n = 1) sets no budget.
 
-    Dropped weight is reported as ``record("pruned", n, e, weight)``, summed
-    per e in bucket-key order.  Ties at the threshold are resolved
-    deterministically in (depth, e, row-byte) order.  Returns ({depth:
-    (rows, weights, e)} in depth order, with e the rows' sorted int32
-    exponent column; states before pruning; states dropped; summed score
-    handed on).
+    Dropped weight is added to the tally as "pruned" at n, the runs'
+    totals summed in order.  Ties at the threshold are resolved
+    deterministically in (depth, e, row-byte) order.  Returns ([(depth,
+    rows, weights, e)] in that order; states before pruning; states
+    dropped; summed score handed on).
     """
-    buckets = {key: _dedupe(*map(np.concatenate, pending.pop(key)))
-               for key in sorted(pending)}
-    if not buckets:
-        return {}, 0, 0, 0.0
-    score = np.concatenate(
-        [w * q_ref ** e for (_d, e), (_rows, w) in buckets.items()])
+    runs = [(d, *run) for d in sorted(pending)
+            for run in _deduped_runs(pending.pop(d))]
+    if not runs:
+        return [], 0, 0, 0.0
+    score = np.concatenate([w * q_pow[e] for _d, _rows, w, e in runs])
     total = len(score)
     summed = float(score.sum())
     budget = 0.0
@@ -313,29 +358,26 @@ def _settle(pending: dict, q_ref: float, record, n: int, L: int,
     if budget > 0.0:
         n_drop = max(n_drop, int(np.searchsorted(np.cumsum(ranked), budget,
                                                  side="right")))
-    keep = np.ones(total, dtype=bool)
-    if n_drop:
-        thresh = ranked[n_drop - 1]
-        keep = score > thresh
-        ties = np.flatnonzero(score == thresh)
-        keep[ties[: total - n_drop - np.count_nonzero(keep)]] = True
-        summed = float(score[keep].sum())
-    groups: dict = defaultdict(list)
-    dropped: dict = {}
+    if not n_drop:
+        return runs, total, 0, summed
+    thresh = ranked[n_drop - 1]
+    keep = score > thresh
+    ties = np.flatnonzero(score == thresh)
+    keep[ties[: total - n_drop - np.count_nonzero(keep)]] = True
+    summed = float(score[keep].sum())
+    groups, dropped = [], []
     lo = 0
-    for (d, e), (rows, w) in buckets.items():
+    for d, rows, w, e in runs:
         k = keep[lo : lo + len(w)]
         lo += len(w)
         if not k.all():
-            dropped[e] = dropped.get(e, 0.0) + float(w[~k].sum())
-            rows, w = rows[k], w[k]
+            drop = ~k
+            dropped.append(tally.total(e[drop], w[drop]))
+            rows, w, e = rows[k], w[k], e[k]
         if len(w):
-            groups[d].append((rows, w, np.full(len(w), e, dtype=np.int32)))
-    for e, w in dropped.items():
-        record("pruned", n, e, w)
-    # a depth with one bucket (every depth, for masses) is handed on uncopied
-    return {d: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
-            for d, p in groups.items()}, total, n_drop, summed
+            groups.append((d, rows, w, e))
+    tally.add("pruned", n, sum(dropped))
+    return groups, total, n_drop, summed
 
 
 @dataclass(frozen=True)
@@ -372,15 +414,34 @@ class MassSplit:
 
 
 class _MassTally:
-    """The weight pieces the mass engines report as ``record(kind, n, e,
-    w)``, by kind and word length n.  Every sum is exactly rounded, so it
-    does not depend on the order of the pieces."""
+    """The weight pieces the mass engines report, by kind and word length
+    n.  Every sum is exactly rounded, so it does not depend on the order of
+    the pieces.
+
+    The lumped loop's weight algebra is a tally: ``total(e, w)`` is the
+    summed weight of rows w at exponents e (here a float; the exponents are
+    all 0), ``add(kind, n, x)`` reports such a total, and ``record(kind, n,
+    e, w, ends)`` reports rows w as one piece per letter segment, the
+    segments ending at ``ends``.
+    """
 
     def __init__(self):
         self.pieces: dict = defaultdict(list)
 
-    def record(self, kind: str, n: int, e: int, w: float) -> None:
-        self.pieces[kind, n].append(w)
+    @staticmethod
+    def total(e: np.ndarray, w: np.ndarray) -> float:
+        return float(w.sum())
+
+    def add(self, kind: str, n: int, x: float) -> None:
+        self.pieces[kind, n].append(x)
+
+    def record(self, kind: str, n: int, e: np.ndarray, w: np.ndarray,
+               ends) -> None:
+        lo = 0
+        for hi in ends:
+            if hi > lo:
+                self.add(kind, n, float(w[lo:hi].sum()))
+            lo = hi
 
     def split(self, L: int, peak_states: int) -> MassSplit:
         def total(*kinds):  # 0.0 for a kind never recorded
@@ -417,6 +478,27 @@ def _check_bounds(L: int, A: int, pmf_vec=None) -> None:
         raise ValueError("pmf_vec must cover letters 1..A")
 
 
+def _letter_batches(d: int, A: int, rows: int):
+    """(child depth, letters) batches for a chunk of ``rows`` depth-d states.
+
+    Letters below d all map a depth-d state to depth d - 1, so they go
+    through together, letter-major, in batches whose packed children fit
+    in ``_batch_rows``; each later letter a maps to depth a.
+    """
+    if d > 1:
+        per = max(1, _batch_rows(_width(d - 1)) // rows)
+        for lo in range(1, d, per):
+            yield d - 1, range(lo, min(lo + per, d))
+    for a in range(d, A + 1):
+        yield a, (a,)
+
+
+def _ends(mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Segment ends of the rows that ``mask`` selects, given the segment
+    ends of all rows."""
+    return np.cumsum(mask)[ends - 1]
+
+
 def _stopping_tree(
     weights: list,
     shifts: list,
@@ -424,7 +506,7 @@ def _stopping_tree(
     tail_shift: int,
     L: int,
     A: int,
-    record,
+    tally,
     *,
     q_ref: float,
     level_factor: float,
@@ -434,90 +516,112 @@ def _stopping_tree(
     Prepending letter a multiplies a state's weight by ``weights[a]`` and
     adds ``shifts[a]`` to its exponent e; a branch that needs a letter
     beyond A is worth its weight times ``tail_weight`` at exponent
-    e + ``tail_shift``.  Every piece of weight leaving the tree is reported
-    as ``record(kind, n, e, weight)`` with n the word length and kind one
-    of good, bad, tail, live, capped or pruned (the last four are
-    frontier).  Children unresolved at the length bound L are live as
-    they are: they are neither merged nor pruned.  Pruning ranks states by
-    weight * q_ref**e, which is the weight at the reference law over
-    ``level_factor``**n (see ``_settle``).  Children lighter than
-    ``_BIRTH_FLOOR`` are capped, which no count ever is.  A is at most
-    ``_DEPTH_CAP``, so every state fits under it.  Returns (most live
-    states on one level n < L before pruning, states pruned).
+    e + ``tail_shift``.  Every piece of weight leaving the tree goes to
+    ``tally`` (see ``_MassTally``) at its word length n, as one of good,
+    bad, tail, live, capped or pruned (the last four are frontier): the
+    rows of one chunk's letters as one ``record`` call per kind, with one
+    segment per letter, and the per-level sums of live states (tail) and of
+    dropped states (pruned) as ``add`` calls.  Children unresolved at the
+    length bound L are live as they are: they are neither merged nor
+    pruned.  Pruning ranks states by weight * q_ref**e, which is the weight
+    at the reference law over ``level_factor``**n (see ``_settle``).
+    Children lighter than ``_BIRTH_FLOOR`` are capped, which no count ever
+    is.  A is at most ``_DEPTH_CAP``, so every state fits under it.
+    Returns (most live states on one level n < L before pruning, states
+    pruned).
     """
-    record("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
+    q_pow = np.array([q_ref ** k for k in range(L * max(shifts) + 1)])
+
+    def root(kind, n, e, w):  # a piece of the empty word's children
+        tally.record(kind, n, np.full(1, e, dtype=np.uint16), np.full(1, w),
+                     (1,))
+
+    root("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
     pending: dict = {}
     for a in range(1, A + 1):
         w = weights[a]
         if w <= 0.0:
             continue
         if a == 1:
-            record(GOOD, 1, shifts[a], w)  # (1) advances from every placement
+            root(GOOD, 1, shifts[a], w)  # (1) advances from every placement
         elif w < _BIRTH_FLOOR:
-            record("capped", 1, shifts[a], w)
+            root("capped", 1, shifts[a], w)
         elif L == 1:
-            record("live", 1, shifts[a], w)
+            root("live", 1, shifts[a], w)
         else:  # (a) advances exactly from the flat placement (pattern 0)
             row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
-            _stash(pending, np.full(1, shifts[a], dtype=np.int32), row,
+            _stash(pending, np.full(1, shifts[a], dtype=np.uint16), row,
                    np.array([w]), a)
-    groups, peak, pruned, kept = _settle(pending, q_ref, record, 1, L,
+    groups, peak, pruned, kept = _settle(pending, q_pow, tally, 1, L,
                                          level_factor, 0.0)
 
     for level in range(2, L + 1):
         if not groups:
             break
-        live: dict = {}
-        for _rows, wts, es in groups.values():
-            for lo, hi, e in _runs(es):
-                live[e] = live.get(e, 0.0) + float(wts[lo:hi].sum())
-        for e, w in live.items():
-            record("tail", level - 1, e + tail_shift, w * tail_weight)
+        live = sum(tally.total(es + tail_shift, wts)
+                   for _d, _rows, wts, es in groups)
+        tally.add("tail", level - 1, live * tail_weight)
         pending = {}
-        for d in list(groups):
-            rows, wts, es = groups.pop(d)
+        groups.reverse()
+        while groups:  # each run is freed once gone through
+            d, rows, wts, es = groups.pop()
             for lo in range(0, rows.shape[0], _CHUNK_ROWS):
                 P = rows[lo : lo + _CHUNK_ROWS]
                 wc = wts[lo : lo + _CHUNK_ROWS]
                 ec = es[lo : lo + _CHUNK_ROWS]
                 V = np.unpackbits(P, axis=1, count=1 << (d - 1))
-                for a in range(1, A + 1):
-                    w = weights[a]
-                    if w <= 0.0:
+                for d2, letters in _letter_batches(d, A, P.shape[0]):
+                    letters = [a for a in letters if weights[a] > 0.0]
+                    if not letters:
                         continue
-                    d2 = max(a, d - 1, 1)
-                    e2 = ec + shifts[a]
-                    cw = wc * w
-                    Pa, Va = P, V
+                    # the batch's children, letter-major: rows of letter
+                    # letters[i] end at ends[i]
+                    cw = np.multiply.outer([weights[a] for a in letters],
+                                           wc).ravel()
+                    e2 = np.add.outer(np.array([shifts[a] for a in letters],
+                                               dtype=np.uint16), ec).ravel()
+                    ends = np.arange(1, len(letters) + 1) * len(wc)
                     alive = cw >= _BIRTH_FLOOR
                     if not alive.all():
                         dead = ~alive
-                        _record_sums(record, "capped", level, e2[dead], cw[dead])
-                        if not alive.any():
+                        tally.record("capped", level, e2[dead], cw[dead],
+                                     _ends(dead, ends))
+                        ends = _ends(alive, ends)
+                        cw, e2 = cw[alive], e2[alive]
+                        if not len(cw):
                             continue
-                        cw, Pa, Va = cw[alive], P[alive], V[alive]
-                        e2 = e2[alive]
-                    plan = _run_plan(d2, a, d)
-                    C = _children(Pa, Va, plan)
+                    C = np.empty((len(cw), _width(d2)), dtype=np.uint8)
+                    start = 0
+                    for i, a in enumerate(letters):
+                        end = ends[i]
+                        if end > start:
+                            Pa, Va = P, V
+                            if end - start < len(wc):
+                                at = alive[i * len(wc) : (i + 1) * len(wc)]
+                                Pa, Va = P[at], V[at]
+                            plan = _run_plan(d2, a, d)
+                            C[start:end] = _children(Pa, Va, plan)
+                        start = end
                     words = _words(C)
                     g = (words == plan.ones).all(axis=1)
                     b = ~words.any(axis=1)
                     if g.any():
-                        _record_sums(record, GOOD, level, e2[g], cw[g])
+                        tally.record(GOOD, level, e2[g], cw[g], _ends(g, ends))
                     if b.any():
-                        _record_sums(record, BAD, level, e2[b], cw[b])
+                        tally.record(BAD, level, e2[b], cw[b], _ends(b, ends))
                     keep = ~(g | b)
                     if not keep.any():
                         continue
                     if not keep.all():
+                        ends = _ends(keep, ends)
                         e2, C, cw = e2[keep], C[keep], cw[keep]
                     if level == L:
-                        _record_sums(record, "live", L, e2, cw)
+                        tally.record("live", L, e2, cw, ends)
                     else:
                         _stash(pending, e2, C, cw, d2)
         if level < L:
             groups, total, n_pruned, kept = _settle(
-                pending, q_ref, record, level, L, level_factor, kept)
+                pending, q_pow, tally, level, L, level_factor, kept)
             peak = max(peak, total)
             pruned += n_pruned
     return peak, pruned
@@ -542,7 +646,7 @@ def stopping_tree_masses(
     tally = _MassTally()
     peak, _pruned = _stopping_tree(
         [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
-        float(tail_mass), 0, L, A, tally.record, q_ref=1.0, level_factor=1.0,
+        float(tail_mass), 0, L, A, tally, q_ref=1.0, level_factor=1.0,
     )
     return tally.split(L, peak)
 
@@ -616,6 +720,28 @@ def count_rounding_bound(L: int, A: int) -> float:
     return 4.0 * (L + E + 64) * eps
 
 
+class _CountTally:
+    """The count algebra's tally (see ``_MassTally``): a total is a row of
+    summed counts by exponent e, and each call adds one such row to the
+    table of its kind.  Counts are integers below 2^53, so every sum is
+    exact, in any order."""
+
+    def __init__(self, L: int, E: int):
+        # no "capped" table: a capped count would fail here loudly
+        self.tables = {kind: np.zeros((L + 1, E + 1))
+                       for kind in (GOOD, BAD, "tail", "live", "pruned")}
+
+    def total(self, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(e, weights=w, minlength=self.tables[GOOD].shape[1])
+
+    def add(self, kind: str, n: int, x: np.ndarray) -> None:
+        self.tables[kind][n] += x
+
+    def record(self, kind: str, n: int, e: np.ndarray, w: np.ndarray,
+               ends) -> None:
+        self.add(kind, n, self.total(e, w))
+
+
 def stopping_tree_counts(
     L: int,
     A: int,
@@ -624,8 +750,8 @@ def stopping_tree_counts(
 ) -> CountTables:
     """Enumerate once, recording integer monomial coefficients.
 
-    States carry their accumulated exponent e = sum(letter - 1) in the
-    bucket key, and weights are word *counts* (exact in float64; guarded
+    States carry their accumulated exponent e = sum(letter - 1) in a
+    per-row column, and weights are word *counts* (exact in float64; guarded
     by requiring A^L < 2^53).  Pruning priority uses the reference p so a
     single pass serves a whole p-grid; whatever is pruned is still
     frontier-accounted at its own (n, e), keeping every evaluated bracket
@@ -636,19 +762,12 @@ def stopping_tree_counts(
         raise SizeLimitError(
             f"word counts up to {A}^{L} exceed exact float64 integers"
         )
-    E = L * (A - 1) + A
-    # no "capped" table: a capped count would fail here loudly
-    tables = {kind: np.zeros((L + 1, E + 1))
-              for kind in (GOOD, BAD, "tail", "live", "pruned")}
-
-    def record(kind, n, e, w):
-        tables[kind][n, e] += w
-
+    tally = _CountTally(L, L * (A - 1) + A)
     _peak, pruned_states = _stopping_tree(
-        [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, record,
+        [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, tally,
         q_ref=1.0 - reference_p, level_factor=reference_p,
     )
-    return CountTables(**tables, pruned_states=pruned_states)
+    return CountTables(**tally.tables, pruned_states=pruned_states)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +795,7 @@ def walk_minimal_words(
     """
     _check_bounds(L, A, pmf_vec)
     tally = _MassTally()
-    tally.record("tail", 0, 0, float(tail_mass))
+    tally.add("tail", 0, float(tail_mass))
     expanded = 0
     stack: list = []
     for a in range(1, A + 1):
@@ -685,7 +804,7 @@ def walk_minimal_words(
             continue
         if a == 1:  # resolves immediately: all-true
             emit((1,), GOOD, w)
-            tally.record(GOOD, 1, 0, w)
+            tally.add(GOOD, 1, w)
         else:  # popped last-pushed first: births walk from letter A down
             v = np.zeros(1 << (a - 1), dtype=bool)
             v[0] = True
@@ -694,7 +813,7 @@ def walk_minimal_words(
     while stack:
         word, d, v, w = stack.pop()
         if len(word) >= L:
-            tally.record("live", L, 0, w)
+            tally.add("live", L, w)
             continue
         expanded += 1
         if expanded > _NODE_BUDGET:
@@ -703,7 +822,7 @@ def walk_minimal_words(
                 f"nodes at length-bound {L}, alphabet {A}; use the lumped "
                 f"bracket engine for bounds this large"
             )
-        tally.record("tail", len(word), 0, w * tail_mass)
+        tally.add("tail", len(word), w * tail_mass)
         children = []
         for a in range(1, A + 1):
             wa = float(pmf_vec[a])
@@ -718,11 +837,11 @@ def walk_minimal_words(
             true = bits.count(1)
             if true == len(bits):
                 emit(cword, GOOD, cw)
-                tally.record(GOOD, len(cword), 0, cw)
+                tally.add(GOOD, len(cword), cw)
                 continue
             if not true:
                 emit(cword, BAD, cw)
-                tally.record(BAD, len(cword), 0, cw)
+                tally.add(BAD, len(cword), cw)
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)

@@ -259,6 +259,11 @@ def test_engine_outputs_are_pinned():
         assert _count_tables_digest(tables) == (
             "21c8f23760c208f92e9f45e57927d3ca6e59236355f8db5ddae479de672aaf08")
         assert tables.pruned_states == 16376
+    # the curve benchmark's own count pass, at the default cap and budget
+    tables = stopping_tree_counts(10, 10)
+    assert _count_tables_digest(tables) == (
+        "637c29ea37a7c94c63dbc0700b9446898875a7abeee098d16d4891858ecc2d30")
+    assert tables.pruned_states == 170185
 
 
 def test_budget_off_keeps_the_good_weight_by_length():
@@ -356,12 +361,37 @@ def test_dedupe_merges_rows_in_byte_order(nbytes):
     rows = gen.integers(0, 4, size=(300, nbytes), dtype=np.uint8)
     rows[:, 1:] *= 85  # few distinct rows, and bytes above 0x7f
     weights = gen.random(300)
-    packed, sums = enumeration._dedupe(rows, weights)
+    packed, sums, e = enumeration._dedupe(rows, weights,
+                                          np.zeros(300, dtype=np.uint16))
     assert [bytes(r) for r in packed] == sorted(set(map(bytes, rows)))
+    assert not e.any() and len(e) == len(packed)
     order = np.argsort(rows.view(f"V{nbytes}").ravel(), kind="stable")
     starts = np.flatnonzero(np.concatenate(
         ([True], (rows[order][1:] != rows[order][:-1]).any(axis=1))))
     assert np.array_equal(sums, np.add.reduceat(weights[order], starts))
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 9, 16, 64])
+def test_dedupe_merges_rows_per_exponent(nbytes):
+    # One sort per depth: rows merge only within an exponent, come out in
+    # (e, memcmp) order, and carry bit for bit the weights of a dedupe run
+    # on each exponent's rows alone (64 bytes takes the void sort).
+    gen = np.random.default_rng(100 + nbytes)
+    pool = gen.integers(0, 256, size=(12, nbytes), dtype=np.uint8)
+    pool[1:4, :-1] = pool[0, :-1]  # rows differing only in the last byte
+    rows = pool[gen.integers(0, 12, size=600)]
+    e = gen.choice(np.array([0, 3, 7, 211], dtype=np.uint16), size=600)
+    weights = gen.random(600)
+    packed, sums, e_out = enumeration._dedupe(rows, weights, e)
+    keys = [(int(k), bytes(r)) for k, r in zip(e_out, packed)]
+    assert keys == sorted(set(zip(e.tolist(), map(bytes, rows))))
+    assert len(keys) < 100  # many (e, row) pairs repeat
+    for k in np.unique(e):
+        at = e == k
+        alone_rows, alone_sums, _e = enumeration._dedupe(rows[at], weights[at],
+                                                         e[at])
+        assert np.array_equal(packed[e_out == k], alone_rows)
+        assert sums[e_out == k].tobytes() == alone_sums.tobytes()
 
 
 def test_walk_past_node_budget_is_a_size_limit(monkeypatch, tmp_path):
@@ -632,13 +662,16 @@ def test_nothing_is_pruned_at_the_length_bound(monkeypatch):
     run = enumeration._stopping_tree
 
     def spy(*args, **kwargs):
-        *head, record = args
+        # every piece of every kind reaches the tally through its add
+        *head, tally = args
+        add = tally.add
 
-        def recording(kind, n, e, w):
+        def recording(kind, n, x):
             seen.append((kind, n))
-            record(kind, n, e, w)
+            add(kind, n, x)
 
-        return run(*head, recording, **kwargs)
+        tally.add = recording
+        return run(*head, tally, **kwargs)
 
     monkeypatch.setattr(enumeration, "_stopping_tree", spy)
     mu, L = Geometric(0.5), 7

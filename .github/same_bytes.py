@@ -3,9 +3,8 @@
 Runs each command of ``PANEL`` in a fresh process and its own temporary
 directory, once against this checkout's ``src`` and once against
 OTHER_SRC, and compares the exit codes, stdout, stderr and the bytes of
-every file the command leaves behind: its ``--out`` record and, for
-``speed --store``, the word store.  Prints each command that differs, with
-what differs, and exits 1 if any does.  A change that should keep every
+every file the command leaves behind: its ``--out`` record.  Prints each
+command that differs, with what differs, and exits 1 if any does.  A change that should keep every
 output byte runs it against the parent commit's tree:
 
     git worktree add ../parent HEAD^1
@@ -20,17 +19,15 @@ import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Point masses, the bracket engines (word walk and store included), the
-#: curve (once pruned across about 90 exponents), the birth floor on
-#: letters stacked at the depth cap, both samplers with a horizon failure
-#: (exit 3), and verify at both thread counts; each command also gets
-#: ``--out out``.
+#: Point masses, the bracket engine, the curve (once pruned across about
+#: 90 exponents), the birth floor on letters stacked at the depth cap, both
+#: samplers with a horizon failure (exit 3), and verify at both thread
+#: counts; each command also gets ``--out out``.
 PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed dirac:1 --len 4",
     "speed dirac:2 --len 4",
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
-    "speed geom:0.5 --len 6 --max-letter 6 --store store",
     "curve --grid 0.1:0.9:0.1",
     "curve --grid 0.05:0.95:0.05 --len 12 --max-letter 8",
     "speed geom:0.8 --len 10 --max-letter 16",
@@ -49,7 +46,6 @@ PANEL = (
 def _run(src: pathlib.Path, command: str) -> dict:
     """Exit code, stdout, stderr and left files of one command."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("INFINITEBIN_WORD_STORE", None)
     with tempfile.TemporaryDirectory() as tmp:
         done = subprocess.run(
             [sys.executable, "-m", "infinitebin.cli", *command.split(),

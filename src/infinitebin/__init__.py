@@ -66,7 +66,6 @@ from infinitebin.begraph import (
     fk_coupling_trajectory,
     longest_path,
 )
-from infinitebin.store import WordStore, WordStoreRecord
 
 __version__ = "0.1.0"
 
@@ -110,7 +109,5 @@ __all__ = [
     "longest_path",
     "estimate_C",
     "fk_coupling_trajectory",
-    "WordStore",
-    "WordStoreRecord",
     "__version__",
 ]

@@ -33,7 +33,6 @@ from infinitebin import begraph, series, simulate, words
 from infinitebin.core import MINIMAL_CONFIG, Configuration
 from infinitebin.distributions import parse_mu
 from infinitebin.simulate import CouplingHorizonError
-from infinitebin.store import WordStore, WordStoreRecord, default_store_path
 from infinitebin.words import SizeLimitError
 
 EXIT_OK = 0
@@ -165,12 +164,7 @@ def _parse_budget(text):
 
 def cmd_classify(args, out):
     word = _parse_word(args.word)
-    path = args.store if args.store is not None else default_store_path()
-    if path:
-        with WordStore(path) as store:
-            result = store.classify(word)
-    else:
-        result = words.classify(word)
+    result = words.classify(word)
     verdict = result.verdict
     if result.minimal is True:
         verdict += ", minimal"
@@ -194,15 +188,7 @@ def cmd_classify(args, out):
 
 def cmd_speed(args, out):
     mu = parse_mu(args.mu)
-    if args.store:  # only when asked: collecting words runs the word walk
-        with WordStore(args.store) as store:
-            def emit(word, verdict, _weight):
-                store.add(WordStoreRecord(word=tuple(word), verdict=verdict,
-                                          minimal=True))
-            bracket = series.enumerate_minimal(mu, args.len, args.max_letter,
-                                               emit=emit)
-    else:
-        bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
+    bracket = series.enumerate_minimal(mu, args.len, args.max_letter)
     sys.stdout.write(str(bracket) + "\n")
     if out is not None:
         record = dataclasses.asdict(bracket)
@@ -442,9 +428,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", parents=[out],
                        help="classify one word (comma-separated letters)")
     p.add_argument("word", help="e.g. 2,3,2,2")
-    p.add_argument("--store", type=str, default=None,
-                   help="word-classification cache path "
-                        "(default $INFINITEBIN_WORD_STORE)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("speed", parents=[out],
@@ -455,9 +438,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-letter", type=int, default=12,
                    help="maximum letter (default 12); letters past 16, the "
                         "depth cap, are priced as alphabet tail")
-    p.add_argument("--store", type=str, default=None,
-                   help="collect the minimal words into this path (runs "
-                        "the word walk, which has a node budget)")
     p.set_defaults(func=cmd_speed)
 
     p = sub.add_parser("curve", parents=[out],

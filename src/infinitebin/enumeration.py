@@ -9,15 +9,11 @@ speed, one minus accumulated bad mass an upper bound, and everything not
 resolved within the resource bounds is accounted to a *frontier* bucket so
 that good + bad + frontier = 1 exactly (up to floating-point rounding).
 
-Two engines share the transition algebra:
-
-- one lumped level loop over goodness-vector states, which merges all
-  words with identical future behaviour and scales to lengths where the
-  word tree itself is astronomically large, run in two weight algebras:
-  float letter masses (`stopping_tree_masses`) and exact integer
-  coefficients of p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`);
-- an explicit depth-first walk (`walk_minimal_words`), the emitting engine
-  for modest bounds and the cross-check of the lumped loop.
+One lumped level loop over goodness-vector states merges all words with
+identical future behaviour, so it scales to lengths where the word tree
+itself is astronomically large.  It runs in two weight algebras: float
+letter masses (`stopping_tree_masses`) and exact integer coefficients of
+p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`).
 
 Goodness-vector state: a live word w of horizon d is represented by the
 boolean vector of its per-placement outcomes over the 2^(d-1) test
@@ -45,14 +41,13 @@ Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), with A at most
 the depth cap of 16 on goodness vectors (``_DEPTH_CAP``; letter a needs
 depth a, and callers price letters past ``_alphabet(L, A)`` = min(A, 16)
-as tail), and four fixed constants.  Two prune the levels below L, the
+as tail), and three fixed constants.  Two prune the levels below L, the
 lightest states first, whichever drops more winning, with deterministic
 tie handling: a cap of 10,000 live lumped states per level
 (``_MAX_STATES``), and a width budget (``_PRUNE_SHARE``) that drops states
 while their weight stays within 2% / L of the weight projected to be live
-at L.  The others are a birth-weight floor of 1e-18 below which children
-are not expanded (``_BIRTH_FLOOR``) and the walk's budget of 3,000,000
-expanded nodes (``_NODE_BUDGET``).
+at L.  The third is a birth-weight floor of 1e-18 below which children are
+not expanded (``_BIRTH_FLOOR``).
 """
 
 from __future__ import annotations
@@ -70,8 +65,8 @@ from infinitebin.words import BAD, GOOD, SizeLimitError
 #: Fixed resource bounds: live lumped states kept per level and the share
 #: of the projected live weight the width budget may drop (what either
 #: drops is frontier, "pruned"), the birth weight below which a child is
-#: not expanded (frontier, "capped"), the deepest goodness vector (so also
-#: the largest letter) and the explicit walk's budget of expanded nodes.
+#: not expanded (frontier, "capped") and the deepest goodness vector (so
+#: also the largest letter).
 #: Read at call time, so tests can patch them.  Pruning trades time for
 #: width.  With the cap alone, 10,000 widened geom:0.5 at the speed
 #: default L = A = 12 by 0.9% against a cap of 50,000, in a quarter of the
@@ -82,7 +77,6 @@ _MAX_STATES = 10_000
 _PRUNE_SHARE = 0.02
 _BIRTH_FLOOR = 1e-18
 _DEPTH_CAP = 16
-_NODE_BUDGET = 3_000_000
 
 #: Rows unpacked per chunk when streaming a depth group through transitions.
 #: At _DEPTH_CAP (2^15 columns) a full chunk is 128 MiB unpacked, plus up
@@ -391,15 +385,13 @@ class MassSplit:
       (includes the root term: first letter beyond A);
     - ``frontier_live``: still unresolved at the length bound;
     - ``frontier_capped``: child state not expanded, being lighter than the
-      birth-weight floor (the lumped engine only);
+      birth-weight floor;
     - ``pruned_mass``: live states dropped at a level below the length
-      bound, by the state-count cap or the width budget (the lumped
-      engine only).
+      bound, by the state-count cap or the width budget.
 
     ``peak_states`` is the most live lumped states on one level below the
-    length bound, before pruning (0 when L = 1), or the nodes the word walk
-    expanded.  ``good_by_len[n]`` is the good weight of words of length n,
-    n = 0..L.
+    length bound, before pruning (0 when L = 1).  ``good_by_len[n]`` is the
+    good weight of words of length n, n = 0..L.
     """
 
     good: float
@@ -414,7 +406,7 @@ class MassSplit:
 
 
 class _MassTally:
-    """The weight pieces the mass engines report, by kind and word length
+    """The weight pieces the mass engine reports, by kind and word length
     n.  Every sum is exactly rounded, so it does not depend on the order of
     the pieces.
 
@@ -768,88 +760,3 @@ def stopping_tree_counts(
         q_ref=1.0 - reference_p, level_factor=reference_p,
     )
     return CountTables(**tally.tables, pruned_states=pruned_states)
-
-
-# ---------------------------------------------------------------------------
-# explicit word walk (streams resolved leaves)
-# ---------------------------------------------------------------------------
-
-
-def walk_minimal_words(
-    pmf_vec: np.ndarray,
-    tail_mass: float,
-    L: int,
-    A: int,
-    emit,
-) -> MassSplit:
-    """Depth-first walk over individual words, emitting resolved leaves.
-
-    Same accounting as stopping_tree_masses but without state merging, so
-    each minimal word is visited once and handed to ``emit(word, verdict,
-    weight)`` in deterministic order: the word (1,) first, then depth-first
-    over first letters A down to 2, each later letter prepended in
-    increasing order.  Raises SizeLimitError past its fixed node budget
-    (see the module docstring) — the walk is for bounds where the word
-    tree itself is tractable; use the lumped engines otherwise.  An A past
-    ``_DEPTH_CAP`` raises ValueError.
-    """
-    _check_bounds(L, A, pmf_vec)
-    tally = _MassTally()
-    tally.add("tail", 0, float(tail_mass))
-    expanded = 0
-    stack: list = []
-    for a in range(1, A + 1):
-        w = float(pmf_vec[a])
-        if w <= 0.0:
-            continue
-        if a == 1:  # resolves immediately: all-true
-            emit((1,), GOOD, w)
-            tally.add(GOOD, 1, w)
-        else:  # popped last-pushed first: births walk from letter A down
-            v = np.zeros(1 << (a - 1), dtype=bool)
-            v[0] = True
-            stack.append(((a,), a, v, w))
-
-    while stack:
-        word, d, v, w = stack.pop()
-        if len(word) >= L:
-            tally.add("live", L, w)
-            continue
-        expanded += 1
-        if expanded > _NODE_BUDGET:
-            raise SizeLimitError(
-                f"word walk exceeded its budget of {_NODE_BUDGET} expanded "
-                f"nodes at length-bound {L}, alphabet {A}; use the lumped "
-                f"bracket engine for bounds this large"
-            )
-        tally.add("tail", len(word), w * tail_mass)
-        children = []
-        for a in range(1, A + 1):
-            wa = float(pmf_vec[a])
-            if wa <= 0.0:
-                continue
-            d2 = max(a, d - 1, 1)
-            child = v[image_table(d2, a, d)]
-            cw = w * wa
-            cword = (a,) + word
-            # one byte per pattern: a count classifies, slices compare
-            bits = child.tobytes()
-            true = bits.count(1)
-            if true == len(bits):
-                emit(cword, GOOD, cw)
-                tally.add(GOOD, len(cword), cw)
-                continue
-            if not true:
-                emit(cword, BAD, cw)
-                tally.add(BAD, len(cword), cw)
-                continue
-            while d2 > 1:
-                half = 1 << (d2 - 2)
-                if bits[:half] != bits[half:]:
-                    break
-                bits = bits[:half]
-                d2 -= 1
-            children.append((cword, d2, child[: len(bits)], cw))
-        stack.extend(reversed(children))
-
-    return tally.split(L, expanded)

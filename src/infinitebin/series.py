@@ -39,7 +39,6 @@ from infinitebin.enumeration import (
     mass_rounding_bound,
     stopping_tree_counts,
     stopping_tree_masses,
-    walk_minimal_words,
 )
 
 
@@ -61,9 +60,10 @@ class SpeedBracket:
     :class:`~infinitebin.enumeration.MassSplit`); ``pruned_mass`` is the
     weight the state cap and the width budget dropped below the length
     bound.  ``peak_states`` is the most live states on one level below the
-    length bound before pruning, or the nodes the word walk expanded.  ``params`` records the law and the truncation bounds
-    that produced the bracket.  The field order is the record's: ``speed
-    --out`` writes ``params`` and then every other field, in this order.
+    length bound before pruning.  ``params`` records the law and the
+    truncation bounds that produced the bracket.  The field order is the
+    record's: ``speed --out`` writes ``params`` and then every other
+    field, in this order.
     """
 
     lower: float
@@ -196,7 +196,6 @@ def enumerate_minimal(
     mu: MoveDistribution,
     max_len: int,
     max_letter: int,
-    emit=None,
 ) -> SpeedBracket:
     """Bracket the speed by enumerating minimal words up to the bounds.
 
@@ -204,14 +203,10 @@ def enumerate_minimal(
     max_len; everything beyond is frontier mass (bracket width).  Letters
     past 16 would need goodness vectors deeper than the depth cap of
     :mod:`infinitebin.enumeration`, so they are alphabet tail like letters
-    past max_letter; ``params["A"]`` keeps max_letter.  With ``emit``
-    given, an explicit depth-first walk visits each resolved minimal word
-    once and calls ``emit(word, verdict, weight)`` — exact but
-    exponential, so it raises SizeLimitError past the walk's node budget;
-    without ``emit`` a lumped state engine is used, which reaches much
-    larger bounds, prunes states past the per-level cap and does not
-    expand children below the birth floor.  Every cut weight is frontier
-    mass; the fixed bounds are listed in :mod:`infinitebin.enumeration`.
+    past max_letter; ``params["A"]`` keeps max_letter.  The lumped state
+    engine prunes states past the per-level cap and does not expand
+    children below the birth floor.  Every cut weight is frontier mass;
+    the fixed bounds are listed in :mod:`infinitebin.enumeration`.
     The good mass by word length gives the lazy-law bound, which raises
     ``lower`` when mu has mass past A; for Geometric(p) laws the
     first-moment bound may lower ``upper`` (see :class:`SpeedBracket`).
@@ -226,10 +221,7 @@ def enumerate_minimal(
     A = _alphabet(max_len, max_letter)
     pmf_vec = mu.pmf_vector(A)
     tail = mu.tail(A)
-    if emit is not None:
-        split = walk_minimal_words(pmf_vec, tail, max_len, A, emit)
-    else:
-        split = stopping_tree_masses(pmf_vec, tail, max_len, A)
+    split = stopping_tree_masses(pmf_vec, tail, max_len, A)
     # where nu, mu on 1..A, is a point mass at a letter >= 2 it has no
     # speed identity, but no good words either, so the lazy bound is 0
     return _bracket(split, tail, mu, max_len, max_letter)

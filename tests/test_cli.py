@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import pathlib
 import subprocess
 import sys
 
@@ -11,12 +10,6 @@ import pytest
 
 from infinitebin import begraph, cli, enumeration, rng, series, simulate
 from infinitebin.distributions import parse_mu
-from infinitebin.store import STORE_PATH_ENV, WordStore
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    monkeypatch.delenv(STORE_PATH_ENV, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -75,31 +68,6 @@ def test_classify_writes_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "1,2", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text() == out
-
-
-def test_classify_uses_store(tmp_path, capsys):
-    store_path = tmp_path / "words.jsonl"
-    code, _, _ = run_cli(capsys, "classify", "2,3,2,2", "--store", str(store_path))
-    assert code == 0
-    rec = WordStore(store_path).lookup((2, 3, 2, 2))
-    assert rec is not None and rec.verdict == "bad"
-
-
-def test_classify_malformed_store_record_exits_1(tmp_path, capsys):
-    store_path = tmp_path / "words.jsonl"
-    for line in ['[1, 2]', '{"word": 5, "verdict": "good", "minimal": true}']:
-        store_path.write_text(line + "\n")
-        code, out, err = run_cli(capsys, "classify", "1", "--store", str(store_path))
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "words.jsonl:1: bad cache record" in err
-
-
-def test_classify_uses_env_store(tmp_path, capsys, monkeypatch):
-    store_path = tmp_path / "env-words.jsonl"
-    monkeypatch.setenv(STORE_PATH_ENV, str(store_path))
-    assert run_cli(capsys, "classify", "1,2")[0] == 0
-    assert WordStore(store_path).lookup((1, 2)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -219,84 +187,6 @@ def test_speed_dirac_two_exits_1(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: dirac:2 is a point mass")
     assert err.count("\n") == 1 and "forward simulation" in err
-
-
-def test_speed_store_collects_minimal_words(tmp_path, capsys):
-    store_path = tmp_path / "minimal.jsonl"
-    code, _, _ = run_cli(
-        capsys, "speed", "unif:2", "--len", "6", "--max-letter", "2",
-        "--store", str(store_path),
-    )
-    assert code == 0
-    store = WordStore(store_path)
-    assert len(store) > 0
-    assert all(rec.minimal for rec in store)
-    assert store.lookup((1,)).verdict == "good"
-
-
-@pytest.mark.parametrize("existing", [True, False])
-def test_speed_store_failed_walk_leaves_the_store_as_it_was(
-        tmp_path, capsys, monkeypatch, existing):
-    store_path = tmp_path / "minimal.jsonl"
-    before = b'{"word": [9], "verdict": "good", "minimal": true}\n'
-    if existing:
-        store_path.write_bytes(before)
-    appended = []
-    real_add = WordStore.add
-
-    def counting_add(self, rec):
-        appended.append(rec)
-        real_add(self, rec)
-
-    monkeypatch.setattr(WordStore, "add", counting_add)
-    monkeypatch.setattr(enumeration, "_NODE_BUDGET", 200)
-    code, out, _ = run_cli(
-        capsys, "speed", "geom:0.5", "--len", "8", "--max-letter", "8",
-        "--store", str(store_path),
-    )
-    assert code == cli.EXIT_LIMIT and out == ""
-    assert len(appended) > 10  # the walk wrote records before it stopped
-    if existing:
-        assert store_path.read_bytes() == before
-    else:
-        assert not store_path.exists()
-
-
-def test_speed_store_appends_through_one_handle(tmp_path, capsys, monkeypatch):
-    opens = []
-    real_open = pathlib.Path.open
-
-    def counting_open(self, mode="r", *args, **kwargs):
-        opens.append(mode)
-        return real_open(self, mode, *args, **kwargs)
-
-    store_path = tmp_path / "sub" / "minimal.jsonl"
-    with monkeypatch.context() as mp:
-        mp.setattr(pathlib.Path, "open", counting_open)
-        code, _, _ = run_cli(
-            capsys, "speed", "geom:0.5", "--len", "5", "--max-letter", "5",
-            "--store", str(store_path),
-        )
-    assert code == 0
-    assert opens == ["a"]
-    emitted = []
-    series.enumerate_minimal(parse_mu("geom:0.5"), 5, 5,
-                             emit=lambda w, v, _wt: emitted.append((w, v)))
-    store = WordStore(store_path)
-    assert len(emitted) > 100
-    assert [(rec.word, rec.verdict) for rec in store] == emitted
-    assert store_path.read_text().count("\n") == len(emitted)
-
-
-def test_speed_ignores_env_store(tmp_path, capsys, monkeypatch):
-    # collecting words runs the word walk; only --store asks for that
-    argv = ("speed", "unif:2", "--len", "6", "--max-letter", "2")
-    plain = run_cli(capsys, *argv)
-    store_path = tmp_path / "env-words.jsonl"
-    monkeypatch.setenv(STORE_PATH_ENV, str(store_path))
-    assert run_cli(capsys, *argv) == plain
-    assert plain[0] == 0
-    assert not store_path.exists()
 
 
 def test_speed_usage_error(capsys):
@@ -654,8 +544,10 @@ def test_bad_thread_count(capsys):
 _UNREAD_OPTIONS = [
     (["classify", "1"], "--seed", "3"),
     (["classify", "1"], "--threads", "2"),
+    (["classify", "1"], "--store", "F"),
     (["speed", "geom:0.5"], "--seed", "3"),
     (["speed", "geom:0.5"], "--threads", "2"),
+    (["speed", "geom:0.5"], "--store", "F"),
     (["curve", "--grid", "0.5"], "--seed", "3"),
     (["curve", "--grid", "0.5"], "--threads", "8"),
     (["curve", "--grid", "0.5"], "--store", "F"),
@@ -694,8 +586,8 @@ def test_parser_takes_only_read_options():
         for name, sub in subparsers.choices.items()
     }
     assert options == {
-        "classify": ["--out", "--store"],
-        "speed": ["--len", "--max-letter", "--out", "--store"],
+        "classify": ["--out"],
+        "speed": ["--len", "--max-letter", "--out"],
         "curve": ["--grid", "--len", "--max-letter", "--out"],
         "simulate": ["--out", "--seed", "--start", "--steps"],
         "perfect": ["--estimate", "--max-horizon", "--out", "--replicas",
@@ -704,7 +596,7 @@ def test_parser_takes_only_read_options():
                     "--trajectory"],
         "verify": ["--budget", "--out", "--seed", "--threads"],
     }
-    assert sum(map(len, options.values())) == 30
+    assert sum(map(len, options.values())) == 28
 
 
 @pytest.mark.parametrize("replicas", ["5", "10"])

@@ -11,7 +11,6 @@ import re
 import shlex
 
 from infinitebin import cli
-from infinitebin.store import STORE_PATH_ENV
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,7 +41,6 @@ def test_quick_start_outputs_are_current():
 
 
 def test_cli_outputs_are_current(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(STORE_PATH_ENV, raising=False)
     monkeypatch.chdir(tmp_path)  # a command's --out file lands here
     runs = []
     for line in _block("CLI", "sh").splitlines():

@@ -13,7 +13,7 @@ import pytest
 
 from decimal import Decimal, localcontext
 
-from infinitebin import cli, enumeration
+from infinitebin import enumeration, series
 from infinitebin.core import Configuration, _Evolver
 from infinitebin.distributions import Dirac, FiniteSupport, Geometric, Uniform
 from infinitebin.enumeration import (
@@ -21,7 +21,6 @@ from infinitebin.enumeration import (
     mass_rounding_bound,
     stopping_tree_counts,
     stopping_tree_masses,
-    walk_minimal_words,
 )
 from infinitebin.series import (
     _first_moment_bound,
@@ -31,7 +30,7 @@ from infinitebin.series import (
     enumerate_minimal,
     uniform_speed_terms,
 )
-from infinitebin.words import SizeLimitError, classify
+from infinitebin.words import BAD, GOOD, SizeLimitError, classify
 
 EXACT = {"_MAX_STATES": 2_000_000, "_BIRTH_FLOOR": 0.0, "_PRUNE_SHARE": 0.0}
 
@@ -43,6 +42,82 @@ def patched(**consts):
         for name, value in consts.items():
             mp.setattr(enumeration, name, value)
         yield
+
+
+def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
+    """Depth-first walk over individual words: the lumped engine's oracle.
+
+    Same accounting as ``stopping_tree_masses`` but without state merging,
+    pruning or a birth floor, so each minimal word is visited once and
+    handed to ``emit(word, verdict, weight)`` in deterministic order: the
+    word (1,) first, then depth-first over first letters A down to 2, each
+    later letter prepended in increasing order.  ``peak_states`` is the
+    number of nodes expanded.  Exponential in L: the tests call it at
+    L <= 9.
+    """
+    enumeration._check_bounds(L, A, pmf_vec)
+    tally = enumeration._MassTally()
+    tally.add("tail", 0, float(tail_mass))
+    expanded = 0
+    stack = []
+    for a in range(1, A + 1):
+        w = float(pmf_vec[a])
+        if w <= 0.0:
+            continue
+        if a == 1:  # resolves immediately: all-true
+            emit((1,), GOOD, w)
+            tally.add(GOOD, 1, w)
+        else:  # popped last-pushed first: births walk from letter A down
+            v = np.zeros(1 << (a - 1), dtype=bool)
+            v[0] = True
+            stack.append(((a,), a, v, w))
+
+    while stack:
+        word, d, v, w = stack.pop()
+        if len(word) >= L:
+            tally.add("live", L, w)
+            continue
+        expanded += 1
+        tally.add("tail", len(word), w * tail_mass)
+        children = []
+        for a in range(1, A + 1):
+            wa = float(pmf_vec[a])
+            if wa <= 0.0:
+                continue
+            d2 = max(a, d - 1, 1)
+            child = v[enumeration.image_table(d2, a, d)]
+            cw = w * wa
+            cword = (a,) + word
+            # one byte per pattern: a count classifies, slices compare
+            bits = child.tobytes()
+            true = bits.count(1)
+            if true == len(bits):
+                emit(cword, GOOD, cw)
+                tally.add(GOOD, len(cword), cw)
+                continue
+            if not true:
+                emit(cword, BAD, cw)
+                tally.add(BAD, len(cword), cw)
+                continue
+            while d2 > 1:
+                half = 1 << (d2 - 2)
+                if bits[:half] != bits[half:]:
+                    break
+                bits = bits[:half]
+                d2 -= 1
+            children.append((cword, d2, child[: len(bits)], cw))
+        stack.extend(reversed(children))
+
+    return tally.split(L, expanded)
+
+
+def walk_bracket(mu, L, max_letter, emit=lambda *a: None):
+    """The word walk's SpeedBracket, priced by the code enumerate_minimal
+    runs on the lumped engine's split."""
+    A = enumeration._alphabet(L, max_letter)
+    tail = mu.tail(A)
+    split = walk_minimal_words(mu.pmf_vector(A), tail, L, A, emit)
+    return series._bracket(split, tail, mu, L, max_letter)
 
 
 def test_geometric_one_bracket_is_exact_unit():
@@ -72,7 +147,7 @@ def test_bracket_invariants_and_identity():
     (Geometric(0.6), 5, 5),
 ])
 def test_frontier_parts_sum_to_the_width(mu, L, A):
-    walk = enumerate_minimal(mu, 5, 5, emit=lambda *_: None)
+    walk = walk_bracket(mu, 5, 5)
     for bracket in (enumerate_minimal(mu, L, A), walk):
         parts = (bracket.frontier_tail, bracket.frontier_live,
                  bracket.frontier_capped, bracket.pruned_mass)
@@ -98,7 +173,7 @@ def test_walk_and_lumped_engines_agree_exactly():
     # the zero-weight letter 2 is skipped at birth and on every prepend
     for mu, L, A in [(Uniform(2), 9, 2), (Uniform(3), 7, 3), (Geometric(0.5), 6, 4),
                      (FiniteSupport([0.5, 0.0, 0.5]), 7, 3)]:
-        walk = enumerate_minimal(mu, L, A, emit=lambda *a: None)
+        walk = walk_bracket(mu, L, A)
         with patched(**EXACT):
             lumped = enumerate_minimal(mu, L, A)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
@@ -125,8 +200,7 @@ def test_letters_past_the_depth_cap_are_alphabet_tail():
     was = {1: 0.3, 3: 0.3197770580169682}
     for L in (1, 3):
         lumped = [enumerate_minimal(mu, L, A) for A in (18, 16)]
-        walk = [enumerate_minimal(mu, L, A, emit=lambda *a: None)
-                for A in (18, 16)]
+        walk = [walk_bracket(mu, L, A) for A in (18, 16)]
         for at_18, at_16 in (lumped, walk):
             assert at_18.good_mass.hex() == at_16.good_mass.hex()
             assert at_18.bad_mass.hex() == at_16.bad_mass.hex()
@@ -394,19 +468,40 @@ def test_dedupe_merges_rows_per_exponent(nbytes):
         assert sums[e_out == k].tobytes() == alone_sums.tobytes()
 
 
-def test_walk_past_node_budget_is_a_size_limit(monkeypatch, tmp_path):
-    monkeypatch.setattr(enumeration, "_NODE_BUDGET", 10)
-    with pytest.raises(SizeLimitError):
-        enumerate_minimal(Geometric(0.5), 8, 8, emit=lambda *a: None)
-    argv = ["speed", "geom:0.5", "--len", "8", "--max-letter", "8",
-            "--store", str(tmp_path / "words.jsonl")]
-    assert cli.main(argv) == cli.EXIT_LIMIT
+def test_depths_sorted_in_runs_of_exponents_match_one_sort(monkeypatch):
+    # A depth whose rows pass _batch_rows is sorted in runs of exponents;
+    # at 3 rows a batch the count pass takes that branch on most depths.
+    # Runs and stacks that small change no output bit.
+    mu = Geometric(0.5)
+    dedupes = []
+    real_dedupe = enumeration._dedupe
+
+    def counting_dedupe(*args):
+        dedupes.append(len(args[0]))
+        return real_dedupe(*args)
+
+    def outputs():
+        dedupes.clear()
+        counts = _count_tables_digest(stopping_tree_counts(8, 6))
+        n_sorts = len(dedupes)
+        split = stopping_tree_masses(mu.pmf_vector(8), mu.tail(8), 9, 8)
+        fields = dataclasses.astuple(split)
+        bits = tuple(v.hex() if isinstance(v, float) else v
+                     for v in fields[:-1]) + tuple(map(float.hex, fields[-1]))
+        return (counts, bits), n_sorts
+
+    monkeypatch.setattr(enumeration, "_dedupe", counting_dedupe)
+    whole, whole_sorts = outputs()
+    monkeypatch.setattr(enumeration, "_batch_rows", lambda width: 3)
+    runs, run_sorts = outputs()
+    assert runs == whole
+    assert run_sorts > whole_sorts  # the depths were cut into runs
 
 
 def test_emitted_words_are_minimal_with_true_weights():
     mu = Uniform(3)
     seen = []
-    bracket = enumerate_minimal(mu, 6, 3, emit=lambda w, v, wt: seen.append((w, v, wt)))
+    bracket = walk_bracket(mu, 6, 3, lambda w, v, wt: seen.append((w, v, wt)))
     assert seen, "expected some resolved minimal words"
     good_sum = math.fsum(wt for _, v, wt in seen if v == "good")
     bad_sum = math.fsum(wt for _, v, wt in seen if v == "bad")
@@ -789,7 +884,7 @@ def test_lazy_lower_bound_matches_a_rational_oracle():
                 nu_lower += math.prod(nu[a] for a in word)
     want = Fraction(3, 4) * nu_lower
     lumped = enumerate_minimal(mu, L, A)
-    walk = enumerate_minimal(mu, L, A, emit=lambda *a: None)
+    walk = walk_bracket(mu, L, A)
     for bracket in (lumped, walk):
         assert bracket.lower_from == "lazy"
         assert bracket.lower > bracket.good_mass

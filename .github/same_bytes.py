@@ -4,13 +4,16 @@ Runs each command of ``PANEL`` in a fresh process and its own temporary
 directory, once against this checkout's ``src`` and once against
 OTHER_SRC, and compares the exit codes, stdout, stderr and the bytes of
 every file the command leaves behind: its ``--out`` record.  Prints each
-command that differs, with what differs, and exits 1 if any does.  A change that should keep every
-output byte runs it against the parent commit's tree:
+command that differs, with what differs (for a JSON record, the keys whose
+values differ, e.g. ``out: params.frontier_mass``), and exits 1 if any
+does.  A change that should keep every output byte runs it against the
+parent commit's tree:
 
     git worktree add ../parent HEAD^1
     python .github/same_bytes.py ../parent/src
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -19,12 +22,14 @@ import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Point masses, the bracket engine, the curve (once pruned across about
-#: 90 exponents), the birth floor on letters stacked at the depth cap, both
-#: samplers with a horizon failure (exit 3), and verify at both thread
-#: counts; each command also gets ``--out out``.
+#: Point masses, the bracket engine (at p = 0.8 as verify runs it), the
+#: curve (once pruned across about 90 exponents), the birth floor on
+#: letters stacked at the depth cap, both samplers with a horizon failure
+#: (exit 3), and verify at both thread counts; each command also gets
+#: ``--out out``.
 PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
+    "speed geom:0.8 --len 10 --max-letter 10",
     "speed dirac:1 --len 4",
     "speed dirac:2 --len 4",
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
@@ -59,6 +64,25 @@ def _run(src: pathlib.Path, command: str) -> dict:
     return result
 
 
+def _json_keys(ours, theirs, path: str = "") -> list:
+    """Dotted paths of the keys whose values differ between two JSON
+    values, "" for the values themselves when they are not both objects."""
+    if not (isinstance(ours, dict) and isinstance(theirs, dict)):
+        return [] if ours == theirs else [path]
+    return [key for name in {**ours, **theirs}
+            for key in _json_keys(ours.get(name), theirs.get(name),
+                                  f"{path}.{name}" if path else name)]
+
+
+def _differs(name: str, ours: bytes, theirs: bytes) -> str:
+    """``name``, followed by the differing keys when both sides are JSON."""
+    try:
+        keys = _json_keys(json.loads(ours), json.loads(theirs))
+    except (TypeError, ValueError):
+        return name
+    return f"{name}: {' '.join(keys)}" if any(keys) else name
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -67,7 +91,8 @@ def main(argv: list) -> int:
     differ = 0
     for command in PANEL:
         ours, theirs = _run(SRC, command), _run(other, command)
-        parts = [k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)]
+        parts = [_differs(k, ours.get(k), theirs.get(k))
+                 for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)]
         if parts:
             differ += 1
             print(f"differs: infinitebin {command} ({', '.join(parts)})")

@@ -152,7 +152,9 @@ class Uniform(MoveDistribution):
 def _letter_probs(probs) -> list:
     """(letter, probability) pairs of a mapping letter -> probability or of
     a sequence for letters 1, 2, ...; rejects a probability that is not
-    finite, which would pass every comparison check."""
+    finite, which would pass every comparison check, then one below 0, then
+    one past 1.001, the largest sum ``normalized`` accepts (so no sum of
+    the rest can overflow)."""
     if isinstance(probs, dict):
         pairs = sorted(probs.items())
     else:
@@ -161,6 +163,11 @@ def _letter_probs(probs) -> list:
     for j, q in items:
         if not math.isfinite(q):
             raise ValueError(f"probability of letter {j} is {q!r}, not finite")
+    if any(q < 0 for _, q in items):
+        raise ValueError("probabilities must be >= 0")
+    for j, q in items:
+        if q > 1.001:
+            raise ValueError(f"probability of letter {j} is {q!r}, above 1")
     return items
 
 
@@ -171,15 +178,13 @@ class FiniteSupport(MoveDistribution):
         """Args:
         probs: mapping letter -> probability, or a sequence giving the
             probabilities of letters 1, 2, ... in order.  Each must be
-            finite, and they must sum to 1 within 1e-12.
+            finite and >= 0, and they must sum to 1 within 1e-12.
         """
         items = [(j, q) for j, q in _letter_probs(probs) if q != 0.0]
         if not items:
             raise ValueError("finite-support law needs positive mass")
         if any(j < 1 for j, _ in items):
             raise ValueError("letters must be >= 1")
-        if any(q < 0 for _, q in items):
-            raise ValueError("probabilities must be >= 0")
         total = math.fsum(q for _, q in items)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")

@@ -307,7 +307,8 @@ def _deduped_runs(pieces: tuple):
     del e
     for j, part in enumerate(bins):
         bins[j] = None
-        yield _dedupe(*map(np.concatenate, zip(*part)))
+        if part:  # the first run is empty when the lowest e fills a batch
+            yield _dedupe(*map(np.concatenate, zip(*part)))
 
 
 def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
@@ -330,11 +331,10 @@ def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
       score handed on at level n - 1, so that S rho**(L - n) projects the
       weight still live at L.  A ``kept`` of 0 (as at n = 1) sets no budget.
 
-    Dropped weight is added to the tally as "pruned" at n, the runs'
-    totals summed in order.  Ties at the threshold are resolved
-    deterministically in (depth, e, row-byte) order.  Returns ([(depth,
-    rows, weights, e)] in that order; states before pruning; states
-    dropped; summed score handed on).
+    Each run's dropped rows go to the tally in one "pruned" call at n.
+    Ties at the threshold are resolved deterministically in (depth, e,
+    row-byte) order.  Returns ([(depth, rows, weights, e)] in that order;
+    states before pruning; states dropped; summed score handed on).
     """
     runs = [(d, *run) for d in sorted(pending)
             for run in _deduped_runs(pending.pop(d))]
@@ -359,18 +359,17 @@ def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
     ties = np.flatnonzero(score == thresh)
     keep[ties[: total - n_drop - np.count_nonzero(keep)]] = True
     summed = float(score[keep].sum())
-    groups, dropped = [], []
+    groups = []
     lo = 0
     for d, rows, w, e in runs:
         k = keep[lo : lo + len(w)]
         lo += len(w)
         if not k.all():
             drop = ~k
-            dropped.append(tally.total(e[drop], w[drop]))
+            tally.add("pruned", n, e[drop], w[drop])
             rows, w, e = rows[k], w[k], e[k]
         if len(w):
             groups.append((d, rows, w, e))
-    tally.add("pruned", n, sum(dropped))
     return groups, total, n_drop, summed
 
 
@@ -407,33 +406,21 @@ class MassSplit:
 
 class _MassTally:
     """The weight pieces the mass engine reports, by kind and word length
-    n.  Every sum is exactly rounded, so it does not depend on the order of
-    the pieces.
+    n.
 
-    The lumped loop's weight algebra is a tally: ``total(e, w)`` is the
-    summed weight of rows w at exponents e (here a float; the exponents are
-    all 0), ``add(kind, n, x)`` reports such a total, and ``record(kind, n,
-    e, w, ends)`` reports rows w as one piece per letter segment, the
-    segments ending at ``ends``.
+    The lumped loop's weight algebra is a tally with one reporting call:
+    ``add(kind, n, e, w)`` reports rows of weights w at exponents e (all 0
+    here) that left the tree as ``kind`` at word length n.  Each call keeps
+    one piece, the rows' float sum; the pieces of a kind (and of a good
+    length) are summed exactly rounded, so the totals do not depend on the
+    order of the calls, only on how rows are grouped into them.
     """
 
     def __init__(self):
         self.pieces: dict = defaultdict(list)
 
-    @staticmethod
-    def total(e: np.ndarray, w: np.ndarray) -> float:
-        return float(w.sum())
-
-    def add(self, kind: str, n: int, x: float) -> None:
-        self.pieces[kind, n].append(x)
-
-    def record(self, kind: str, n: int, e: np.ndarray, w: np.ndarray,
-               ends) -> None:
-        lo = 0
-        for hi in ends:
-            if hi > lo:
-                self.add(kind, n, float(w[lo:hi].sum()))
-            lo = hi
+    def add(self, kind: str, n: int, e: np.ndarray, w: np.ndarray) -> None:
+        self.pieces[kind, n].append(float(w.sum()))
 
     def split(self, L: int, peak_states: int) -> MassSplit:
         def total(*kinds):  # 0.0 for a kind never recorded
@@ -485,12 +472,6 @@ def _letter_batches(d: int, A: int, rows: int):
         yield a, (a,)
 
 
-def _ends(mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Segment ends of the rows that ``mask`` selects, given the segment
-    ends of all rows."""
-    return np.cumsum(mask)[ends - 1]
-
-
 def _stopping_tree(
     weights: list,
     shifts: list,
@@ -510,10 +491,10 @@ def _stopping_tree(
     beyond A is worth its weight times ``tail_weight`` at exponent
     e + ``tail_shift``.  Every piece of weight leaving the tree goes to
     ``tally`` (see ``_MassTally``) at its word length n, as one of good,
-    bad, tail, live, capped or pruned (the last four are frontier): the
-    rows of one chunk's letters as one ``record`` call per kind, with one
-    segment per letter, and the per-level sums of live states (tail) and of
-    dropped states (pruned) as ``add`` calls.  Children unresolved at the
+    bad, tail, live, capped or pruned (the last four are frontier), through
+    one ``add(kind, n, e, w)`` call per kind and batch of children: a
+    batch's capped, good, bad and (at L) live rows, each live group's
+    tail, and each settled run's dropped rows.  Children unresolved at the
     length bound L are live as they are: they are neither merged nor
     pruned.  Pruning ranks states by weight * q_ref**e, which is the weight
     at the reference law over ``level_factor``**n (see ``_settle``).
@@ -525,8 +506,7 @@ def _stopping_tree(
     q_pow = np.array([q_ref ** k for k in range(L * max(shifts) + 1)])
 
     def root(kind, n, e, w):  # a piece of the empty word's children
-        tally.record(kind, n, np.full(1, e, dtype=np.uint16), np.full(1, w),
-                     (1,))
+        tally.add(kind, n, np.full(1, e, dtype=np.uint16), np.full(1, w))
 
     root("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
     pending: dict = {}
@@ -550,9 +530,8 @@ def _stopping_tree(
     for level in range(2, L + 1):
         if not groups:
             break
-        live = sum(tally.total(es + tail_shift, wts)
-                   for _d, _rows, wts, es in groups)
-        tally.add("tail", level - 1, live * tail_weight)
+        for _d, _rows, wts, es in groups:
+            tally.add("tail", level - 1, es + tail_shift, wts * tail_weight)
         pending = {}
         groups.reverse()
         while groups:  # each run is freed once gone through
@@ -576,9 +555,8 @@ def _stopping_tree(
                     alive = cw >= _BIRTH_FLOOR
                     if not alive.all():
                         dead = ~alive
-                        tally.record("capped", level, e2[dead], cw[dead],
-                                     _ends(dead, ends))
-                        ends = _ends(alive, ends)
+                        tally.add("capped", level, e2[dead], cw[dead])
+                        ends = np.cumsum(alive)[ends - 1]
                         cw, e2 = cw[alive], e2[alive]
                         if not len(cw):
                             continue
@@ -598,17 +576,16 @@ def _stopping_tree(
                     g = (words == plan.ones).all(axis=1)
                     b = ~words.any(axis=1)
                     if g.any():
-                        tally.record(GOOD, level, e2[g], cw[g], _ends(g, ends))
+                        tally.add(GOOD, level, e2[g], cw[g])
                     if b.any():
-                        tally.record(BAD, level, e2[b], cw[b], _ends(b, ends))
+                        tally.add(BAD, level, e2[b], cw[b])
                     keep = ~(g | b)
                     if not keep.any():
                         continue
                     if not keep.all():
-                        ends = _ends(keep, ends)
                         e2, C, cw = e2[keep], C[keep], cw[keep]
                     if level == L:
-                        tally.record("live", L, e2, cw, ends)
+                        tally.add("live", L, e2, cw)
                     else:
                         _stash(pending, e2, C, cw, d2)
         if level < L:
@@ -713,25 +690,19 @@ def count_rounding_bound(L: int, A: int) -> float:
 
 
 class _CountTally:
-    """The count algebra's tally (see ``_MassTally``): a total is a row of
-    summed counts by exponent e, and each call adds one such row to the
-    table of its kind.  Counts are integers below 2^53, so every sum is
-    exact, in any order."""
+    """The count algebra's tally (see ``_MassTally``): each ``add`` call sums
+    its rows' counts by exponent e and adds that row to the table of its
+    kind at word length n.  Counts are integers below 2^53, so every sum is
+    exact, in any order and grouping."""
 
     def __init__(self, L: int, E: int):
         # no "capped" table: a capped count would fail here loudly
         self.tables = {kind: np.zeros((L + 1, E + 1))
                        for kind in (GOOD, BAD, "tail", "live", "pruned")}
 
-    def total(self, e: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.bincount(e, weights=w, minlength=self.tables[GOOD].shape[1])
-
-    def add(self, kind: str, n: int, x: np.ndarray) -> None:
-        self.tables[kind][n] += x
-
-    def record(self, kind: str, n: int, e: np.ndarray, w: np.ndarray,
-               ends) -> None:
-        self.add(kind, n, self.total(e, w))
+    def add(self, kind: str, n: int, e: np.ndarray, w: np.ndarray) -> None:
+        table = self.tables[kind]
+        table[n] += np.bincount(e, weights=w, minlength=table.shape[1])
 
 
 def stopping_tree_counts(

@@ -193,6 +193,13 @@ def test_speed_usage_error(capsys):
     assert run_cli(capsys, "speed", "zipf:2")[0] == 1
 
 
+def test_speed_overflowing_finite_law_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "speed", "finite:1e308,1e308")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad distribution spec 'finite:1e308,1e308'")
+    assert err.count("\n") == 1
+
+
 def test_curve_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "curve", "--grid", "0.5:1.0:0.25", "--len", "4",

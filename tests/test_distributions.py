@@ -99,6 +99,15 @@ def test_finite_support_rejects_non_finite_probabilities(probs):
             build(probs)
 
 
+def test_finite_support_rejects_a_sum_past_the_float_range():
+    # 1e308 + 1e308 overflows; each probability past 1.001 is refused first
+    for build in (FiniteSupport, FiniteSupport.normalized):
+        with pytest.raises(ValueError, match="letter 1 is 1e\\+308, above 1"):
+            build([1e308, 1e308])
+        with pytest.raises(ValueError, match="probabilities must be >= 0"):
+            build([-1e308, -1e308])
+
+
 def test_pmf_vector_layout():
     mu = Geometric(0.5)
     vec = mu.pmf_vector(4)

@@ -57,7 +57,11 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
     """
     enumeration._check_bounds(L, A, pmf_vec)
     tally = enumeration._MassTally()
-    tally.add("tail", 0, float(tail_mass))
+
+    def add(kind, n, w):  # one word's weight, as a one-row piece
+        tally.add(kind, n, np.zeros(1, dtype=np.uint16), np.full(1, w))
+
+    add("tail", 0, float(tail_mass))
     expanded = 0
     stack = []
     for a in range(1, A + 1):
@@ -66,7 +70,7 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
             continue
         if a == 1:  # resolves immediately: all-true
             emit((1,), GOOD, w)
-            tally.add(GOOD, 1, w)
+            add(GOOD, 1, w)
         else:  # popped last-pushed first: births walk from letter A down
             v = np.zeros(1 << (a - 1), dtype=bool)
             v[0] = True
@@ -75,10 +79,10 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
     while stack:
         word, d, v, w = stack.pop()
         if len(word) >= L:
-            tally.add("live", L, w)
+            add("live", L, w)
             continue
         expanded += 1
-        tally.add("tail", len(word), w * tail_mass)
+        add("tail", len(word), w * tail_mass)
         children = []
         for a in range(1, A + 1):
             wa = float(pmf_vec[a])
@@ -93,11 +97,11 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
             true = bits.count(1)
             if true == len(bits):
                 emit(cword, GOOD, cw)
-                tally.add(GOOD, len(cword), cw)
+                add(GOOD, len(cword), cw)
                 continue
             if not true:
                 emit(cword, BAD, cw)
-                tally.add(BAD, len(cword), cw)
+                add(BAD, len(cword), cw)
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)
@@ -228,6 +232,8 @@ def _count_tables_digest(tables) -> str:
 # 50,000 run at that cap.  The first five run with the width budget off, as
 # they were recorded; their live and pruned weight and peak moved when the
 # length bound stopped being settled.  The last two pin the defaults.
+# Three fields moved by one ulp when the tally came to keep one float piece
+# per reporting call rather than one per letter.
 NO_BUDGET = {"_PRUNE_SHARE": 0.0}
 PINNED_MASSES = [
     # pruning at _MAX_STATES = 300
@@ -242,7 +248,7 @@ PINNED_MASSES = [
       "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
     # at the depth cap, the largest alphabet
     ((0.3, 3, 16, NO_BUDGET),
-     ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
+     ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40868p-2", "0x1.aa9a1a0c91aa9p-3",
       "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4fep-3", "0x0.0p+0",
       "0x0.0p+0", 120)),
     # pruning at a cap of 50,000
@@ -252,7 +258,7 @@ PINNED_MASSES = [
       "0x0.0p+0", 29390)),
     # pruning at the default cap, at the benchmark's bracket bounds
     ((0.5, 10, 10, NO_BUDGET),
-     ("0x1.270e472c49dcap-1", "0x1.ace60c33205d7p-2", "0x1.3f595d12fa573p-8",
+     ("0x1.270e472c49dcap-1", "0x1.ace60c33205d7p-2", "0x1.3f595d12fa574p-8",
       "0x1.eab9c3bce7f34p-10", "0x1.88158934b4016p-9", "0x0.0p+0",
       "0x1.404f12ccb36cap-17", 51046)),
     # the width budget and the default cap
@@ -261,7 +267,7 @@ PINNED_MASSES = [
       "0x1.eab4c1ee2558ep-10", "0x1.86c3c8f0e6e3ap-9", "0x0.0p+0",
       "0x1.65b2128ff0402p-15", 35296)),
     ((0.8, 10, 10, {}),
-     ("0x1.a5c2dae7a77dcp-1", "0x1.68f3cafbe6503p-3", "0x1.92caf771809cfp-20",
+     ("0x1.a5c2dae7a77dcp-1", "0x1.68f3cafbe6503p-3", "0x1.92caf771809cep-20",
       "0x1.127f0ec58f713p-23", "0x1.69f1e171abaddp-20", "0x0.0p+0",
       "0x1.a24d09c8c03c0p-26", 2233)),
 ]
@@ -496,6 +502,47 @@ def test_depths_sorted_in_runs_of_exponents_match_one_sort(monkeypatch):
     runs, run_sorts = outputs()
     assert runs == whole
     assert run_sorts > whole_sorts  # the depths were cut into runs
+
+
+def test_batching_regroups_mass_pieces_but_keeps_the_sums(monkeypatch):
+    # The tally keeps one float piece per call, so stacking letters into
+    # batches regroups the mass pieces.  Against one letter a batch, the
+    # count tables stay bit for bit and each mass within the rounding
+    # bound.  At geom:0.8, L = 10, A = 16 the birth floor caps children of
+    # letters stacked in one batch.
+    cases = [(Geometric(0.5), 8, 8), (Geometric(0.8), 10, 16)]
+    stacked = []
+    real_batches = enumeration._letter_batches
+
+    def counting_batches(*args):
+        for d2, letters in real_batches(*args):
+            stacked.append(len(letters) > 1)
+            yield d2, letters
+
+    def outputs():
+        stacked.clear()
+        tables = stopping_tree_counts(8, 8)
+        splits = [stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), L, A)
+                  for mu, L, A in cases]
+        return tables, splits, any(stacked)
+
+    monkeypatch.setattr(enumeration, "_letter_batches", counting_batches)
+    tables, splits, was_stacked = outputs()
+    monkeypatch.setattr(enumeration, "_batch_rows", lambda width: 1)
+    one_tables, one_splits, one_stacked = outputs()
+    assert was_stacked and not one_stacked
+    assert one_tables.pruned_states == tables.pruned_states
+    for kind in ("good", "bad", "tail", "live", "pruned"):
+        assert np.array_equal(getattr(one_tables, kind), getattr(tables, kind))
+    assert splits[1].frontier_capped > 0.0
+    for (_mu, L, A), split, one in zip(cases, splits, one_splits):
+        bound = mass_rounding_bound(L, A)
+        fields = dataclasses.astuple(split)
+        assert one.peak_states == split.peak_states
+        assert len(one.good_by_len) == len(split.good_by_len)
+        for x, y in zip((*fields[:-2], *split.good_by_len),
+                        (*dataclasses.astuple(one)[:-2], *one.good_by_len)):
+            assert abs(x - y) <= bound
 
 
 def test_emitted_words_are_minimal_with_true_weights():
@@ -761,9 +808,9 @@ def test_nothing_is_pruned_at_the_length_bound(monkeypatch):
         *head, tally = args
         add = tally.add
 
-        def recording(kind, n, x):
+        def recording(kind, n, e, w):
             seen.append((kind, n))
-            add(kind, n, x)
+            add(kind, n, e, w)
 
         tally.add = recording
         return run(*head, tally, **kwargs)

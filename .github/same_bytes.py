@@ -25,8 +25,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: Point masses, the bracket engine (at p = 0.8 as verify runs it), the
 #: curve (once pruned across about 90 exponents), the birth floor on
 #: letters stacked at the depth cap, both samplers with a horizon failure
-#: (exit 3), and verify at both thread counts; each command also gets
-#: ``--out out``.
+#: (exit 3), the stationary estimate at depths 1 and 4, and verify at both
+#: thread counts; each command also gets ``--out out``.
 PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed geom:0.8 --len 10 --max-letter 10",
@@ -40,6 +40,7 @@ PANEL = (
     "simulate dirac:2 --steps 10000",
     "perfect dirac:1 -K 3 --estimate",
     "perfect dirac:2",
+    "perfect geom:0.5 --replicas 2000 --estimate",
     "perfect geom:0.5 -K 4 --replicas 2000 --estimate",
     "perfect unif:3 -K 32",
     "perfect geom:0.3 --max-horizon 64",

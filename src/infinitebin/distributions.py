@@ -171,6 +171,17 @@ def _letter_probs(probs) -> list:
     return items
 
 
+def _unit_sum(items: list, total: float) -> list:
+    """(letter, probability) pairs rescaled by their sum ``total``, with the
+    rounding residual put on the largest probability, so that they ``fsum``
+    to exactly 1 and rescaling them again changes nothing."""
+    scaled = [(j, q / total) for j, q in items]
+    k = max(range(len(scaled)), key=lambda i: scaled[i][1])
+    residual = math.fsum([1.0, *(-q for _, q in scaled)])
+    scaled[k] = (scaled[k][0], scaled[k][1] + residual)
+    return scaled
+
+
 class FiniteSupport(MoveDistribution):
     """Explicit finite-support law: probabilities for letters 1..m."""
 
@@ -178,7 +189,10 @@ class FiniteSupport(MoveDistribution):
         """Args:
         probs: mapping letter -> probability, or a sequence giving the
             probabilities of letters 1, 2, ... in order.  Each must be
-            finite and >= 0, and they must sum to 1 within 1e-12.
+            finite and >= 0, and they must sum to 1 within 1e-12; a sum
+            that is not exactly 1 is rescaled silently, so that every pmf
+            lies in [0, 1], the cdf reaches 1 and ``describe`` prints the
+            law in use.
         """
         items = [(j, q) for j, q in _letter_probs(probs) if q != 0.0]
         if not items:
@@ -188,6 +202,8 @@ class FiniteSupport(MoveDistribution):
         total = math.fsum(q for _, q in items)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if total != 1.0:
+            items = _unit_sum(items, total)
         self._letters = np.array([j for j, _ in items], dtype=np.int64)
         self._probs = {j: q for j, q in items}
         self._cum = np.cumsum([q for _, q in items])

@@ -12,6 +12,7 @@ that point no longer depend on anything before the horizon.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -41,6 +42,12 @@ _PAST_BLOCK = 16
 _REPLICA_BLOCK = 1024
 
 DEFAULT_MAX_HORIZON = 1 << 24
+#: Certified bins :func:`front_hit_rate` scores a depth-K sample over:
+#: min(K, this).  At K = 8 and 2000 replicas, scoring 6 bins instead of 1
+#: cut the variance 17-44x at geom:0.3, geom:0.5, geom:0.8 and unif:3;
+#: on a 2-vCPU Xeon the lookahead took 10-90 ms over 560-4,400 states.
+#: 8 bins took 0.78 s over 31,000 states at geom:0.3.
+_LOOKAHEAD = 6
 
 
 class CouplingHorizonError(RuntimeError):
@@ -282,19 +289,63 @@ def perfect_samples(
     return tuple(drawn)
 
 
+def _front_sum(mu: MoveDistribution, bins: tuple, memo: dict) -> float:
+    """E[sum of mu([1, c_t]) over t < len(bins)] for the front bin count c_t
+    after t fresh letters, from rightmost bin counts ``bins`` (front first).
+
+    c_t depends on bins 0..t only, so the sum is exact whatever lies below
+    ``bins``.  A letter falls in one of three classes: the front bin (the
+    front advances to a new bin of count 1), bin i >= 1 (bin i - 1 gains a
+    ball), or below ``bins`` (at most the deepest bin changes).  Each class
+    moves ``bins`` as :meth:`core._Evolver.run` moves one representative
+    letter, and the next state keeps the bins the remaining letters can
+    reach, one fewer: that drops whatever the deepest class changed.
+    ``memo`` maps states to sums and may be shared between calls.
+    """
+    total = memo.get(bins)
+    if total is not None:
+        return total
+    total = mu.cdf(bins[0])
+    keep = len(bins) - 1
+    if keep:
+        config = Configuration(0, tuple(reversed(bins)))
+        ranks = list(itertools.accumulate(bins))
+        ranks.append(ranks[-1] + 1)
+        below = 0.0
+        for k in ranks:
+            upto = mu.cdf(k) if k < ranks[-1] else 1.0
+            if upto > below:
+                ev = _Evolver(config)
+                ev.run((k,))
+                nxt = _scenery(ev.window, keep)
+                total += (upto - below) * _front_sum(mu, nxt, memo)
+            below = upto
+    memo[bins] = total
+    return total
+
+
 def front_hit_rate(mu: MoveDistribution, samples) -> tuple:
-    """Speed estimate from perfect samples: the mean of mu([1, c]) over
-    their front bin counts c.
+    """Speed estimate from perfect samples: the mean over samples of their
+    expected mu([1, c_t]), averaged over the front bin counts c_t after
+    t = 0..m-1 fresh letters, m = min(K, ``_LOOKAHEAD``).
 
     The speed is the probability that a fresh letter lands within the
-    stationary front bin count.  Scoring each sample with that probability
-    given its count, instead of drawing the letter, keeps the expectation
-    and lowers the variance (Rao-Blackwellisation).  Draws no random
-    numbers.  Returns (estimate, standard error of the mean).
+    stationary front bin count, and the process stays stationary as
+    letters arrive, so each c_t has the stationary law.  A depth-K
+    sample fixes the expectation of mu([1, c_t]) for every t < K
+    (:func:`_front_sum`).  Scoring each sample with those expectations,
+    instead of drawing letters, keeps the mean and lowers the variance
+    (Rao-Blackwellisation); at K = 1 the score is mu([1, c_0]).  m
+    depends on the samples' depth K only, never on how deep a sample was
+    certified, which would bias the mean.  Draws no random numbers.
+    Returns (estimate, standard error of the mean).
     """
     if not samples:
         raise ValueError("need at least one perfect sample")
-    return _mean_stderr([mu.cdf(s.scenery[0]) for s in samples])
+    m = min(_LOOKAHEAD, min(len(s.scenery) for s in samples))
+    memo: dict = {}
+    return _mean_stderr([_front_sum(mu, s.scenery[:m], memo) / m
+                         for s in samples])
 
 
 def stationary_speed(
@@ -305,9 +356,10 @@ def stationary_speed(
 ) -> tuple:
     """Unbiased speed estimate from perfect samples.
 
-    Replicas 0..samples-1 are drawn at depth K (only depth 1 is used) and
-    scored by :func:`front_hit_rate`.  Returns (estimate, standard error
-    of the mean).
+    Replicas 0..samples-1 are drawn at depth K and scored by
+    :func:`front_hit_rate` over their first min(K, 6) bins: a deeper K
+    costs longer horizons and buys a smaller standard error.  Returns
+    (estimate, standard error of the mean).
     """
     drawn = perfect_samples(mu, K, samples, seed)
     return front_hit_rate(mu, drawn)

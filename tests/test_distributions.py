@@ -86,6 +86,24 @@ def test_finite_support_exact_and_normalized():
     assert hash(mu) == hash(FiniteSupport({1: 0.5, 2: 0.25, 3: 0.25}))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("probs", [
+    [1 + 1e-13], [0.5, 0.5 + 1e-13], {2: 0.25, 5: 0.75 - 1e-13},
+    [q / 0.9995 for q in (0.2, 0.3, 0.4995)],
+], ids=["one-letter", "above", "below", "rescaled"])
+def test_finite_support_rescales_a_sum_off_1_by_rounding(probs):
+    mu = FiniteSupport(probs)
+    pmfs = [mu.pmf(j) for j in range(1, mu.support_max + 1)]
+    assert all(0.0 <= q <= 1.0 for q in pmfs)
+    assert math.fsum(pmfs) == 1.0
+    assert mu.cdf(mu.support_max) == 1.0
+    # the spec names the law in use, and reading it back rescales nothing
+    again = parse_mu(mu.describe())
+    assert again == mu
+    assert [again.pmf(j) for j in range(1, mu.support_max + 1)] == pmfs
+    assert parse_mu("finite:1.0000000000001").describe() == "finite:1"
+
+
 @pytest.mark.parametrize("probs", [
     [math.nan],
     [0.5, math.nan, 0.5],

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import pytest
 
-from infinitebin import begraph, rng, simulate
-from infinitebin.core import MINIMAL_CONFIG, Configuration
+from infinitebin import begraph, enumerate_minimal, rng, simulate
+from infinitebin.core import MINIMAL_CONFIG, Configuration, _Evolver
 from infinitebin.distributions import (
     Dirac,
     FiniteSupport,
@@ -85,18 +86,77 @@ def test_geometric_one_estimates_are_exact():
     assert stationary_speed(mu, 300, K=2, seed=3) == (1.0, 0.0)
 
 
+def _brute_front_sums(mu, scenery, deep):
+    """[sum over t <= j of E[mu([1, c_t])] for j < len(scenery)], c_t the
+    front bin count after t letters from ``scenery`` (front first) with
+    len(scenery) bins of ``deep`` balls below it.
+
+    Runs _Evolver over every word of letters 1..M, M = sum(scenery) +
+    len(scenery), and one "past M" letter carrying 1 - cdf(M): before step
+    len(scenery), no letter past M lands above the deep bins."""
+    big = sum(scenery) + len(scenery)
+    letters = [(k, mu.pmf(k)) for k in range(1, big + 1)]
+    letters.append((big + 1, 1.0 - mu.cdf(big)))
+    start = Configuration(0, (deep,) * len(scenery) + tuple(reversed(scenery)))
+    sums, total = [], 0.0
+    for t in range(len(scenery)):
+        for word in itertools.product(letters, repeat=t):
+            weight = math.prod(q for _, q in word)
+            if weight:
+                ev = _Evolver(start)
+                ev.run([k for k, _ in word])
+                total += weight * mu.cdf(ev.window[-1])
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("mu", [
+    Geometric(0.5), Uniform(3), FiniteSupport([0.3, 0.0, 0.5, 0.2]),
+], ids=lambda mu: mu.describe())
+def test_front_sum_matches_a_brute_force_over_letter_words(mu):
+    memo = {}
+    for K in (1, 2, 3):
+        for scenery in itertools.product((1, 2, 3), repeat=K):
+            dp = [simulate._front_sum(mu, scenery[: j + 1], memo)
+                  for j in range(K)]
+            for deep in (1, 5):
+                brute = _brute_front_sums(mu, scenery, deep)
+                assert dp == pytest.approx(brute, rel=0, abs=1e-12), (
+                    scenery, deep)
+
+
 def test_front_hit_rate_scores_front_counts_without_drawing(monkeypatch):
     mu = Geometric(0.5)
-    drawn = perfect_samples(mu, 2, 400, seed=8)
+    front = perfect_samples(mu, 1, 400, seed=8)
+    deep = perfect_samples(mu, 2, 400, seed=8)
 
     def no_stream(*args, **kwargs):
         raise AssertionError("the stationary estimator opened a stream")
 
     monkeypatch.setattr(rng, "stream", no_stream)
+    # at K = 1 the score is mu([1, c]) of the front bin count, bit for bit
+    estimate, stderr = simulate.front_hit_rate(mu, front)
+    assert (estimate, stderr) == simulate._mean_stderr(
+        [mu.cdf(s.scenery[0]) for s in front])
+    assert 0.0 < stderr < 0.5 / math.sqrt(len(front))
+    # at K = 2 it averages the expected mu([1, c_t]) over t = 0, 1
+    estimate, stderr = simulate.front_hit_rate(mu, deep)
+    oracle = simulate._mean_stderr(
+        [_brute_front_sums(mu, s.scenery, 1)[-1] / 2 for s in deep])
+    assert (estimate, stderr) == pytest.approx(oracle, rel=0, abs=1e-12)
+    assert 0.0 < stderr < 0.5 / math.sqrt(len(deep))
+
+
+@pytest.mark.parametrize("spec", ["geom:0.5", "unif:3"])
+def test_front_hit_rate_over_four_bins_is_unbiased_and_sharper(spec):
+    mu = parse_mu(spec)
+    drawn = perfect_samples(mu, 4, 2000, seed=29)
     estimate, stderr = simulate.front_hit_rate(mu, drawn)
-    scores = [mu.cdf(s.scenery[0]) for s in drawn]
-    assert (estimate, stderr) == simulate._mean_stderr(scores)
-    assert 0.0 < stderr < 0.5 / math.sqrt(len(drawn))
+    bracket = enumerate_minimal(mu, 12, 12)
+    gap = max(bracket.lower - estimate, estimate - bracket.upper, 0.0)
+    assert gap <= 3 * stderr + bracket.rounding_bound
+    front = simulate._mean_stderr([mu.cdf(s.scenery[0]) for s in drawn])
+    assert stderr**2 <= front[1] ** 2 / 8
 
 
 def test_speed_floor_values():

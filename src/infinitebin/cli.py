@@ -311,6 +311,13 @@ def cmd_begraph(args, out):
 #: Forward replicas per verified law.
 _FORWARD_REPLICAS = 5
 
+#: Scenery depth of the stationary leg's perfect samples, each scored over
+#: its 4 certified bins.  A depth-4 draw costs at most about two depth-1
+#: draws, so the leg draws half the samples per budget: at the 10s budget
+#: on a 2-vCPU Xeon, stderr² x CPU s of the four panel laws came out
+#: 8-28x smaller than with twice as many depth-1 samples.
+_STATIONARY_K = 4
+
 #: Two-sided 99.73% Student-t quantile (the coverage of "3 sigma") at the
 #: 4 degrees of freedom of a stderr estimated from the 5 forward replicas.
 _T_GATE = 6.62
@@ -327,7 +334,9 @@ def _verify_one(spec, args, steps, samples, bracket_len):
         for replica in range(_FORWARD_REPLICAS)
     ])
 
-    st_mean, st_se = simulate.stationary_speed(mu, samples, 1, args.seed)
+    st_mean, st_se = simulate.stationary_speed(
+        mu, samples, _STATIONARY_K, args.seed
+    )
     floor = simulate.speed_floor(mu)
     # The forward stderr is estimated from few replicas, so the 99.73%
     # two-sided gate needs the Student-t quantile, not the normal 3; the
@@ -362,7 +371,7 @@ def _verify_one(spec, args, steps, samples, bracket_len):
         "forward": {"estimate": fw_mean, "stderr": fw_se, "steps": steps,
                     "seeds": _FORWARD_REPLICAS},
         "stationary": {"estimate": st_mean, "stderr": st_se,
-                       "samples": samples},
+                       "samples": samples, "K": _STATIONARY_K},
         "floor": floor,
         "checks": checks,
         "pass": all(checks.values()),
@@ -375,7 +384,7 @@ def cmd_verify(args, out):
     budget = _parse_budget(args.budget)
     scale = budget / 60.0
     steps = max(2_000, int(100_000 * scale))
-    samples = max(500, int(20_000 * scale))
+    samples = max(500, int(10_000 * scale))
     bracket_len = 10
     results = [
         _verify_one(spec, args, steps, samples, bracket_len)

@@ -54,7 +54,9 @@ class CouplingHorizonError(RuntimeError):
     """Tracker did not certify the requested depth within the horizon.
 
     This certifies only non-detection by the tracker's sound lower bound,
-    not that no coupling word occurred.
+    not that no coupling word occurred.  ``best_depth`` is the deepest
+    depth certified over the horizons tried, which start at the least
+    power of two >= K (0 when the depth was refused before any draw).
     """
 
     def __init__(self, K: int, horizon: int, best_depth: int):
@@ -210,13 +212,17 @@ def _certify(mu: MoveDistribution, seed: int, replica: int, letters,
     ..., capped at and ending on ``max_horizon``, where the tracker
     certifies depth >= need; CouplingHorizonError if none does.
 
+    The tracker certifies at most one bin per letter, so horizons below
+    ``need`` never certify: the schedule starts at the least power of two
+    >= need (or ``max_horizon``) and ends on the same horizon.
+
     ``letters[i]`` is the replica's fixed past letter at time -i, re-read
     on every horizon: its stream's first letters, or empty.  A horizon
     beyond them redraws the prefix from the replica's stream, at least
     doubled and at least ``_PAST_BLOCK`` long; streams are prefix-stable,
     so no index changes letter.
     """
-    best, h = 0, 1
+    best, h = 0, min(1 << (need - 1).bit_length(), max_horizon)
     while True:
         if h > len(letters):
             n = max(h, 2 * len(letters), _PAST_BLOCK)

@@ -516,11 +516,12 @@ def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # SHA-256 of the whole --out report: any change in the forward or
     # stationary replica statistics, or in the gates, shows here.  The
     # report's brackets also pin the engine at its defaults and at the
-    # earlier default state cap of 50,000 with no width budget.
+    # earlier default state cap of 50,000 with no width budget.  Both
+    # digests moved when the stationary leg went to depth-4 samples.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "8f7cacc2df3de51514623f83497ff26e65514ccf9bf90e674da306ec764b03f5"),
-        (50_000, "a245ecc8e86ac5ae317891b036b188121a88ea4da17299ece5d1360c7f0295f2"),
+        (None, "67c3df91df8e78dbfd77b65492aa1c8b82cdbf8115870c7140a3054783008b2f"),
+        (50_000, "6d92eabe3a448225f1bdc4381ac27c37dbda187f56c151fb48e6ed92bc35c391"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)
@@ -530,6 +531,23 @@ def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert code == cli.EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, cap
+
+
+def test_verify_stationary_leg_is_the_library_estimator(tmp_path, capsys):
+    # verify adds nothing to the stationary estimator: each law's record is
+    # stationary_speed at depth 4 over the budget's samples (the floor of
+    # 500 at 1s), bit for bit
+    path = tmp_path / "verify.json"
+    code, _, _ = run_cli(capsys, "verify", "--budget", "1s", "--seed", "0",
+                         "--out", str(path))
+    assert code == cli.EXIT_OK
+    results = json.loads(path.read_text())["results"]
+    assert [r["mu"] for r in results] == list(cli.VERIFY_PANEL)
+    for r in results:
+        estimate, stderr = simulate.stationary_speed(
+            parse_mu(r["mu"]), 500, 4, 0)
+        assert r["stationary"] == {"estimate": estimate, "stderr": stderr,
+                                   "samples": 500, "K": 4}, r["mu"]
 
 
 @pytest.mark.parametrize("budget", ["10m", "0s"])

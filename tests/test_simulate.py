@@ -336,6 +336,23 @@ def test_horizon_caps_off_the_doubling_schedule(cap):
         assert not certified
 
 
+@pytest.mark.parametrize("K", [1, 3, 4, 32])
+def test_certify_skips_horizons_shorter_than_the_depth(K, monkeypatch):
+    # The tracker certifies at most one bin per letter, so no fold at
+    # depth K reads fewer than K letters; K = 1 still tries horizon 1.
+    folds = []
+
+    def spied(letters):
+        folds.append(len(letters))
+        return fold(letters)
+
+    fold = simulate._fold_determined
+    monkeypatch.setattr(simulate, "_fold_determined", spied)
+    drawn = perfect_samples(Uniform(3), K, 20, seed=6)
+    assert min(folds) == 1 << (K - 1).bit_length()
+    assert all(s.tau >= K for s in drawn)
+
+
 def test_stationary_speed_matches_known_value():
     estimate, stderr = stationary_speed(Geometric(0.7), 3_000, K=1, seed=21)
     assert stderr > 0.0

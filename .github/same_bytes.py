@@ -11,6 +11,11 @@ parent commit's tree:
 
     git worktree add ../parent HEAD^1
     python .github/same_bytes.py ../parent/src
+
+Against a tree from before closed state graphs, the rows of laws with
+support in {1..5} differ on purpose, in their bracket ends and end
+names: the ``speed`` rows of unif:3 and finite:0.2,0.3,0.5 and both
+``verify`` rows (unif:2 and unif:3).
 """
 
 import json
@@ -25,14 +30,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: Point masses, the bracket engine (at p = 0.8 as verify runs it), the
 #: curve (once pruned across about 90 exponents), the birth floor on
 #: letters stacked at the depth cap, both samplers with a horizon failure
-#: (exit 3), the stationary estimate at depths 1 and 4, and verify at both
-#: thread counts; each command also gets ``--out out``.
+#: (exit 3), the stationary estimate at depths 1 and 4, verify at both
+#: thread counts, and a bracket from the closed state graph; each command
+#: also gets ``--out out``.
 PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed geom:0.8 --len 10 --max-letter 10",
     "speed dirac:1 --len 4",
     "speed dirac:2 --len 4",
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
+    "speed unif:3 --len 10 --max-letter 3",
     "curve --grid 0.1:0.9:0.1",
     "curve --grid 0.05:0.95:0.05 --len 12 --max-letter 8",
     "speed geom:0.8 --len 10 --max-letter 16",

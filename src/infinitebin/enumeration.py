@@ -48,6 +48,11 @@ tie handling: a cap of 10,000 live lumped states per level
 while their weight stays within 2% / L of the weight projected to be live
 at L.  The third is a birth-weight floor of 1e-18 below which children are
 not expanded (``_BIRTH_FLOOR``).
+
+For a small support the same steps close: no state is deeper than the
+largest letter, so the states reachable from the empty word are finite.
+``closed_ends`` builds that graph once per support and brackets the
+stopping tree at L = infinity by outward-rounded sweeps over it.
 """
 
 from __future__ import annotations
@@ -193,6 +198,19 @@ def _children(P: np.ndarray, V: np.ndarray, plan: _RunPlan) -> np.ndarray:
     C = np.take(P, plan.copy_src, axis=1)
     C[:, plan.gather_dst] = G
     return C
+
+
+def _root_row(a: int) -> np.ndarray:
+    """The packed depth-a row of the one-letter word (a), a >= 2: it
+    advances exactly from the flat placement (pattern 0)."""
+    return np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
+
+
+def _verdicts(C: np.ndarray, plan: _RunPlan) -> tuple:
+    """(good, bad) masks of packed child rows of ``plan``'s child depth:
+    good rows advance from every placement, bad rows from none."""
+    words = _words(C)
+    return (words == plan.ones).all(axis=1), ~words.any(axis=1)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -520,10 +538,9 @@ def _stopping_tree(
             root("capped", 1, shifts[a], w)
         elif L == 1:
             root("live", 1, shifts[a], w)
-        else:  # (a) advances exactly from the flat placement (pattern 0)
-            row = np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
-            _stash(pending, np.full(1, shifts[a], dtype=np.uint16), row,
-                   np.array([w]), a)
+        else:
+            _stash(pending, np.full(1, shifts[a], dtype=np.uint16),
+                   _root_row(a), np.array([w]), a)
     groups, peak, pruned, kept = _settle(pending, q_pow, tally, 1, L,
                                          level_factor, 0.0)
 
@@ -572,9 +589,7 @@ def _stopping_tree(
                             plan = _run_plan(d2, a, d)
                             C[start:end] = _children(Pa, Va, plan)
                         start = end
-                    words = _words(C)
-                    g = (words == plan.ones).all(axis=1)
-                    b = ~words.any(axis=1)
+                    g, b = _verdicts(C, plan)
                     if g.any():
                         tally.add(GOOD, level, e2[g], cw[g])
                     if b.any():
@@ -632,6 +647,139 @@ def mass_rounding_bound(L: int, A: int) -> float:
     """
     eps = math.ulp(1.0)
     return 4.0 * (L + 64) * (L + 3) * eps
+
+
+# ---------------------------------------------------------------------------
+# closed state graphs: the stopping tree at L = infinity
+# ---------------------------------------------------------------------------
+
+#: Most sweeps of one closed-graph end.  Every sweep's end is certified, so
+#: the cap only leaves a law that resolves very slowly (near a point mass
+#: at a letter >= 2) a wider bracket.
+_MAX_SWEEPS = 10_000
+
+
+class _ClosedGraph(NamedTuple):
+    """The lumped states reachable under a set of letters, with state 0 the
+    empty word.  Prepending letter ``letter[i]`` to state ``src[i]`` gives
+    live state ``dst[i]``; prepending ``good_letter[j]`` to state
+    ``good_src[j]`` gives a good word.  Letters that give a bad word have
+    no entry."""
+
+    states: int
+    src: np.ndarray
+    dst: np.ndarray
+    letter: np.ndarray
+    good_src: np.ndarray
+    good_letter: np.ndarray
+
+
+@functools.cache
+def _closed_graph(letters: tuple) -> _ClosedGraph:
+    """Breadth-first closure of the lumped states under ``letters``.
+
+    States are keyed by (depth, row bytes).  Children are built, classified
+    and depth-reduced by the level loop's own steps (``_run_plan``,
+    ``_children``, ``_verdicts``, ``_stash``), with the parent's state id
+    in the exponent column and the letter as the weight.  A state is no
+    deeper than the largest letter, so the closure is finite; its size
+    depends on the letters only, not on their weights.
+    """
+    ids = {(0, b""): 0}
+    src, dst, letter, good_src, good_letter = [], [], [], [], []
+    pending: dict = {}
+    for a in letters:
+        if a == 1:
+            good_src.append(0)
+            good_letter.append(1)
+        else:
+            _stash(pending, np.zeros(1, dtype=np.int64), _root_row(a),
+                   np.array([a]), a)
+    while pending:
+        new: dict = defaultdict(list)  # depth -> [(id, row)] of new states
+        for d, (rows, ws, es) in sorted(pending.items()):
+            for row, a, s in zip(np.concatenate(rows), np.concatenate(ws),
+                                 np.concatenate(es)):
+                key = (d, row.tobytes())
+                if key not in ids:
+                    ids[key] = len(ids)
+                    new[d].append((ids[key], row))
+                src.append(int(s))
+                dst.append(ids[key])
+                letter.append(int(a))
+        pending = {}
+        for d, block in new.items():
+            at = np.array([i for i, _ in block])
+            P = np.array([row for _, row in block])
+            V = np.unpackbits(P, axis=1, count=1 << (d - 1))
+            for a in letters:
+                d2 = max(a, d - 1)
+                plan = _run_plan(d2, a, d)
+                C = _children(P, V, plan)
+                g, b = _verdicts(C, plan)
+                good_src.extend(at[g].tolist())
+                good_letter.extend([a] * int(g.sum()))
+                live = ~(g | b)
+                _stash(pending, at[live], C[live],
+                       np.full(int(live.sum()), a), d2)
+    columns = [np.array(x, dtype=np.int64) for x in (
+        src, dst, letter, good_src, good_letter)]
+    for column in columns:  # cached and shared: read only
+        column.flags.writeable = False
+    return _ClosedGraph(len(ids), *columns)
+
+
+def _sweeps(graph: _ClosedGraph, w: np.ndarray, g: np.ndarray,
+            upper: bool) -> float:
+    """The empty word's end of the iteration x = g + T x, from x = 0 for
+    the lower end and from x = 1 for the upper end.
+
+    Each sweep is one gather: x_s = g_s + the sum of w x over s's edges.
+    That is a sum of nonnegative terms, one per letter, each a product of
+    floats, so for k letters it is off by at most k roundings of relative
+    size 2^-53.  Scaling by 1 -/+ 8 ulp(1) = 1 -/+ 16 * 2^-53 covers them
+    and the scaling's own rounding up to k = 14, and ``np.nextafter`` steps
+    one float further out, so each sweep lands strictly on its side of the
+    exact sweep of its input.  T has no negative entry, so by induction
+    the values stay on their side of the exact sweeps from 0 and from 1:
+    the good mass, and one minus the bad mass, of the words at most n
+    letters longer after n sweeps.  Those climb and fall monotonically, so
+    each state keeps the better of its last two values.  Sweeps stop when
+    one changes nothing, or after ``_MAX_SWEEPS``.
+    """
+    slack = 8.0 * math.ulp(1.0)
+    if upper:
+        toward, scale, better = math.inf, 1.0 + slack, np.minimum
+    else:
+        toward, scale, better = 0.0, 1.0 - slack, np.maximum
+    x = np.full(graph.states, float(upper))
+    for _ in range(_MAX_SWEEPS):
+        swept = np.bincount(graph.src, w * x[graph.dst],
+                            minlength=graph.states) + g
+        new = better(x, np.nextafter(swept * scale, toward))
+        if np.array_equal(new, x):
+            break
+        x = new
+    return float(x[0])
+
+
+def closed_ends(pmf_vec: np.ndarray) -> tuple:
+    """Certified (lower, upper) speed bounds from the closed state graph of
+    the letters with positive weight in ``pmf_vec`` (index 0 unused).
+
+    The caller keeps the letters few: the closure of {1..5} has 349 live
+    states, {1..6} over 5,000.  The ends are the limits, as L grows, of the
+    level loop's good mass and one minus its bad mass with nothing pruned,
+    approached by outward-rounded sweeps (see ``_sweeps``); like the level
+    loop's, they hold for the weights as given, up to the rounding of the
+    weights themselves.
+    """
+    letters = tuple(int(a) for a in np.flatnonzero(pmf_vec[1:] > 0.0) + 1)
+    graph = _closed_graph(letters)
+    w = pmf_vec[graph.letter]
+    g = np.bincount(graph.good_src, pmf_vec[graph.good_letter],
+                    minlength=graph.states)
+    return _sweeps(graph, w, g, False), _sweeps(graph, w, g, True)
 
 
 # ---------------------------------------------------------------------------

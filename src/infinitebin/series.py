@@ -20,6 +20,13 @@ alphabet tail is heavy (low p):
   C(p), Newman's first-moment bound (Random Structures Algorithms 3, 1992):
   P(L_n >= k) <= C(n, k+1) p^k gives C(p) <= c*(p), the root in (p, 1) of
   H(c) + c ln p = 0 with H the entropy in nats.
+
+A law whose support lies in {1..5}, with no mass past the alphabet, needs
+no length bound at all: its lumped states close into a finite graph, on
+which the speed is an absorption probability (Kemeny & Snell, Finite
+Markov Chains, 1960), and outward-rounded sweeps bracket it to about
+1e-14 (see :func:`~infinitebin.enumeration.closed_ends`).  Both ends are
+intersected with the enumeration's.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from infinitebin.distributions import Geometric, MoveDistribution, Uniform
 from infinitebin.enumeration import (
     MassSplit,
     _alphabet,
+    closed_ends,
     count_rounding_bound,
     mass_rounding_bound,
     stopping_tree_counts,
@@ -47,13 +55,17 @@ class SpeedBracket:
     """Two-sided certified bracket for the front speed.
 
     The true speed lies in [lower, upper] up to ``rounding_bound`` of
-    floating-point slack.  ``lower`` is the better of ``good_mass``, the
-    accumulated weight of enumerated minimal good words, and the lazy-law
-    bound on the same words; ``lower_from`` says which (``"good"`` or
-    ``"lazy"``).  ``upper`` is the better of one minus ``bad_mass``, that
-    of minimal bad words, and, for Geometric laws, the first-moment bound;
-    ``upper_from`` says which (``"bad"`` or ``"first_moment"``).  Both
-    bounds are described in :mod:`infinitebin.series`.  ``good_mass +
+    floating-point slack.  ``lower`` is the best of ``good_mass``, the
+    accumulated weight of enumerated minimal good words, the lazy-law
+    bound on the same words and, for a law on {1..5} with no mass past
+    the alphabet, the closed state graph's lower end; ``lower_from`` says
+    which (``"good"``, ``"lazy"`` or ``"closed"``).  ``upper`` is the best
+    of one minus ``bad_mass``, that of minimal bad words, for Geometric
+    laws the first-moment bound, and the closed graph's upper end;
+    ``upper_from`` says which (``"bad"``, ``"first_moment"`` or
+    ``"closed"``).  These bounds are described in
+    :mod:`infinitebin.series`.  The masses and frontier fields are always
+    the enumeration's, whichever bound sets an end.  ``good_mass +
     bad_mass + frontier_mass`` is 1, and ``frontier_tail``,
     ``frontier_live``, ``frontier_capped`` and ``pruned_mass`` split
     ``frontier_mass`` by where it came from (see
@@ -142,12 +154,13 @@ def _first_moment_bound(p: float) -> float:
 
 
 def _ends(good: float, bad: float, good_by_len, tail: float,
-          p: float | None = None) -> tuple:
+          p: float | None = None, closed: tuple | None = None) -> tuple:
     """Certified (lower, upper, lower_from, upper_from), clamped into [0, 1].
 
     ``good_by_len[n]`` is the good mass of words of length n and ``tail``
     the letter law's mass past the alphabet bound (the lazy-law bound
-    needs 0 < tail < 1); ``p`` is given for Geometric(p) letters only.
+    needs 0 < tail < 1); ``p`` is given for Geometric(p) letters only, and
+    ``closed`` for laws whose state graph closes (see ``_closes``).
     The lazy factors round down and c*(p) up, and the lazy terms
     total at most 1 - tail, so the rounding bound of the good mass covers
     the lazy bound too.
@@ -165,15 +178,37 @@ def _ends(good: float, bad: float, good_by_len, tail: float,
         c_star = _first_moment_bound(p)
         if c_star < upper:
             upper, upper_from = c_star, "first_moment"
+    if closed is not None:
+        if closed[0] > lower:
+            lower, lower_from = closed[0], "closed"
+        if closed[1] < upper:
+            upper, upper_from = closed[1], "closed"
     lower = min(max(lower, 0.0), 1.0)
     return lower, min(max(upper, lower), 1.0), lower_from, upper_from
+
+
+#: Largest letter of a law whose closed state graph ``_bracket`` builds:
+#: the closure of {1..5} has 349 live states, built in 12 ms and swept to
+#: both ends in 11 ms; that of {1..6} has 5,109, in 0.06 s and 0.21 s
+#: (2 vCPU Xeon).
+_CLOSED_MAX_LETTER = 5
+
+
+def _closes(mu: MoveDistribution, tail: float) -> bool:
+    """True iff mu's support lies in {1..``_CLOSED_MAX_LETTER``} and no
+    mass lies past the alphabet (``tail`` = 0), so its closed state graph
+    prices every word."""
+    return tail == 0.0 and mu.support_max is not None \
+        and mu.support_max <= _CLOSED_MAX_LETTER
 
 
 def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
              L: int, A: int) -> SpeedBracket:
     p = mu.p if isinstance(mu, Geometric) else None
+    closed = (closed_ends(mu.pmf_vector(mu.support_max))
+              if _closes(mu, tail) else None)
     lower, upper, lower_from, upper_from = _ends(
-        split.good, split.bad, split.good_by_len, tail, p)
+        split.good, split.bad, split.good_by_len, tail, p, closed)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -209,7 +244,9 @@ def enumerate_minimal(
     the fixed bounds are listed in :mod:`infinitebin.enumeration`.
     The good mass by word length gives the lazy-law bound, which raises
     ``lower`` when mu has mass past A; for Geometric(p) laws the
-    first-moment bound may lower ``upper`` (see :class:`SpeedBracket`).
+    first-moment bound may lower ``upper``; and for a law on {1..5} with
+    no mass past A the closed state graph brackets the speed itself (see
+    :class:`SpeedBracket`).
     A point mass at a letter >= 2 raises ValueError.
     """
     if mu.blocked():
@@ -342,6 +379,9 @@ def uniform_speed_terms(k: int, max_len: int) -> SpeedBracket:
     For k <= 16 the alphabet is exactly 1..k, with no truncation, so the
     frontier is purely words still unresolved at the length bound; past
     16 the letters are alphabet tail (see :func:`enumerate_minimal`).
+    For k <= 5 the closed state graph sets both ends, at any max_len, to
+    within about 1e-14 of the exact speed (2/3, 24/47 and 52/125 for
+    k = 2, 3 and 4).
     """
     if k < 2:
         raise ValueError(f"uniform support bound must be >= 2, got {k}")

@@ -56,19 +56,20 @@ class CouplingHorizonError(RuntimeError):
     This certifies only non-detection by the tracker's sound lower bound,
     not that no coupling word occurred.  ``best_depth`` is the deepest
     depth certified over the horizons tried, which start at the least
-    power of two >= K (0 when the depth was refused before any draw).
+    power of two >= K (0 when the depth was refused before any draw, and
+    ``why`` says why).
     """
 
-    def __init__(self, K: int, horizon: int, best_depth: int):
+    def __init__(self, K: int, horizon: int, best_depth: int,
+                 why: str | None = None):
         self.K = K
         self.horizon = horizon
         self.best_depth = best_depth
-        if K > horizon:  # refused before any draw: see _check_perfect_args
-            why = ("; the tracker certifies at most one bin per letter, "
-                   f"so depth {K} needs at least {K} past letters")
-        else:
+        if why is None:
             why = (f" (deepest certified: {best_depth}); raise max_horizon "
                    "or check that the letter law is not (nearly) degenerate")
+        else:
+            why = f"; {why}"
         super().__init__(f"no depth-{K} coupling certified within {horizon} "
                          f"past letters{why}")
 
@@ -78,7 +79,9 @@ def _check_perfect_args(mu: MoveDistribution, K: int,
     """Reject what :func:`perfect_sample` cannot draw, before any draw.
 
     The tracker certifies at most one bin per letter, so a depth K above
-    ``max_horizon`` can never be certified and fails at once.
+    ``max_horizon`` can never be certified and fails at once.  It also
+    certifies nothing until a letter 1 arrives, so a law with mu(1) = 0
+    fails at once too.
     """
     if K < 1:
         raise ValueError(f"scenery depth K must be >= 1, got {K}")
@@ -90,7 +93,15 @@ def _check_perfect_args(mu: MoveDistribution, K: int,
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
     if K > max_horizon:
-        raise CouplingHorizonError(K, max_horizon, 0)
+        raise CouplingHorizonError(
+            K, max_horizon, 0,
+            "the tracker certifies at most one bin per letter, so depth "
+            f"{K} needs at least {K} past letters")
+    if mu.support_min > 1:
+        raise CouplingHorizonError(
+            K, max_horizon, 0,
+            "the tracker certifies nothing until a letter 1 arrives, and "
+            f"{mu.describe()} gives letter 1 no mass")
 
 
 def _mean_stderr(values) -> tuple:

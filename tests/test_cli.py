@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,7 +120,8 @@ def test_speed_record_params_are_the_bracket_fields(tmp_path, capsys):
 @pytest.mark.parametrize("spec, max_letter, lower_from, upper_from", [
     ("geom:0.1", "6", "lazy", "first_moment"),
     ("geom:0.7", "6", "lazy", "bad"),
-    ("unif:2", "2", "good", "bad"),
+    ("unif:7", "7", "good", "bad"),
+    ("unif:2", "2", "closed", "closed"),
 ])
 def test_speed_record_names_the_bound_at_each_end(tmp_path, capsys, spec,
                                                   max_letter, lower_from,
@@ -139,6 +141,8 @@ def test_speed_record_names_the_bound_at_each_end(tmp_path, capsys, spec,
     if (lower_from, upper_from) == ("good", "bad"):
         assert params["lower"] == params["good_mass"]
         assert params["upper"] == 1.0 - params["bad_mass"]
+    if (lower_from, upper_from) == ("closed", "closed"):
+        assert params["lower"] < 2 / 3 < params["upper"]
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -448,6 +452,25 @@ def test_perfect_depth_past_horizon_exits_3_before_any_draw(capsys,
     assert "degenerate" not in err
 
 
+def test_perfect_without_letter_one_exits_3_before_any_draw(capsys,
+                                                           monkeypatch):
+    # the tracker certifies nothing before a letter 1, so a law with no
+    # mass there is refused at once; it once folded 2^24 letters (3.7 CPU
+    # s, 612 MB) and then asked for a longer horizon
+    def no_draw(*args, **kwargs):
+        raise AssertionError("perfect drew for a law with no letter 1")
+
+    monkeypatch.setattr(rng, "first_uniforms", no_draw)
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, "perfect", "finite:0,0.5,0.5",
+                             "--replicas", "1")
+    assert time.process_time() - t0 < 0.1
+    assert code == 3 and out == ""
+    assert "certifies nothing until a letter 1 arrives" in err
+    assert "finite:0,0.5,0.5 gives letter 1 no mass" in err
+    assert "max_horizon" not in err
+
+
 def test_perfect_rejects_blocked_point_mass(capsys):
     assert run_cli(capsys, "perfect", "dirac:2")[0] == 1
 
@@ -517,11 +540,12 @@ def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # stationary replica statistics, or in the gates, shows here.  The
     # report's brackets also pin the engine at its defaults and at the
     # earlier default state cap of 50,000 with no width budget.  Both
-    # digests moved when the stationary leg went to depth-4 samples.
+    # digests moved when the stationary leg went to depth-4 samples, and
+    # again when unif:2 and unif:3 took their ends from the closed graph.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "67c3df91df8e78dbfd77b65492aa1c8b82cdbf8115870c7140a3054783008b2f"),
-        (50_000, "6d92eabe3a448225f1bdc4381ac27c37dbda187f56c151fb48e6ed92bc35c391"),
+        (None, "be8232c34a25ec0bb900c6ef628d16fc2cb6b0f9db559449a3abbc01084a5a7a"),
+        (50_000, "e0f513f4c44741a38ea584b1bcf5a1d51d5cbd77b55e8b2e98fcf47c5767ac32"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)

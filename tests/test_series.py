@@ -182,6 +182,10 @@ def test_walk_and_lumped_engines_agree_exactly():
             lumped = enumerate_minimal(mu, L, A)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
         assert walk.upper == pytest.approx(lumped.upper, abs=1e-13)
+        # all but the Geometric law close, so their ends come from the one
+        # closed graph: the masses are each engine's own
+        assert walk.good_mass == pytest.approx(lumped.good_mass, abs=1e-13)
+        assert walk.bad_mass == pytest.approx(lumped.bad_mass, abs=1e-13)
         # the good mass by word length, as the engines give it
         pmf, tail = mu.pmf_vector(A), mu.tail(A)
         with patched(**EXACT):
@@ -552,8 +556,8 @@ def test_emitted_words_are_minimal_with_true_weights():
     assert seen, "expected some resolved minimal words"
     good_sum = math.fsum(wt for _, v, wt in seen if v == "good")
     bad_sum = math.fsum(wt for _, v, wt in seen if v == "bad")
-    assert good_sum == pytest.approx(bracket.lower, abs=1e-13)
-    assert 1.0 - bad_sum == pytest.approx(bracket.upper, abs=1e-13)
+    assert good_sum == pytest.approx(bracket.good_mass, abs=1e-13)
+    assert 1.0 - bad_sum == pytest.approx(1.0 - bracket.bad_mass, abs=1e-13)
     for word, verdict, wt in seen:
         ref = classify(word)
         assert ref.verdict == verdict
@@ -1004,8 +1008,8 @@ def test_low_p_bounds_tighten_the_curve():
 
 def test_uniform_terms_k2_len1_is_half():
     bracket = uniform_speed_terms(2, 1)
-    assert bracket.lower == 0.5
-    assert bracket.upper == 1.0
+    assert bracket.good_mass == 0.5
+    assert 1.0 - bracket.bad_mass == 1.0
     with pytest.raises(ValueError):
         uniform_speed_terms(1, 4)
 
@@ -1017,3 +1021,106 @@ def test_uniform_terms_match_uniform_law():
     assert viaterms.lower == direct.lower
     assert viaterms.upper == direct.upper
 
+
+# ---------------------------------------------------------------------------
+# closed state graphs
+# ---------------------------------------------------------------------------
+
+
+def exact_closed_speed(law: dict) -> Fraction:
+    """The speed of a law on few letters (``law``: letter -> Fraction) as a
+    rational: a Gauss-Jordan solve of (I - T) x = g over the closed state
+    graph, with no floating point.  Dense, so the tests keep to graphs of
+    at most 45 live states (0.3 s)."""
+    graph = enumeration._closed_graph(tuple(sorted(law)))
+    n = graph.states
+    assert n <= 46
+    rows = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(0)]
+            for i in range(n)]
+    for s, t, a in zip(graph.src.tolist(), graph.dst.tolist(),
+                       graph.letter.tolist()):
+        rows[s][t] -= law[a]
+    for s, a in zip(graph.good_src.tolist(), graph.good_letter.tolist()):
+        rows[s][n] += law[a]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        pivot_value = top[col]
+        top[:] = [v / pivot_value for v in top]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * t for v, t in zip(rows[r], top)]
+    return rows[0][n]
+
+
+#: Exact speeds: the uniform laws on {1, 2}, {1..3} and {1..4}, and a law
+#: with a gap in its support.
+EXACT_SPEEDS = [
+    (Uniform(2), {1: Fraction(1, 2), 2: Fraction(1, 2)}, Fraction(2, 3)),
+    (Uniform(3), {a: Fraction(1, 3) for a in (1, 2, 3)}, Fraction(24, 47)),
+    (Uniform(4), {a: Fraction(1, 4) for a in (1, 2, 3, 4)},
+     Fraction(52, 125)),
+    (FiniteSupport([0.5, 0.0, 0.5]), {1: Fraction(1, 2), 3: Fraction(1, 2)},
+     Fraction(6, 11)),
+]
+
+
+@pytest.mark.parametrize("mu, law, speed", EXACT_SPEEDS,
+                         ids=[mu.describe() for mu, _, _ in EXACT_SPEEDS])
+def test_closed_graph_solve_gives_the_exact_speed(mu, law, speed):
+    assert exact_closed_speed(law) == speed
+    # each closed bracket holds it, positively wide, at any length bound
+    for L in (1, 4, 10):
+        bracket = enumerate_minimal(mu, L, mu.support_max)
+        assert (bracket.lower_from, bracket.upper_from) == ("closed", "closed")
+        assert 0.0 < bracket.width < 1e-14
+        slack = Fraction(bracket.rounding_bound)
+        assert Fraction(bracket.lower) - slack <= speed
+        assert speed <= Fraction(bracket.upper) + slack
+
+
+@pytest.mark.parametrize("mu, law, speed", EXACT_SPEEDS,
+                         ids=[mu.describe() for mu, _, _ in EXACT_SPEEDS])
+def test_level_loop_brackets_hold_the_exact_speed(mu, law, speed):
+    # the count-free engine against an oracle with no floating point
+    A = mu.support_max
+    pmf = mu.pmf_vector(A)
+    for L in range(2, 13):
+        split = stopping_tree_masses(pmf, 0.0, L, A)
+        slack = Fraction(mass_rounding_bound(L, A))
+        assert Fraction(split.good) - slack <= speed, L
+        assert speed <= 1 - Fraction(split.bad) + slack, L
+
+
+def test_closed_ends_need_a_closing_law():
+    # a law past {1..5} keeps the level loop's ends, as does a law on
+    # {1..5} with mass past the alphabet
+    assert series._closes(Uniform(5), 0.0)
+    assert not series._closes(Uniform(6), 0.0)
+    assert not series._closes(Geometric(0.5), 0.0)
+    bracket = enumerate_minimal(Uniform(5), 6, 4)
+    assert bracket.frontier_tail > 0.0
+    assert (bracket.lower_from, bracket.upper_from) == ("lazy", "bad")
+    closed = enumerate_minimal(Uniform(5), 6, 5)
+    assert (closed.lower_from, closed.upper_from) == ("closed", "closed")
+    assert 0.0 < closed.width < 1e-14
+    # the exact speed of unif:5, from a dense rational solve (200 s)
+    slack = Fraction(closed.rounding_bound)
+    assert Fraction(closed.lower) - slack <= Fraction(255180, 725281) \
+        <= Fraction(closed.upper) + slack
+
+
+def test_closed_ends_hold_at_every_sweep():
+    # each sweep is certified, so stopping early only widens the ends: a
+    # law that resolves slowly keeps the ends it reached at the cap
+    mu, speed = Uniform(3), Fraction(24, 47)
+    pmf = mu.pmf_vector(3)
+    widths = []
+    for cap in (1, 2, 5, 20, enumeration._MAX_SWEEPS):
+        with patched(_MAX_SWEEPS=cap):
+            lower, upper = enumeration.closed_ends(pmf)
+        assert Fraction(lower) < speed < Fraction(upper), cap
+        widths.append(upper - lower)
+    assert widths == sorted(widths, reverse=True) and widths[-1] < 1e-14

@@ -27,13 +27,16 @@ import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Point masses, the bracket engine (at p = 0.8 as verify runs it), the
-#: curve (once pruned across about 90 exponents), the birth floor on
-#: letters stacked at the depth cap, both samplers with a horizon failure
-#: (exit 3), the stationary estimate at depths 1 and 4, verify at both
-#: thread counts, and a bracket from the closed state graph; each command
-#: also gets ``--out out``.
+#: All seven subcommands: classify, point masses, the bracket engine (at
+#: p = 0.8 as verify runs it), the curve (once pruned across about 90
+#: exponents), the birth floor on letters stacked at the depth cap, forward
+#: simulation of point masses and of geom:0.5, both samplers with a horizon
+#: failure (exit 3), the stationary estimate at depths 1 and 4, begraph's
+#: replicas and its coupling trajectory, verify at both thread counts, and
+#: a bracket from the closed state graph; each command also gets
+#: ``--out out``.
 PANEL = (
+    "classify 2,3,2,2",
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed geom:0.8 --len 10 --max-letter 10",
     "speed dirac:1 --len 4",
@@ -45,12 +48,15 @@ PANEL = (
     "speed geom:0.8 --len 10 --max-letter 16",
     "simulate dirac:1 --steps 10000",
     "simulate dirac:2 --steps 10000",
+    "simulate geom:0.5 --steps 20000",
     "perfect dirac:1 -K 3 --estimate",
     "perfect dirac:2",
     "perfect geom:0.5 --replicas 2000 --estimate",
     "perfect geom:0.5 -K 4 --replicas 2000 --estimate",
     "perfect unif:3 -K 32",
     "perfect geom:0.3 --max-horizon 64",
+    "begraph --p 0.5 --n 5000 --replicas 4",
+    "begraph --p 0.3 --n 2000 --trajectory",
     "verify --budget 20s --seed 0 --threads 1",
     "verify --budget 20s --seed 0 --threads 2",
 )

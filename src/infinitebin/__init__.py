@@ -44,7 +44,6 @@ from infinitebin.words import (
 from infinitebin.series import (
     CurveRow,
     SpeedBracket,
-    bivariate_D,
     curve,
     enumerate_minimal,
     uniform_speed_terms,
@@ -93,7 +92,6 @@ __all__ = [
     "SpeedBracket",
     "CurveRow",
     "enumerate_minimal",
-    "bivariate_D",
     "curve",
     "uniform_speed_terms",
     "RunStats",

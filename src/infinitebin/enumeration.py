@@ -815,22 +815,24 @@ class CountTables:
         """(good, bad, frontier) mass at Geometric(p); masses sum to 1."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {p}")
-        return self._sums(p, 1.0 - p, self.good, self.bad, self.frontier)
-
-    def _sums(self, x: float, y: float, *tables) -> tuple:
-        """Sum of table[n, e] * x^n * y^e for each of ``tables``."""
-        n_pow = np.power(float(x), np.arange(self.good.shape[0]))
-        e_pow = np.power(float(y), np.arange(self.good.shape[1]))
-        return tuple(float(n_pow @ table @ e_pow) for table in tables)
+        n_pow = np.power(float(p), np.arange(self.good.shape[0]))
+        e_pow = np.power(float(1.0 - p), np.arange(self.good.shape[1]))
+        return tuple(float(n_pow @ table @ e_pow)
+                     for table in (self.good, self.bad, self.frontier))
 
 
 def count_rounding_bound(L: int, A: int) -> float:
     """Rounding bound for CountTables.evaluate at one p.
 
-    Table entries and the power vectors are exact to relative eps-level;
-    the double contraction sums at most (L+1)(E+1) nonnegative terms of
-    total magnitude <= 1, giving error <= 4 (L + E) eps with
-    E = L(A-1) + A.
+    Table entries are exact and the power vectors exact to relative
+    eps-level; the double contraction sums at most (L+1)(E+1) nonnegative
+    terms of total magnitude <= 1, in sums of at most E+1 and then L+1
+    terms, with E = L(A-1) + A.  Returns 4 (L + E + 64) eps: as in
+    :func:`mass_rounding_bound`, 64 is a fixed allowance past the
+    summation depth, here for the few roundings each term takes before it
+    is summed (its two powers and two products) and for a BLAS kernel
+    that sums in blocks rather than in one running sum.  The factor 4
+    absorbs second-order terms.
     """
     eps = math.ulp(1.0)
     E = L * (A - 1) + A

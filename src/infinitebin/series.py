@@ -1,5 +1,5 @@
-"""Certified speed brackets, the bivariate growth series, and the growth
-curve of the random-graph longest path.
+"""Certified speed brackets and the growth curve of the random-graph
+longest path.
 
 The front speed of the infinite-bin process under letter law mu equals the
 total mu-weight of minimal good words, and one minus the weight of minimal
@@ -264,50 +264,6 @@ def enumerate_minimal(
     return _bracket(split, tail, mu, max_len, max_letter)
 
 
-def bivariate_D(
-    p: float,
-    q: float,
-    max_len: int,
-    max_letter: int,
-) -> tuple:
-    """Partial sum of the bivariate minimal-good-word series, with bound.
-
-    The series assigns each minimal good word the monomial
-    p^length * q^(sum of letters minus length) and converges on part of
-    the (p, q) quadrant; on the diagonal q = 1 - p it equals the
-    longest-path growth rate.  Returns ``(lower, frontier)``: the partial
-    sum over enumerated minimal good words, and a bound on the remaining
-    series mass, rounded upward.  The bound multiplies each unresolved
-    branch by its worst-case continuation mass, geometric with ratio
-    r = p/(1-q); it is finite only for r < 1 (strictly inside the product
-    region) or when enumeration left nothing unresolved.  Both evaluate
-    the count tables of :func:`~infinitebin.enumeration.stopping_tree_counts`
-    with pruning ranked at q, whose guard raises SizeLimitError for A^L
-    at or above 2^53.  As in :func:`enumerate_minimal`, A is
-    min(max_letter, 16) and letters past it are alphabet tail.
-    """
-    if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):  # nan fails too
-        raise ValueError("monomial variables must be finite and >= 0")
-    tables = stopping_tree_counts(max_len, _alphabet(max_len, max_letter),
-                                  reference_p=1.0 - q)
-    good, tail, live, pruned = tables._sums(
-        p, q, tables.good, tables.tail, tables.live, tables.pruned)
-    if q >= 1.0:
-        return good, math.inf if p > 0.0 else 0.0
-    # 1 - q rounded down covers the subtraction, and the rest is exact
-    # rational arithmetic until the bound is rounded upward
-    r = Fraction(p) / Fraction(math.nextafter(1.0 - q, 0.0))
-    # a tail entry sits at q^(e + A); its letters beyond A weigh r q^A
-    unresolved_next = Fraction(tail) * r
-    unresolved_now = Fraction(live) + Fraction(pruned)
-    if unresolved_now == 0 and unresolved_next == 0:
-        return good, 0.0
-    if r >= 1:
-        return good, math.inf
-    bound = unresolved_next / (1 - r) + unresolved_now * r / (1 - r)
-    return good, math.nextafter(float(bound), math.inf)
-
-
 @dataclass(frozen=True)
 class CurveRow:
     """One growth-curve grid point with its certified bracket.
@@ -377,8 +333,10 @@ def uniform_speed_terms(k: int, max_len: int) -> SpeedBracket:
     """Bracket the uniform-law speed w_k.
 
     For k <= 16 the alphabet is exactly 1..k, with no truncation, so the
-    frontier is purely words still unresolved at the length bound; past
-    16 the letters are alphabet tail (see :func:`enumerate_minimal`).
+    frontier has no alphabet tail: it is live weight still unresolved at
+    the length bound plus weight pruned on the way, by the state cap or
+    the birth floor (at k = 10, L = 12 the pruned part is the larger);
+    past 16 the letters are alphabet tail (see :func:`enumerate_minimal`).
     For k <= 5 the closed state graph sets both ends, at any max_len, to
     within about 1e-14 of the exact speed (2/3, 24/47 and 52/125 for
     k = 2, 3 and 4).

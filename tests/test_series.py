@@ -1,4 +1,4 @@
-"""Speed brackets, the bivariate series and the growth curve."""
+"""Speed brackets, the count tables and the growth curve."""
 
 import contextlib
 import dataclasses
@@ -25,7 +25,6 @@ from infinitebin.enumeration import (
 from infinitebin.series import (
     _first_moment_bound,
     _lazy_factors,
-    bivariate_D,
     curve,
     enumerate_minimal,
     uniform_speed_terms,
@@ -576,12 +575,6 @@ def test_bounds_validation():
         enumerate_minimal(Geometric(0.5), 0, 4)
     with pytest.raises(ValueError):
         enumerate_minimal(Geometric(0.5), 4, 0)
-    for p, q, L, A in [(0.5, 0.5, 0, 4), (0.5, 0.5, 4, 0), (0.5, 0.0, 4, -1)]:
-        with pytest.raises(ValueError):
-            bivariate_D(p, q, L, A)
-    for p, q in [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf)]:
-        with pytest.raises(ValueError, match="must be finite"):
-            bivariate_D(p, q, 4, 4)
     with pytest.raises(ValueError, match="pmf_vec must cover letters 1..A"):
         stopping_tree_masses(np.zeros(4), 0.0, 4, 4)
     with pytest.raises(ValueError, match="p must be in"):
@@ -589,54 +582,11 @@ def test_bounds_validation():
     # 10^16 words pass 2^53: refused before any level is enumerated
     with pytest.raises(SizeLimitError, match="exceed exact float64"):
         stopping_tree_counts(16, 10)
-    with pytest.raises(SizeLimitError, match="exceed exact float64"):
-        bivariate_D(0.4, 0.5, 16, 10)
 
 
 # ---------------------------------------------------------------------------
-# bivariate series
+# count tables off the diagonal
 # ---------------------------------------------------------------------------
-
-
-def test_bivariate_diagonal_matches_speed_bracket():
-    for p in (0.3, 0.6):
-        with patched(**EXACT):
-            lower, frontier = bivariate_D(p, 1.0 - p, 8, 8)
-            bracket = enumerate_minimal(Geometric(p), 8, 8)
-        assert lower == pytest.approx(bracket.good_mass, abs=1e-12)
-        # the remainder bound must cover the rest of the series
-        assert lower + frontier >= bracket.upper - 1e-12
-
-
-def test_bivariate_degenerate_corners():
-    lower, frontier = bivariate_D(1.0, 0.0, 6, 6)
-    assert (lower, frontier) == (1.0, 0.0)
-    # r = p/(1-q) >= 1: nothing forces convergence, bound is infinite
-    _, frontier = bivariate_D(0.5, 0.6, 5, 5)
-    assert math.isinf(frontier)
-    # on the diagonal r = 1, though 0.3 / (1 - 0.7) rounds to 1 - 2^-52
-    _, frontier = bivariate_D(0.3, 0.7, 8, 8)
-    assert math.isinf(frontier)
-    _, frontier = bivariate_D(0.2, 1.0, 5, 5)
-    assert math.isinf(frontier)
-    with pytest.raises(ValueError):
-        bivariate_D(-0.1, 0.5, 5, 5)
-
-
-def _bivariate_by_masses(p, q, L, A):
-    """The bivariate bound from a mass pass with weights p q^(a-1) and
-    tail p q^A / (1 - q): the reference for the count-table route."""
-    pmf_vec = [0.0] + [p * q ** (a - 1) for a in range(1, A + 1)]
-    tail = p * q ** A / (1.0 - q) if q > 0.0 else 0.0
-    split = stopping_tree_masses(pmf_vec, tail, L, A)
-    now = split.frontier_live + split.pruned_mass
-    after = split.frontier_tail + split.frontier_capped
-    r = p / (1.0 - q)
-    if now == 0.0 and after == 0.0:
-        return split.good, 0.0
-    if r >= 1.0:
-        return split.good, math.inf
-    return split.good, after / (1.0 - r) + now * r / (1.0 - r)
 
 
 @pytest.mark.parametrize("p, q, L, A", [
@@ -644,18 +594,25 @@ def _bivariate_by_masses(p, q, L, A):
     (0.5, 0.6, 5, 5),
 ])
 def test_bivariate_counts_match_a_mass_pass(p, q, L, A):
+    """Away from p + q = 1 the count tables, contracted at p^n q^e, match
+    a mass pass with weights p q^(a-1) and tail p q^A / (1 - q) kind by
+    kind.  A tail entry sits at its parent's n and at q^(e + A), so its
+    letters past A weigh r = p / (1 - q) times the contracted count."""
+    pmf_vec = [0.0] + [p * q ** (a - 1) for a in range(1, A + 1)]
     with patched(**EXACT):
-        got = bivariate_D(p, q, L, A)
-        want = _bivariate_by_masses(p, q, L, A)
-    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
-def test_bivariate_monotone_in_truncation():
-    with patched(_MAX_STATES=2_000_000):
-        lo1, fr1 = bivariate_D(0.4, 0.5, 5, 5)
-        lo2, fr2 = bivariate_D(0.4, 0.5, 8, 8)
-    assert lo2 >= lo1 - 1e-15
-    assert fr2 <= fr1 + 1e-15
+        tables = stopping_tree_counts(L, A, reference_p=1.0 - q)
+        split = stopping_tree_masses(pmf_vec, p * q ** A / (1.0 - q), L, A)
+    n_pow = np.power(p, np.arange(tables.good.shape[0]))
+    e_pow = np.power(q, np.arange(tables.good.shape[1]))
+    good, tail, live, pruned = (
+        float(n_pow @ table @ e_pow)
+        for table in (tables.good, tables.tail, tables.live, tables.pruned))
+    exact = {"rel": 1e-15, "abs": 0.0}
+    assert good == pytest.approx(split.good, **exact)
+    assert live + pruned == pytest.approx(
+        split.frontier_live + split.pruned_mass, **exact)
+    assert p / (1.0 - q) * tail == pytest.approx(
+        split.frontier_tail + split.frontier_capped, **exact)
 
 
 # ---------------------------------------------------------------------------

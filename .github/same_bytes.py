@@ -32,9 +32,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: exponents), the birth floor on letters stacked at the depth cap, forward
 #: simulation of point masses and of geom:0.5, both samplers with a horizon
 #: failure (exit 3), the stationary estimate at depths 1 and 4, begraph's
-#: replicas and its coupling trajectory, verify at both thread counts, and
-#: a bracket from the closed state graph; each command also gets
-#: ``--out out``.
+#: replicas and its coupling trajectory, verify at both thread counts,
+#: brackets from the closed state graph (of unif:3, of unif:5, the largest
+#: at 349 states, and of finite:0.5,0,0.5, a support with a gap), and
+#: geom:0.5 at L = 1, where every root letter past 1 is live; each command
+#: also gets ``--out out``.
 PANEL = (
     "classify 2,3,2,2",
     "speed geom:0.5 --len 10 --max-letter 10",
@@ -43,6 +45,9 @@ PANEL = (
     "speed dirac:2 --len 4",
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
     "speed unif:3 --len 10 --max-letter 3",
+    "speed unif:5 --len 10 --max-letter 5",
+    "speed finite:0.5,0,0.5 --len 8 --max-letter 3",
+    "speed geom:0.5 --len 1 --max-letter 4",
     "curve --grid 0.1:0.9:0.1",
     "curve --grid 0.05:0.95:0.05 --len 12 --max-letter 8",
     "speed geom:0.8 --len 10 --max-letter 16",

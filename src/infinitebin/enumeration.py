@@ -33,9 +33,10 @@ e (always 0 for masses) in a per-row column beside its weight, and each
 depth keeps one pending list of rows, weights and exponents.  ``_settle``
 dedupes each depth with one sort keyed on (e, row bytes) and hands it on
 in that order; the letters that map a depth's states to one child depth
-go through classification and stashing together, letter-major.  Children
-still unresolved at the length bound are recorded as live as they are:
-nothing is stashed, merged or pruned at the last level.
+are built together, letter-major, and ``_report``, the step the root
+letters and the closed graph share, classifies and hands on each child.
+Children unresolved at the length bound are recorded as live as they
+are: nothing is stashed, merged or pruned at the last level.
 
 Resource bounds, all frontier-accounted so brackets stay valid: the
 length bound L and alphabet bound A (contract parameters), with A at most
@@ -161,14 +162,12 @@ class _RunPlan(NamedTuple):
     None when no byte is such a run).  The other child bytes,
     ``gather_dst``, are packed from the parent columns ``gather_cols``, 8
     per byte (all of them, zero-padded, when the child has fewer than 8
-    columns), over the placeholder copies.  ``ones`` is the packed all-true
-    child row, viewed by ``_words``.
+    columns), over the placeholder copies.
     """
 
     copy_src: np.ndarray | None
     gather_dst: np.ndarray
     gather_cols: np.ndarray
-    ones: np.ndarray
 
 
 @functools.cache
@@ -183,7 +182,6 @@ def _run_plan(src_depth: int, letter: int, dst_depth: int) -> _RunPlan:
         np.where(run, groups[:, 0] >> 3, 0) if run.any() else None,
         np.flatnonzero(~run),
         groups[~run].ravel(),
-        _words(np.packbits(np.ones((1, table.size), dtype=bool), axis=1)),
     )
 
 
@@ -201,16 +199,19 @@ def _children(P: np.ndarray, V: np.ndarray, plan: _RunPlan) -> np.ndarray:
 
 
 def _root_row(a: int) -> np.ndarray:
-    """The packed depth-a row of the one-letter word (a), a >= 2: it
-    advances exactly from the flat placement (pattern 0)."""
+    """The packed depth-a row of the one-letter word (a): it advances
+    exactly from the flat placement (pattern 0), the only one when a = 1."""
     return np.packbits(np.eye(1, 1 << (a - 1), dtype=bool), axis=1)
 
 
-def _verdicts(C: np.ndarray, plan: _RunPlan) -> tuple:
-    """(good, bad) masks of packed child rows of ``plan``'s child depth:
-    good rows advance from every placement, bad rows from none."""
+def _verdicts(C: np.ndarray, depth: int) -> tuple:
+    """(good, bad) masks of packed depth-``depth`` rows: good rows advance
+    from every placement, bad rows from none."""
     words = _words(C)
-    return (words == plan.ones).all(axis=1), ~words.any(axis=1)
+    # every bit but a short row's zero padding (Python ints: NumPy 1.x widens
+    # a shifted uint8 scalar)
+    ones = (1 << 8 * words.itemsize) - (1 << max(0, 8 - (1 << (depth - 1))))
+    return (words == words.dtype.type(ones)).all(axis=1), ~words.any(axis=1)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -277,6 +278,29 @@ def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
         d -= 1
     if C.shape[0]:
         _append(pending, d, e, C, w)
+
+
+def _report(tally, pending: dict, n: int, L: float, e: np.ndarray,
+            C: np.ndarray, w: np.ndarray, depth: int) -> None:
+    """Hand on packed depth-``depth`` children of word length n: good and
+    bad rows to ``tally``, one ``add`` call per kind, live rows lighter
+    than ``_BIRTH_FLOOR`` to it as capped, and the rest to it as live at
+    n = L (``math.inf``: never) or to ``pending`` for the next level."""
+    g, b = _verdicts(C, depth)
+    for kind, at in ((GOOD, g), (BAD, b)):
+        if at.any():
+            tally.add(kind, n, e[at], w[at])
+    live = ~(g | b)
+    if not live.all():
+        e, C, w = e[live], C[live], w[live]
+    light = w < _BIRTH_FLOOR  # a root letter: batches cap theirs unbuilt
+    if light.any():
+        tally.add("capped", n, e[light], w[light])
+        e, C, w = e[~light], C[~light], w[~light]
+    if n == L and len(w):
+        tally.add("live", L, e, w)
+    elif len(w):
+        _stash(pending, e, C, w, depth)
 
 
 def _width(depth: int) -> int:
@@ -512,35 +536,25 @@ def _stopping_tree(
     bad, tail, live, capped or pruned (the last four are frontier), through
     one ``add(kind, n, e, w)`` call per kind and batch of children: a
     batch's capped, good, bad and (at L) live rows, each live group's
-    tail, and each settled run's dropped rows.  Children unresolved at the
-    length bound L are live as they are: they are neither merged nor
-    pruned.  Pruning ranks states by weight * q_ref**e, which is the weight
-    at the reference law over ``level_factor``**n (see ``_settle``).
-    Children lighter than ``_BIRTH_FLOOR`` are capped, which no count ever
-    is.  A is at most ``_DEPTH_CAP``, so every state fits under it.
+    tail, and each settled run's dropped rows.  A batch caps its children
+    lighter than ``_BIRTH_FLOOR`` (no count ever is) unbuilt and hands the
+    rest to ``_report``; a root letter goes to it whole, so letter 1 below
+    the floor is good.  Children unresolved at L are live as they are.
+    Pruning ranks states by weight * q_ref**e, the weight at the reference
+    law over ``level_factor``**n (see ``_settle``).  A is at most
+    ``_DEPTH_CAP``, so every state fits under it.
     Returns (most live states on one level n < L before pruning, states
     pruned).
     """
     q_pow = np.array([q_ref ** k for k in range(L * max(shifts) + 1)])
-
-    def root(kind, n, e, w):  # a piece of the empty word's children
-        tally.add(kind, n, np.full(1, e, dtype=np.uint16), np.full(1, w))
-
-    root("tail", 0, tail_shift, tail_weight)  # first letter beyond alphabet
+    tally.add("tail", 0, np.full(1, tail_shift, dtype=np.uint16),
+              np.full(1, tail_weight))  # first letter beyond alphabet
     pending: dict = {}
-    for a in range(1, A + 1):
-        w = weights[a]
-        if w <= 0.0:
-            continue
-        if a == 1:
-            root(GOOD, 1, shifts[a], w)  # (1) advances from every placement
-        elif w < _BIRTH_FLOOR:
-            root("capped", 1, shifts[a], w)
-        elif L == 1:
-            root("live", 1, shifts[a], w)
-        else:
-            _stash(pending, np.full(1, shifts[a], dtype=np.uint16),
-                   _root_row(a), np.array([w]), a)
+    for a in range(1, A + 1):  # the empty word's children, one at a time
+        if weights[a] > 0.0:
+            _report(tally, pending, 1, L,
+                    np.full(1, shifts[a], dtype=np.uint16), _root_row(a),
+                    np.full(1, weights[a]), a)
     groups, peak, pruned, kept = _settle(pending, q_pow, tally, 1, L,
                                          level_factor, 0.0)
 
@@ -562,47 +576,24 @@ def _stopping_tree(
                     letters = [a for a in letters if weights[a] > 0.0]
                     if not letters:
                         continue
-                    # the batch's children, letter-major: rows of letter
-                    # letters[i] end at ends[i]
-                    cw = np.multiply.outer([weights[a] for a in letters],
-                                           wc).ravel()
+                    cw = np.multiply.outer([weights[a] for a in letters], wc)
                     e2 = np.add.outer(np.array([shifts[a] for a in letters],
-                                               dtype=np.uint16), ec).ravel()
-                    ends = np.arange(1, len(letters) + 1) * len(wc)
-                    alive = cw >= _BIRTH_FLOOR
-                    if not alive.all():
-                        dead = ~alive
-                        tally.add("capped", level, e2[dead], cw[dead])
-                        ends = np.cumsum(alive)[ends - 1]
+                                               dtype=np.uint16), ec)
+                    alive = cw >= _BIRTH_FLOOR  # the rest are not built
+                    full = alive.all()
+                    if not full:
+                        tally.add("capped", level, e2[~alive], cw[~alive])
                         cw, e2 = cw[alive], e2[alive]
-                        if not len(cw):
-                            continue
-                    C = np.empty((len(cw), _width(d2)), dtype=np.uint8)
-                    start = 0
-                    for i, a in enumerate(letters):
-                        end = ends[i]
-                        if end > start:
-                            Pa, Va = P, V
-                            if end - start < len(wc):
-                                at = alive[i * len(wc) : (i + 1) * len(wc)]
-                                Pa, Va = P[at], V[at]
-                            plan = _run_plan(d2, a, d)
-                            C[start:end] = _children(Pa, Va, plan)
-                        start = end
-                    g, b = _verdicts(C, plan)
-                    if g.any():
-                        tally.add(GOOD, level, e2[g], cw[g])
-                    if b.any():
-                        tally.add(BAD, level, e2[b], cw[b])
-                    keep = ~(g | b)
-                    if not keep.any():
-                        continue
-                    if not keep.all():
-                        e2, C, cw = e2[keep], C[keep], cw[keep]
-                    if level == L:
-                        tally.add("live", L, e2, cw)
-                    else:
-                        _stash(pending, e2, C, cw, d2)
+                    C = np.empty((cw.size, _width(d2)), dtype=np.uint8)
+                    j = 0  # rows of C filled, letter-major
+                    for a, at in zip(letters, alive):
+                        Pa, Va = (P, V) if full or at.all() else (P[at], V[at])
+                        if len(Pa):
+                            i, j = j, j + len(Pa)
+                            C[i:j] = _children(Pa, Va, _run_plan(d2, a, d))
+                    if j:
+                        _report(tally, pending, level, L, e2.ravel(), C,
+                                cw.ravel(), d2)
         if level < L:
             groups, total, n_pruned, kept = _settle(
                 pending, q_pow, tally, level, L, level_factor, kept)
@@ -674,27 +665,39 @@ class _ClosedGraph(NamedTuple):
     good_letter: np.ndarray
 
 
+class _GoodEdges(NamedTuple):
+    """The closed graph's tally (see ``_MassTally``): the exponents (parent
+    state ids) and weights (letters) of its good children."""
+
+    src: list
+    letter: list
+
+    def add(self, kind: str, n: int, e: np.ndarray, w: np.ndarray) -> None:
+        if kind not in (GOOD, BAD):  # a capped or live edge would be lost
+            raise ValueError(f"closed graph edge of kind {kind!r}")
+        if kind == GOOD:
+            self.src.extend(e.tolist())
+            self.letter.extend(w.tolist())
+
+
 @functools.cache
 def _closed_graph(letters: tuple) -> _ClosedGraph:
     """Breadth-first closure of the lumped states under ``letters``.
 
-    States are keyed by (depth, row bytes).  Children are built, classified
-    and depth-reduced by the level loop's own steps (``_run_plan``,
-    ``_children``, ``_verdicts``, ``_stash``), with the parent's state id
-    in the exponent column and the letter as the weight.  A state is no
-    deeper than the largest letter, so the closure is finite; its size
-    depends on the letters only, not on their weights.
+    States are keyed by (depth, row bytes).  Children are built and handed
+    on by the level loop's own steps (``_children``, ``_report``), with the
+    parent's state id as the exponent, the letter as the weight and no
+    length bound (``_GoodEdges`` ignores n).  A state is no deeper than the
+    largest letter, so the closure is finite; its size depends on the
+    letters only, not on their weights.
     """
     ids = {(0, b""): 0}
-    src, dst, letter, good_src, good_letter = [], [], [], [], []
+    src, dst, letter = [], [], []
+    good = _GoodEdges([], [])
     pending: dict = {}
-    for a in letters:
-        if a == 1:
-            good_src.append(0)
-            good_letter.append(1)
-        else:
-            _stash(pending, np.zeros(1, dtype=np.int64), _root_row(a),
-                   np.array([a]), a)
+    for a in letters:  # the empty word's children
+        _report(good, pending, 1, math.inf, np.zeros(1, dtype=np.int64),
+                _root_row(a), np.array([a]), a)
     while pending:
         new: dict = defaultdict(list)  # depth -> [(id, row)] of new states
         for d, (rows, ws, es) in sorted(pending.items()):
@@ -714,16 +717,11 @@ def _closed_graph(letters: tuple) -> _ClosedGraph:
             V = np.unpackbits(P, axis=1, count=1 << (d - 1))
             for a in letters:
                 d2 = max(a, d - 1)
-                plan = _run_plan(d2, a, d)
-                C = _children(P, V, plan)
-                g, b = _verdicts(C, plan)
-                good_src.extend(at[g].tolist())
-                good_letter.extend([a] * int(g.sum()))
-                live = ~(g | b)
-                _stash(pending, at[live], C[live],
-                       np.full(int(live.sum()), a), d2)
+                _report(good, pending, 1, math.inf, at,
+                        _children(P, V, _run_plan(d2, a, d)),
+                        np.full(len(at), a), d2)
     columns = [np.array(x, dtype=np.int64) for x in (
-        src, dst, letter, good_src, good_letter)]
+        src, dst, letter, good.src, good.letter)]
     for column in columns:  # cached and shared: read only
         column.flags.writeable = False
     return _ClosedGraph(len(ids), *columns)

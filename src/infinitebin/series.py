@@ -25,8 +25,9 @@ A law whose support lies in {1..5}, with no mass past the alphabet, needs
 no length bound at all: its lumped states close into a finite graph, on
 which the speed is an absorption probability (Kemeny & Snell, Finite
 Markov Chains, 1960), and outward-rounded sweeps bracket it to about
-1e-14 (see :func:`~infinitebin.enumeration.closed_ends`).  Both ends are
-intersected with the enumeration's.
+1e-14, wider where they stop at their cap of 10,000 first, as near a point
+mass at a letter >= 2 (see :func:`~infinitebin.enumeration.closed_ends`).
+Both ends are intersected with the enumeration's.
 """
 
 from __future__ import annotations

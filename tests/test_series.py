@@ -234,7 +234,8 @@ def _count_tables_digest(tables) -> str:
 # pruning shows.  The cases recorded at the earlier default state cap of
 # 50,000 run at that cap.  The first five run with the width budget off, as
 # they were recorded; their live and pruned weight and peak moved when the
-# length bound stopped being settled.  The last two pin the defaults.
+# length bound stopped being settled.  The two after them pin the
+# defaults, and the last two the root letters' own cases.
 # Three fields moved by one ulp when the tally came to keep one float piece
 # per reporting call rather than one per letter.
 NO_BUDGET = {"_PRUNE_SHARE": 0.0}
@@ -273,6 +274,17 @@ PINNED_MASSES = [
      ("0x1.a5c2dae7a77dcp-1", "0x1.68f3cafbe6503p-3", "0x1.92caf771809cep-20",
       "0x1.127f0ec58f713p-23", "0x1.69f1e171abaddp-20", "0x0.0p+0",
       "0x1.a24d09c8c03c0p-26", 2233)),
+    # the root letters: letter 1 below the birth floor is good, the other
+    # letters below it are capped
+    ((1e-20, 3, 4, {}),
+     ("0x1.79ca10c924223p-67", "0x0.0p+0", "0x1.0000000000000p+0",
+      "0x1.0000000000000p+0", "0x0.0p+0", "0x1.1b578c96db19ap-65",
+      "0x0.0p+0", 0)),
+    # the root letters at L = 1: every letter past 1 is live
+    ((0.5, 1, 4, {}),
+     ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1",
+      "0x1.0000000000000p-4", "0x1.c000000000000p-2", "0x0.0p+0",
+      "0x0.0p+0", 0)),
 ]
 
 # Exact outputs of the explicit word walk, recorded the same way.
@@ -342,6 +354,11 @@ def test_engine_outputs_are_pinned():
         assert _count_tables_digest(tables) == (
             "21c8f23760c208f92e9f45e57927d3ca6e59236355f8db5ddae479de672aaf08")
         assert tables.pruned_states == 16376
+    # the root letters alone, at L = 1
+    tables = stopping_tree_counts(1, 4)
+    assert _count_tables_digest(tables) == (
+        "8bf45fb026949d2abd1e5f974f08db06478b71c66ef7345fdf8b311a6107ce33")
+    assert tables.pruned_states == 0
     # the curve benchmark's own count pass, at the default cap and budget
     tables = stopping_tree_counts(10, 10)
     assert _count_tables_digest(tables) == (
@@ -422,7 +439,7 @@ def test_packed_children_match_bool_gather():
                                   plan)
         assert np.array_equal(C, np.packbits(child, axis=1)), (d2, a, d)
         words = enumeration._words(C)
-        assert np.array_equal((words == plan.ones).all(axis=1), child.all(axis=1))
+        assert np.array_equal(enumeration._verdicts(C, d2)[0], child.all(axis=1))
         assert np.array_equal(~words.any(axis=1), ~child.any(axis=1))
         # halves: force equal halves on every other row
         half = child.shape[1] // 2
@@ -1081,3 +1098,23 @@ def test_closed_ends_hold_at_every_sweep():
         assert Fraction(lower) < speed < Fraction(upper), cap
         widths.append(upper - lower)
     assert widths == sorted(widths, reverse=True) and widths[-1] < 1e-14
+    # after n sweeps the ends are the level loop's at L = n with nothing
+    # pruned, rounded outward by at most a few ulps: the closed graph and
+    # the level loop step children alike
+    slack = 32 * math.ulp(1.0)
+    for mu in (Uniform(3), FiniteSupport([0.2, 0.3, 0.5]),
+               FiniteSupport([0.5, 0.0, 0.5])):
+        A = mu.support_max
+        pmf = mu.pmf_vector(A)
+        for n in range(1, 11):
+            with patched(_MAX_SWEEPS=n, _MAX_STATES=10**9, **NO_BUDGET):
+                lower, upper = enumeration.closed_ends(pmf)
+                split = stopping_tree_masses(pmf, 0.0, n, A)
+            assert split.good - slack <= lower <= split.good, (mu, n)
+            assert 1.0 - split.bad <= upper <= 1.0 - split.bad + slack, (mu, n)
+    # the closed graph has no length bound and no light child: an edge of
+    # any other kind would be dropped from it, so it is refused
+    for kind in ("capped", "live"):
+        with pytest.raises(ValueError, match="closed graph edge"):
+            enumeration._GoodEdges([], []).add(kind, 1, np.zeros(1),
+                                               np.ones(1))

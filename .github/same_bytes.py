@@ -35,8 +35,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: replicas and its coupling trajectory, verify at both thread counts,
 #: brackets from the closed state graph (of unif:3, of unif:5, the largest
 #: at 349 states, and of finite:0.5,0,0.5, a support with a gap), and
-#: geom:0.5 at L = 1, where every root letter past 1 is live; each command
-#: also gets ``--out out``.
+#: geom:0.5 at L = 1, where every root letter past 1 is live, and a count
+#: pass at A = 16 with no birth floor, which builds every ``image_table`` a
+#: live state reads up to the depth cap (240; the 16 of depth 1 have no
+#: live parent); each command also gets ``--out out``.
 PANEL = (
     "classify 2,3,2,2",
     "speed geom:0.5 --len 10 --max-letter 10",
@@ -51,6 +53,7 @@ PANEL = (
     "curve --grid 0.1:0.9:0.1",
     "curve --grid 0.05:0.95:0.05 --len 12 --max-letter 8",
     "speed geom:0.8 --len 10 --max-letter 16",
+    "curve --grid 0.1:0.9:0.4 --len 3 --max-letter 16",
     "simulate dirac:1 --steps 10000",
     "simulate dirac:2 --steps 10000",
     "simulate geom:0.5 --steps 20000",

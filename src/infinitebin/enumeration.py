@@ -18,7 +18,9 @@ p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`).
 Goodness-vector state: a live word w of horizon d is represented by the
 boolean vector of its per-placement outcomes over the 2^(d-1) test
 placements.  Prepending a letter acts on placements, so the child vector is
-a gather of the parent's (``image_table``).  When the vector's two halves
+a gather of the parent's (``image_table``): the move inserts one gap bit in
+each placement's pattern, a 0 at its highest set bit among bits 0 ..
+letter - 2, or a 1 at bit 0 when none is set.  When the vector's two halves
 agree, the outcome does not depend on the deepest test ball and the state
 is reduced to depth d-1, which maximises merging.
 
@@ -90,40 +92,40 @@ _DEPTH_CAP = 16
 #: over the letters that share a child depth in batches of at most 4 MiB
 #: (``_batch_rows``; one letter's 8 MiB when a full depth-16 chunk
 #: overflows it).  Real depth-16 chunks are smaller: geom:0.5 at L=10,
-#: A=16 has at most 37 such rows, and its 348 MB peak RSS is the pending
-#: states of a level (up to 156,536 rows, 82 MiB packed, before the dedupe
-#: copies them), whose number grows with ``_MAX_STATES``.
+#: A=16 has at most 37 such rows, and its peak (131 MiB by tracemalloc,
+#: 284 MB resident by ru_maxrss) is the pending states of a level (up to
+#: 156,536 rows, 82 MiB packed, before the dedupe copies them), whose
+#: number grows with ``_MAX_STATES``.
 _CHUNK_ROWS = 4096
 
 #: Record kinds of the unresolved (frontier) weight.
 _FRONTIER_KINDS = ("tail", "live", "capped", "pruned")
 
 
-@functools.cache
 def image_table(src_depth: int, letter: int, dst_depth: int) -> np.ndarray:
     """Gather map realising one prepended letter on placement patterns.
 
-    For each placement pattern P of the src_depth rightmost balls (encoded
-    by difference bits), apply the move ``letter`` to P and return the
-    pattern index, at depth dst_depth, of the resulting rightmost
-    dst_depth balls.  With d2 = horizon(letter . w) and d = horizon(w):
+    Entry P is the pattern, at depth dst_depth, of the rightmost dst_depth
+    balls after the move ``letter`` from pattern P of src_depth balls, so
+    with d2 = horizon(letter . w) and d = horizon(w):
 
         outcome(letter . w, P) = outcome(w, image_table(d2, letter, d)[P])
 
-    Callers pass src_depth = max(letter, dst_depth - 1, 1), so the probed
-    ball is among the src_depth placed ones and the dst_depth <= src_depth
-    + 1 balls kept are among the placed and inserted ones.  Tables are
-    cached per (src_depth, letter, dst_depth).
+    Bit i of a pattern is set when ball i + 2 sits a bin left of ball i + 1
+    (``words.pattern_positions``), so bits 0 .. letter - 2 are the gaps
+    among balls 1 .. letter.  The move adds a ball a bin right of ball
+    ``letter``: when none of those gaps is set, the new ball opens a front
+    bin as ball 1 (a 1 inserted at bit 0); else, with k the highest set
+    gap, it joins ball k + 1 (a 0 inserted at bit k).  Callers pass
+    src_depth = max(letter, dst_depth - 1, 1), so the probed ball is placed
+    and the dst_depth balls kept are the placed and inserted ones.
     """
-    n = 1 << (src_depth - 1)
-    bits = np.arange(n, dtype=np.int64)
-    pos = np.zeros((n, src_depth + 1), dtype=np.int64)
-    for i in range(1, src_depth):
-        pos[:, i] = pos[:, i - 1] - ((bits >> (i - 1)) & 1)
-    pos[:, -1] = pos[:, letter - 1] + 1
-    top = -np.sort(-pos, axis=1)[:, :dst_depth]
-    diffs = top[:, :-1] - top[:, 1:]
-    return diffs @ (1 << np.arange(dst_depth - 1, dtype=np.int64))
+    P = np.arange(1 << (src_depth - 1), dtype=np.int64)
+    low = P & ((1 << (letter - 1)) - 1)
+    # 2^k - 1, or 0 when low is 0; frexp's exponents are int32, so cast them
+    below = (1 << np.maximum(np.frexp(low)[1].astype(np.int64) - 1, 0)) - 1
+    table = (P & below) | ((P & ~below) << 1) | (low == 0)
+    return table & ((1 << (dst_depth - 1)) - 1)
 
 
 def _dedupe(packed: np.ndarray, weights: np.ndarray, e: np.ndarray):
@@ -223,12 +225,9 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
-    """Packed rows viewed as unsigned words (up to 8 bytes) for row compares."""
-    return rows.view(_WORD_TYPES[min(rows.shape[1], 8)])
-
-
-#: Word dtype by byte count; packed rows are 2^k bytes wide.
-_WORD_TYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+    """Packed rows (2^k bytes wide) viewed as unsigned words of up to 8
+    bytes, for row compares."""
+    return rows.view(f"u{min(rows.shape[1], 8)}")
 
 
 def _halves_equal(C: np.ndarray, depth: int) -> np.ndarray:
@@ -311,9 +310,9 @@ def _width(depth: int) -> int:
 def _batch_rows(width: int) -> int:
     """Rows of ``width`` packed bytes in one batch of 4 MiB (``_CHUNK_ROWS``
     rows of 1 KiB), the most that one stack of children or one sorted run
-    of states holds.  At 8 MiB, stopping_tree_counts(13, 16) peaked at
-    233-245 MB RSS, above the 217 MB of one sort per (depth, e); at 4 MiB,
-    at 205 MB (2 vCPU Xeon)."""
+    of states holds.  stopping_tree_counts(13, 16) peaks at 102 MiB by
+    tracemalloc and 189-192 MB resident by ru_maxrss; at 8 MiB, at 109 MiB
+    and 214-219 MB (2 vCPU Xeon)."""
     return max(1, (_CHUNK_ROWS << 10) // width)
 
 

@@ -29,7 +29,8 @@ from infinitebin.series import (
     enumerate_minimal,
     uniform_speed_terms,
 )
-from infinitebin.words import BAD, GOOD, SizeLimitError, classify
+from infinitebin.words import (BAD, GOOD, SizeLimitError, classify,
+                               pattern_config)
 
 EXACT = {"_MAX_STATES": 2_000_000, "_BIRTH_FLOOR": 0.0, "_PRUNE_SHARE": 0.0}
 
@@ -424,6 +425,26 @@ def _kernel_keys():
     keys |= {(max(a, d - 1), a, d)
              for d, a in [(cap, 1), (cap, 2), (cap, 9), (cap, cap), (3, cap)]}
     return sorted(keys)
+
+
+def test_image_table_is_the_move_on_placement_patterns():
+    # the oracle applies the move to each pattern's test configuration and
+    # reads back the gaps between its top balls; one move per (d2, a)
+    # serves every d, whose table keeps the first d - 1 of those gaps
+    moved = {}
+    for d2, a, d in _kernel_keys():
+        if (d2, a) not in moved:
+            gaps = []
+            for P in range(1 << (d2 - 1)):
+                window = pattern_config(d2, P).apply_move(a).window
+                pos = [-i for i, c in enumerate(reversed(window))
+                       for _ in range(c)][:d2 + 1]
+                gaps.append(sum((pos[i] - pos[i + 1]) << i for i in range(d2)))
+            moved[d2, a] = np.array(gaps, dtype=np.int64)
+        table = enumeration.image_table(d2, a, d)
+        assert table.dtype == np.int64, (d2, a, d)
+        assert np.array_equal(table, moved[d2, a] & ((1 << (d - 1)) - 1)), (
+            d2, a, d)
 
 
 def test_packed_children_match_bool_gather():

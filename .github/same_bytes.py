@@ -31,7 +31,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: p = 0.8 as verify runs it), the curve (once pruned across about 90
 #: exponents), the birth floor on letters stacked at the depth cap, forward
 #: simulation of point masses and of geom:0.5, both samplers with a horizon
-#: failure (exit 3), the stationary estimate at depths 1 and 4, begraph's
+#: failure (exit 3), the stationary estimate at depths 1 and 4 and at depth
+#: 8, where the lookahead runs at its cap of 6 bins, begraph's
 #: replicas and its coupling trajectory, verify at both thread counts,
 #: brackets from the closed state graph (of unif:3, of unif:5, the largest
 #: at 349 states, and of finite:0.5,0,0.5, a support with a gap), and
@@ -61,6 +62,7 @@ PANEL = (
     "perfect dirac:2",
     "perfect geom:0.5 --replicas 2000 --estimate",
     "perfect geom:0.5 -K 4 --replicas 2000 --estimate",
+    "perfect geom:0.3 -K 8 --replicas 2000 --estimate",
     "perfect unif:3 -K 32",
     "perfect geom:0.3 --max-horizon 64",
     "begraph --p 0.5 --n 5000 --replicas 4",

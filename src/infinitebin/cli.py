@@ -479,7 +479,8 @@ def build_parser() -> _Parser:
                    default=simulate.DEFAULT_MAX_HORIZON)
     p.add_argument("--estimate", action="store_true",
                    help="also estimate the stationary speed, scoring "
-                        "each sample over its first min(K, 6) bins")
+                        "each sample over its first "
+                        f"min(K, {simulate._LOOKAHEAD}) bins")
     p.set_defaults(func=cmd_perfect)
 
     p = sub.add_parser("begraph", parents=[out, seed],

@@ -44,9 +44,9 @@ _REPLICA_BLOCK = 1024
 DEFAULT_MAX_HORIZON = 1 << 24
 #: Certified bins :func:`front_hit_rate` scores a depth-K sample over:
 #: min(K, this).  At K = 8 and 2000 replicas, scoring 6 bins instead of 1
-#: cut the variance 17-44x at geom:0.3, geom:0.5, geom:0.8 and unif:3;
-#: on a 2-vCPU Xeon the lookahead took 10-90 ms over 560-4,400 states.
-#: 8 bins took 0.78 s over 31,000 states at geom:0.3.
+#: cut the variance 17-44x at geom:0.3, geom:0.5, geom:0.8 and unif:3; the
+#: lookahead took 5-42 ms over 556-4,426 states (2-vCPU Xeon, best of 3 by
+#: time.process_time), and 8 bins 0.34-0.53 s over 31,029 at geom:0.3.
 _LOOKAHEAD = 6
 
 
@@ -122,7 +122,7 @@ def _front_score(mu: MoveDistribution, fronts: list) -> float:
 
 
 def speed_floor(mu: MoveDistribution) -> float:
-    """Universal lower bound on the speed for a non-degenerate-free check.
+    """Lower bound on the speed that holds for every letter law.
 
     Let a be the smallest supported letter and m = a(a-1)/2 + 1.  A run of
     m consecutive letters a always advances the front at least once, from
@@ -314,10 +314,10 @@ def _front_sum(mu: MoveDistribution, bins: tuple, memo: dict) -> float:
     ``bins``.  A letter falls in one of three classes: the front bin (the
     front advances to a new bin of count 1), bin i >= 1 (bin i - 1 gains a
     ball), or below ``bins`` (at most the deepest bin changes).  Each class
-    moves ``bins`` as :meth:`core._Evolver.run` moves one representative
-    letter, and the next state keeps the bins the remaining letters can
-    reach, one fewer: that drops whatever the deepest class changed.
-    ``memo`` maps states to sums and may be shared between calls.
+    moves ``bins`` as the tracker's fold (:func:`words._fold_determined`)
+    moves its window on one letter, and the next state keeps the bins the
+    remaining letters can reach, one fewer: that drops whatever the
+    deepest class changed.  ``memo`` maps states to sums; calls may share it.
     """
     total = memo.get(bins)
     if total is not None:
@@ -325,16 +325,13 @@ def _front_sum(mu: MoveDistribution, bins: tuple, memo: dict) -> float:
     total = mu.cdf(bins[0])
     keep = len(bins) - 1
     if keep:
-        config = Configuration(0, tuple(reversed(bins)))
-        ranks = list(itertools.accumulate(bins))
-        ranks.append(ranks[-1] + 1)
+        ranks = list(itertools.accumulate(bins + (1,)))
         below = 0.0
         for k in ranks:
             upto = mu.cdf(k) if k < ranks[-1] else 1.0
             if upto > below:
-                ev = _Evolver(config)
-                ev.run((k,))
-                nxt = _scenery(ev.window, keep)
+                moved = _fold_determined((k,), list(reversed(bins)))
+                nxt = _scenery(moved, keep)
                 total += (upto - below) * _front_sum(mu, nxt, memo)
             below = upto
     memo[bins] = total

@@ -214,10 +214,11 @@ def tracker_run(word: Iterable[int]) -> TrackerState:
     return TrackerState(tuple(_fold_determined(word)))
 
 
-def _fold_determined(word: Iterable[int]) -> list:
-    """Fold letters, from nothing certified, into the determined counts.
+def _fold_determined(word: Iterable[int], det: list | None = None) -> list:
+    """Fold letters into the determined counts ``det``, deepest first and
+    folded in place; from nothing certified when ``det`` is None.
 
-    Case analysis on each letter a against M = certified ball total:
+    Case analysis on each letter a against M = sum(det), certified balls:
       - a <= M: the a-th rightmost ball sits in a certified bin; the added
         ball lands one bin up (a fresh front bin when the hit is the front).
       - a == M+1: the ball sits exactly in the first bin below the
@@ -228,8 +229,8 @@ def _fold_determined(word: Iterable[int]) -> list:
         count can no longer be trusted and is dropped.
     The certified depth D never falls by more than 1 per letter.
     """
-    det: list = []
-    M = 0
+    det = [] if det is None else det
+    M = sum(det)
     for a in word:
         if a <= M:
             acc = 0

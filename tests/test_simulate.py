@@ -159,6 +159,36 @@ def test_front_hit_rate_over_four_bins_is_unbiased_and_sharper(spec):
     assert stderr**2 <= front[1] ** 2 / 8
 
 
+#: (law, K, replicas) -> float.hex of front_hit_rate's (estimate, stderr)
+#: on perfect_samples(law, K, replicas, seed=35): the lookahead over 2
+#: bins and over its cap of 6.
+PINNED_LOOKAHEAD = {
+    ("geom:0.3", 2, 2000): ("0x1.940836123fcdbp-2", "0x1.eb9ed77ce5567p-10"),
+    ("geom:0.3", 6, 1000): ("0x1.92dae4edb461ep-2", "0x1.0811985cda997p-10"),
+    ("geom:0.3", 8, 2000): ("0x1.943effae405f7p-2", "0x1.7dd51f488c1e2p-11"),
+    ("geom:0.5", 2, 2000): ("0x1.2884ef9db22d1p-1", "0x1.7163962225ca4p-10"),
+    ("geom:0.5", 6, 1000): ("0x1.27ec4f208fbf5p-1", "0x1.7665d9fdf6b1cp-11"),
+    ("geom:0.5", 8, 2000): ("0x1.2824db15b4b3bp-1", "0x1.0abd04c5c7449p-11"),
+    ("unif:3", 2, 2000): ("0x1.05f1e43cfc21dp-1", "0x1.2b654f5515e20p-9"),
+    ("unif:3", 6, 1000): ("0x1.05b1cb3f16ce1p-1", "0x1.22a3eceebf8a7p-10"),
+    ("unif:3", 8, 2000): ("0x1.05ac02ada0359p-1", "0x1.984ebdaa372d5p-11"),
+    ("finite:0.3,0,0.5,0.2", 2, 2000): (
+        "0x1.9a53111f0c316p-2", "0x1.765f9a3af32e2p-9"),
+    ("finite:0.3,0,0.5,0.2", 6, 1000): (
+        "0x1.9cce8b0d3418dp-2", "0x1.57882218f8acfp-10"),
+    ("finite:0.3,0,0.5,0.2", 8, 2000): (
+        "0x1.9d3c71112bef1p-2", "0x1.df38ef0dcb54fp-11"),
+}
+
+
+def test_front_hit_rate_is_pinned_past_four_bins():
+    for (spec, K, replicas), expected in PINNED_LOOKAHEAD.items():
+        mu = parse_mu(spec)
+        drawn = perfect_samples(mu, K, replicas, seed=35)
+        estimate, stderr = simulate.front_hit_rate(mu, drawn)
+        assert (estimate.hex(), stderr.hex()) == expected, (spec, K)
+
+
 def test_speed_floor_values():
     assert speed_floor(Geometric(0.5)) == pytest.approx(0.5)
     assert speed_floor(Geometric(0.8)) == pytest.approx(0.8)

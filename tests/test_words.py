@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from infinitebin.core import MINIMAL_CONFIG, Configuration
+from infinitebin.core import MINIMAL_CONFIG, Configuration, _scenery
 from infinitebin.words import (
     BAD,
     GOOD,
     NEITHER,
     SizeLimitError,
+    _fold_determined,
     classify,
     coupling_number,
     horizon,
@@ -192,6 +193,27 @@ def test_tracker_is_sound_certificate():
         scenery = tuple(reversed(state.determined))
         for config in corpus:
             assert config.apply_word(word).scenery(state.depth) == scenery
+
+
+def test_fold_from_a_start_window_continues_the_fold():
+    words = [w for n in range(5)
+             for w in itertools.product((1, 2, 3, 4), repeat=n)]
+    for w1, w2 in itertools.product(words, repeat=2):
+        start = _fold_determined(w1)
+        assert _fold_determined(w2, start) == _fold_determined(w1 + w2)
+
+
+def test_fold_on_a_certified_window_is_the_move():
+    # On a window whose every count is known, one letter of the fold moves
+    # it as the move rule does, up to the deepest bin: every rank k <= M,
+    # and k = M + 1, the first ball below the window.
+    for n in range(1, 5):
+        for window in itertools.product((1, 2, 3), repeat=n):
+            for k in range(1, sum(window) + 2):
+                fold = _fold_determined((k,), list(window))
+                move = Configuration(0, window).apply_move(k)
+                assert _scenery(fold, n - 1) == move.scenery(n - 1), (
+                    window, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ spec that ``parse_mu`` reads back as the same law.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from abc import ABC, abstractmethod
@@ -111,7 +112,7 @@ class Geometric(MoveDistribution):
             j = np.floor(np.log1p(-u) / base)
         j = 1 + np.minimum(j, _MAX_LETTER).astype(np.int64)
         j = np.maximum(j, 1)
-        # round-off guard: enforce cdf(j-1) < u <= cdf(j) exactly
+        # guard: cdf(j-1) < u <= cdf(j) as np.expm1 rounds, an ulp off at times
         j = np.where(-np.expm1(j * base) < u, j + 1, j)
         too_high = (j > 1) & (-np.expm1((j - 1) * base) >= u)
         j = np.where(too_high, j - 1, j)
@@ -142,8 +143,11 @@ class Uniform(MoveDistribution):
         return min(1.0, j / self.k)
 
     def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        j = np.ceil(u * self.k).astype(np.int64)
-        return np.clip(j, 1, self.k)
+        # u * k rounds, so ceil can be one off: step j by cdf's own j / k
+        j = np.maximum(np.ceil(u * self.k), 1.0)
+        j += j / self.k < u
+        j -= (j > 1) & ((j - 1) / self.k >= u)
+        return j.astype(np.int64)
 
     def describe(self) -> str:
         return f"unif:{self.k}"
@@ -208,6 +212,8 @@ class FiniteSupport(MoveDistribution):
         self._probs = {j: q for j, q in items}
         self._cum = np.cumsum([q for _, q in items])
         self._cum[-1] = 1.0
+        # the same floats as Python lists: cdf makes no numpy call
+        self._steps = (self._letters.tolist(), [0.0, *self._cum.tolist()])
         self.support_min = int(self._letters[0])
         self.support_max = int(self._letters[-1])
 
@@ -231,8 +237,8 @@ class FiniteSupport(MoveDistribution):
         return self._probs.get(j, 0.0)
 
     def cdf(self, j: int) -> float:
-        idx = int(np.searchsorted(self._letters, j, side="right"))
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
+        letters, cum = self._steps
+        return cum[bisect.bisect_right(letters, j)]
 
     def letters_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._cum, u, side="left")

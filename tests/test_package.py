@@ -1,6 +1,8 @@
-"""The public surface: every exported name exists, and no import is unused."""
+"""The public surface: every exported name exists, no import is unused,
+and the CI same-bytes report reads a command's bytes and cost."""
 
 import ast
+import importlib.util
 import pathlib
 
 import infinitebin
@@ -47,3 +49,18 @@ def test_no_unused_imports():
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                        for line, name in _unused_imports(tree)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_same_bytes_reports_bytes_and_cost():
+    # CI runs the report without gating on it, so a broken run would pass
+    # unseen there
+    spec = importlib.util.spec_from_file_location(
+        "same_bytes", ROOT / ".github" / "same_bytes.py")
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
+    result, (cpu_s, rss_mb, bought) = same_bytes._run(
+        ROOT / "src", "classify 2,3,2,2")
+    assert result["exit"] == 0 and result["stderr"] == b""
+    assert result["out"] == result["stdout"]
+    assert result["out"].startswith(b"word 2,3,2,2: bad, minimal\n")
+    assert cpu_s > 0 and rss_mb > 0 and bought is None

@@ -2,13 +2,15 @@
 what each one costs in both, and both trees' package size.
 
 Runs each command of ``PANEL`` in a fresh process and its own temporary
-directory, against this checkout's ``src`` and OTHER_SRC (each tree first
-for every other command), and prints each command whose exit code,
-stdout, stderr or left files (its ``--out`` record) differ, with what
-differs: for a JSON record, the keys, e.g. ``out: params.frontier_mass``.
-A Markdown table then gives each command's CPU seconds and peak RSS (its
-own process's ``os.wait4`` usage) in both trees, and for ``speed`` and
-``curve`` width × CPU seconds (the widest row's, for ``curve``); a last
+directory, against this checkout's ``src`` and OTHER_SRC, ``_RUNS`` times
+per tree with the trees alternating (each tree first for every other
+command), and prints each command whose exit code, stdout, stderr or left
+files (its ``--out`` record) differ in any run, with what differs: for a
+JSON record, the keys, e.g. ``out: params.frontier_mass``.  A Markdown
+table then gives each command's CPU seconds and peak RSS (its own
+process's ``os.wait4`` usage), each the median of its runs, in both
+trees, and for ``speed`` and ``curve`` width × CPU seconds (the widest
+row's, for ``curve``); a last
 table gives both trees' ``infinitebin/*.py`` line counts, ``__all__`` size
 and option counts.  Cost and size are reported, not gated: the exit
 status is 1 if and only if some command's bytes differ.  A change that
@@ -23,6 +25,7 @@ import io
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,7 +34,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: All seven subcommands: classify; point masses; the bracket engine (at
 #: p = 0.8 as verify runs it, and at the defaults L = A = 12, where the
-#: state cap sets the cost); the curve (once pruned across about 90
+#: state cap sets the cost; at p = 0.3 and at A = 6, where the alphabet
+#: tail is heaviest and the truncated law narrows the bracket most); the
+#: curve (once pruned across about 90
 #: exponents, and a count pass at A = 16 building tables up to the depth
 #: cap); the birth floor on letters stacked at that cap; an alphabet of
 #: 1024, which should cost what 16 costs; forward simulation of point
@@ -53,6 +58,8 @@ PANEL = (
     "speed geom:0.5 --len 10 --max-letter 10",
     "speed geom:0.8 --len 10 --max-letter 10",
     "speed geom:0.5 --len 12 --max-letter 12",
+    "speed geom:0.3 --len 10 --max-letter 10",
+    "speed geom:0.5 --len 8 --max-letter 6",
     "speed dirac:1 --len 4",
     "speed dirac:2 --len 4",
     "speed finite:0.2,0.3,0.5 --len 6 --max-letter 6",
@@ -88,6 +95,10 @@ PANEL = (
     "verify --budget 20s --seed 0 --threads 1",
     "verify --budget 20s --seed 0 --threads 2",
 )
+
+#: Runs of each command per tree.  One run's CPU seconds move by 30-50%
+#: with no code change on a shared 2-vCPU host; the median of 3 moves less.
+_RUNS = 3
 
 #: Run on a tree's PYTHONPATH: its line count per ``infinitebin/*.py``,
 #: ``__all__`` size and options per subcommand (``-h`` aside), as JSON.
@@ -138,6 +149,12 @@ def _width(command: str, result: dict) -> float | None:
     return None
 
 
+def _median(costs: list) -> tuple:
+    """Each column's median over runs' cost tuples (None stays None)."""
+    return tuple(None if None in column else statistics.median(column)
+                 for column in zip(*costs))
+
+
 def _pair(theirs, ours, spec: str) -> str:
     """``theirs → ours``, each formatted with ``spec`` ("–" for None)."""
     return " → ".join("–" if x is None else format(x, spec)
@@ -171,10 +188,16 @@ def main(argv: list) -> int:
     differ, rows = 0, []
     for i, command in enumerate(PANEL):
         trees = (other, SRC) if i % 2 else (SRC, other)
-        runs = [_run(tree, command) for tree in trees]
-        (ours, our_cost), (theirs, their_cost) = runs[::-1] if i % 2 else runs
-        parts = [_differs(k, ours.get(k), theirs.get(k))
-                 for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)]
+        runs = []  # (ours, theirs) per round, each a (bytes, cost) pair
+        for _ in range(_RUNS):
+            pair = [_run(tree, command) for tree in trees]
+            runs.append(pair[::-1] if i % 2 else pair)
+        our_cost, their_cost = (_median([pair[side][1] for pair in runs])
+                                for side in (0, 1))
+        parts = list(dict.fromkeys(  # in key order, each once
+            _differs(k, ours.get(k), theirs.get(k))
+            for (ours, _), (theirs, _) in runs for k in {**ours, **theirs}
+            if ours.get(k) != theirs.get(k)))
         if parts:
             differ += 1
             print(f"differs: infinitebin {command} ({', '.join(parts)})")

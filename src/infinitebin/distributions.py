@@ -21,6 +21,10 @@ import numpy as np
 #: all the letters of p below about 1e-18; no bin process reaches it.
 _MAX_LETTER = float(1 << 62)
 
+#: Geometric inversion re-checks a uniform this close to a cdf value with
+#: cdf itself: at least 8 ulps of any cdf value, np.expm1 being 1 or 2 off.
+_NEAR = 2.0 ** -50
+
 
 def _num(x: float) -> str:
     """x as ``:g`` if that reads back as x, else as repr: no digit lost."""
@@ -108,14 +112,29 @@ class Geometric(MoveDistribution):
         if self.p == 1.0:
             return np.ones(np.shape(u), dtype=np.int64)
         base = math.log1p(-self.p)
+        neg = -u
+        t = np.log1p(neg)  # in place from here: fresh arrays cost more
         with np.errstate(over="ignore"):  # subnormal p: inf saturates too
-            j = np.floor(np.log1p(-u) / base)
-        j = 1 + np.minimum(j, _MAX_LETTER).astype(np.int64)
-        j = np.maximum(j, 1)
-        # guard: cdf(j-1) < u <= cdf(j) as np.expm1 rounds, an ulp off at times
-        j = np.where(-np.expm1(j * base) < u, j + 1, j)
-        too_high = (j > 1) & (-np.expm1((j - 1) * base) >= u)
-        j = np.where(too_high, j - 1, j)
+            t /= base
+        j = np.minimum(t, _MAX_LETTER, out=t).astype(np.int64)  # t >= 0
+        j += 1
+        # guard: cdf(j-1) < u <= cdf(j), one letter up or down, with
+        # u - cdf(j) = np.expm1(j * base) + u as np.expm1 rounds it
+        above = np.expm1(np.multiply(j, base, out=t), out=t)
+        above -= neg
+        below = np.expm1(np.subtract(j, 1, dtype=float) * base)
+        below -= neg
+        down = (below <= 0.0) & (j > 1)
+        j += above > 0.0
+        j -= down
+        # np.expm1 can sit an ulp off cdf's math.expm1: a lane whose u is
+        # that close to either value takes the guard again with cdf itself
+        np.minimum(np.abs(above, out=above), np.abs(below, out=below),
+                   out=above)
+        for i in np.flatnonzero(above <= _NEAR).tolist():
+            a, x = int(j.flat[i]), float(u.flat[i])
+            j.flat[i] = a + (self.cdf(a) < x) - (a > 1
+                                                 and self.cdf(a - 1) >= x)
         return j
 
     def describe(self) -> str:

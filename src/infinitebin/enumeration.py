@@ -13,7 +13,9 @@ One lumped level loop over goodness-vector states merges all words with
 identical future behaviour, so it scales to lengths where the word tree
 itself is astronomically large.  It runs in two weight algebras: float
 letter masses (`stopping_tree_masses`) and exact integer coefficients of
-p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`).
+p^n (1-p)^e for a whole p-grid (`stopping_tree_counts`).  A mass state
+is priced under mu and under the truncated law mu_A (see
+`stopping_tree_masses`), a row of two weights.
 
 Goodness-vector state: a live word w of horizon d is represented by the
 boolean vector of its per-placement outcomes over the 2^(d-1) test
@@ -31,7 +33,7 @@ from the parent's packed row, and only the other bytes are gathered bit by
 bit from the unpacked parent and packed.  Good (all true), bad (none true)
 and equal halves are tested on the packed bytes.
 Each level walks every depth once.  A state carries its monomial exponent
-e (always 0 for masses) in a per-row column beside its weight, and each
+e (always 0 for masses) in a per-row column beside its weights, and each
 depth keeps one pending list of rows, weights and exponents.  ``_settle``
 dedupes each depth with one sort keyed on (e, row bytes) and hands it on
 in that order; the letters that map a depth's states to one child depth
@@ -64,6 +66,7 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -152,8 +155,15 @@ def _dedupe(packed: np.ndarray, weights: np.ndarray, e: np.ndarray):
         column = column[order]
         new[1:] |= column[1:] != column[:-1]
     starts = np.flatnonzero(new)
-    return (packed[order[starts]], np.add.reduceat(weights[order], starts),
+    return (packed.take(order[starts], axis=0),
+            np.add.reduceat(weights.take(order, axis=0), starts),
             sorted_e[starts])
+
+
+def _select(mask: np.ndarray, *arrays) -> tuple:
+    """The rows of each array where ``mask`` holds (``compress``: a boolean
+    index is several times slower on 2-D arrays)."""
+    return tuple(x.compress(mask, axis=0) for x in arrays)
 
 
 class _RunPlan(NamedTuple):
@@ -271,8 +281,8 @@ def _stash(pending: dict, e: np.ndarray, C: np.ndarray, w: np.ndarray,
             break
         if not eq.all():
             hold = ~eq
-            _append(pending, d, e[hold], C[hold], w[hold])
-            C, w, e = C[eq], w[eq], e[eq]
+            _append(pending, d, *_select(hold, e, C, w))
+            e, C, w = _select(eq, e, C, w)
         C = _first_half(C, d)
         d -= 1
     if C.shape[0]:
@@ -288,14 +298,14 @@ def _report(tally, pending: dict, n: int, L: float, e: np.ndarray,
     g, b = _verdicts(C, depth)
     for kind, at in ((GOOD, g), (BAD, b)):
         if at.any():
-            tally.add(kind, n, e[at], w[at])
+            tally.add(kind, n, *_select(at, e, w))
     live = ~(g | b)
     if not live.all():
-        e, C, w = e[live], C[live], w[live]
-    light = w < _BIRTH_FLOOR  # a root letter: batches cap theirs unbuilt
+        e, C, w = _select(live, e, C, w)
+    light = w[:, 0] < _BIRTH_FLOOR  # a root letter: batches cap theirs unbuilt
     if light.any():
-        tally.add("capped", n, e[light], w[light])
-        e, C, w = e[~light], C[~light], w[~light]
+        tally.add("capped", n, *_select(light, e, w))
+        e, C, w = _select(~light, e, C, w)
     if n == L and len(w):
         tally.add("live", L, e, w)
     elif len(w):
@@ -343,8 +353,7 @@ def _deduped_runs(pieces: tuple):
         piece = rows.pop(0), ws.pop(0), e[lo:hi]
         run = np.searchsorted(cuts, piece[2], side="left")
         for j in np.unique(run).tolist():
-            at = run == j
-            bins[j].append([column[at] for column in piece])
+            bins[j].append(_select(run == j, *piece))
     del e
     for j, part in enumerate(bins):
         bins[j] = None
@@ -362,8 +371,8 @@ def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
     exponent e with weight w has score w * ``q_pow``[e], with
     ``q_pow``[e] = q_ref**e, its weight under Geometric(1 - q_ref) over the
     factor level_factor**n common to the level (the raw weight when
-    e = 0).  Two rules drop the lowest scores, the one dropping more
-    winning:
+    e = 0), w a state's first weight.  Two rules drop the lowest scores,
+    the one dropping more winning:
 
     - the state cap keeps at most ``_MAX_STATES`` states;
     - the width budget drops states while their summed score is at most
@@ -381,7 +390,7 @@ def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
             for run in _deduped_runs(pending.pop(d))]
     if not runs:
         return [], 0, 0, 0.0
-    score = np.concatenate([w * q_pow[e] for _d, _rows, w, e in runs])
+    score = np.concatenate([w[:, 0] * q_pow[e] for _d, _rows, w, e in runs])
     total = len(score)
     summed = float(score.sum())
     budget = 0.0
@@ -407,8 +416,8 @@ def _settle(pending: dict, q_pow: np.ndarray, tally, n: int, L: int,
         lo += len(w)
         if not k.all():
             drop = ~k
-            tally.add("pruned", n, e[drop], w[drop])
-            rows, w, e = rows[k], w[k], e[k]
+            tally.add("pruned", n, *_select(drop, e, w))
+            rows, w, e = _select(k, rows, w, e)
         if len(w):
             groups.append((d, rows, w, e))
     return groups, total, n_drop, summed
@@ -430,8 +439,9 @@ class MassSplit:
       bound, by the state-count cap or the width budget.
 
     ``peak_states`` is the most live lumped states on one level below the
-    length bound, before pruning (0 when L = 1).  ``good_by_len[n]`` is the
-    good weight of words of length n, n = 0..L.
+    length bound, before pruning (0 when L = 1).  ``bad_truncated`` is the
+    bad words' weight under the truncated law (``stopping_tree_masses``).
+    ``good_by_len[n]`` is the good weight of words of length n, n = 0..L.
     """
 
     good: float
@@ -442,6 +452,7 @@ class MassSplit:
     frontier_capped: float
     pruned_mass: float
     peak_states: int
+    bad_truncated: float
     good_by_len: tuple
 
 
@@ -450,18 +461,22 @@ class _MassTally:
     n.
 
     The lumped loop's weight algebra is a tally with one reporting call:
-    ``add(kind, n, e, w)`` reports rows of weights w at exponents e (all 0
-    here) that left the tree as ``kind`` at word length n.  Each call keeps
-    one piece, the rows' float sum; the pieces of a kind (and of a good
-    length) are summed exactly rounded, so the totals do not depend on the
-    order of the calls, only on how rows are grouped into them.
+    ``add(kind, n, e, w)`` reports rows of weights w (mu's, then mu_A's) at
+    exponents e (all 0 here) that left the tree as ``kind`` at word length
+    n.  Each call keeps one piece, the rows' float sum of mu weights, and a
+    second of mu_A weights for bad rows; the pieces of a kind (and of a
+    good length) are summed exactly rounded, so the totals do not depend on
+    the order of the calls, only on how rows are grouped into them.
     """
 
     def __init__(self):
         self.pieces: dict = defaultdict(list)
+        self.truncated: list = []
 
     def add(self, kind: str, n: int, e: np.ndarray, w: np.ndarray) -> None:
-        self.pieces[kind, n].append(float(w.sum()))
+        self.pieces[kind, n].append(float(w[:, 0].sum()))
+        if kind == BAD:
+            self.truncated.append(float(w[:, 1].sum()))
 
     def split(self, L: int, peak_states: int) -> MassSplit:
         def total(*kinds):  # 0.0 for a kind never recorded
@@ -471,6 +486,7 @@ class _MassTally:
         return MassSplit(
             total(GOOD), total(BAD), total(*_FRONTIER_KINDS), total("tail"),
             total("live"), total("capped"), total("pruned"), peak_states,
+            math.fsum(self.truncated),
             tuple(math.fsum(self.pieces.get((GOOD, n), ()))
                   for n in range(L + 1)),
         )
@@ -514,7 +530,7 @@ def _letter_batches(d: int, A: int, rows: int):
 
 
 def _stopping_tree(
-    weights: list,
+    weights: np.ndarray,
     shifts: list,
     tail_weight: float,
     tail_shift: int,
@@ -527,11 +543,13 @@ def _stopping_tree(
 ) -> tuple:
     """The lumped stopping-tree level loop, in either weight algebra.
 
-    Prepending letter a multiplies a state's weight by ``weights[a]`` and
-    adds ``shifts[a]`` to its exponent e; a branch that needs a letter
-    beyond A is worth its weight times ``tail_weight`` at exponent
-    e + ``tail_shift``.  Every piece of weight leaving the tree goes to
-    ``tally`` (see ``_MassTally``) at its word length n, as one of good,
+    Prepending letter a multiplies a state's row of weights by the row
+    ``weights[a]`` and adds ``shifts[a]`` to its exponent e; a branch that
+    needs a letter beyond A is worth its weight times ``tail_weight`` at
+    exponent e + ``tail_shift``.  "Weight" is the first column: it alone
+    prunes, caps and picks the letters (those of weight > 0), and the other
+    columns follow their rows.  Every piece of weight leaving the tree goes
+    to ``tally`` (see ``_MassTally``) at its word length n, as one of good,
     bad, tail, live, capped or pruned (the last four are frontier), through
     one ``add(kind, n, e, w)`` call per kind and batch of children: a
     batch's capped, good, bad and (at L) live rows, each live group's
@@ -545,15 +563,17 @@ def _stopping_tree(
     Returns (most live states on one level n < L before pruning, states
     pruned).
     """
+    cols = weights.shape[1]
+    tiles = weights[:, :0]  # weights[a] repeated per row of a chunk
     q_pow = np.array([q_ref ** k for k in range(L * max(shifts) + 1)])
     tally.add("tail", 0, np.full(1, tail_shift, dtype=np.uint16),
-              np.full(1, tail_weight))  # first letter beyond alphabet
+              np.full((1, 1), tail_weight))  # first letter beyond alphabet
     pending: dict = {}
     for a in range(1, A + 1):  # the empty word's children, one at a time
-        if weights[a] > 0.0:
+        if weights[a, 0] > 0.0:
             _report(tally, pending, 1, L,
                     np.full(1, shifts[a], dtype=np.uint16), _root_row(a),
-                    np.full(1, weights[a]), a)
+                    weights[a : a + 1], a)
     groups, peak, pruned, kept = _settle(pending, q_pow, tally, 1, L,
                                          level_factor, 0.0)
 
@@ -561,7 +581,8 @@ def _stopping_tree(
         if not groups:
             break
         for _d, _rows, wts, es in groups:
-            tally.add("tail", level - 1, es + tail_shift, wts * tail_weight)
+            tally.add("tail", level - 1, es + tail_shift,
+                      wts[:, :1] * tail_weight)
         pending = {}
         groups.reverse()
         while groups:  # each run is freed once gone through
@@ -571,28 +592,34 @@ def _stopping_tree(
                 wc = wts[lo : lo + _CHUNK_ROWS]
                 ec = es[lo : lo + _CHUNK_ROWS]
                 V = np.unpackbits(P, axis=1, count=1 << (d - 1))
-                for d2, letters in _letter_batches(d, A, P.shape[0]):
-                    letters = [a for a in letters if weights[a] > 0.0]
+                if tiles.shape[1] < wc.size:  # one flat product per batch
+                    tiles = np.tile(weights, len(wc))
+                for d2, batch in _letter_batches(d, A, P.shape[0]):
+                    letters = [a for a in batch if weights[a, 0] > 0.0]
                     if not letters:
                         continue
-                    cw = np.multiply.outer([weights[a] for a in letters], wc)
+                    # children's weight rows and exponents, letter-major
+                    pick = letters if len(letters) < len(batch) else \
+                        slice(batch[0], batch[-1] + 1)  # a view: no copy
+                    cw = tiles[pick, : wc.size] * wc.ravel()
+                    cw = cw.reshape(-1, cols)
                     e2 = np.add.outer(np.array([shifts[a] for a in letters],
-                                               dtype=np.uint16), ec)
-                    alive = cw >= _BIRTH_FLOOR  # the rest are not built
+                                               dtype=np.uint16), ec).ravel()
+                    alive = cw[:, 0] >= _BIRTH_FLOOR  # the rest are not built
                     full = alive.all()
                     if not full:
-                        tally.add("capped", level, e2[~alive], cw[~alive])
-                        cw, e2 = cw[alive], e2[alive]
-                    C = np.empty((cw.size, _width(d2)), dtype=np.uint8)
+                        tally.add("capped", level, *_select(~alive, e2, cw))
+                        e2, cw = _select(alive, e2, cw)
+                    C = np.empty((len(e2), _width(d2)), dtype=np.uint8)
                     j = 0  # rows of C filled, letter-major
-                    for a, at in zip(letters, alive):
-                        Pa, Va = (P, V) if full or at.all() else (P[at], V[at])
+                    for a, at in zip(letters, alive.reshape(len(letters), -1)):
+                        Pa, Va = (P, V) if full or at.all() else \
+                            _select(at, P, V)
                         if len(Pa):
                             i, j = j, j + len(Pa)
                             C[i:j] = _children(Pa, Va, _run_plan(d2, a, d))
                     if j:
-                        _report(tally, pending, level, L, e2.ravel(), C,
-                                cw.ravel(), d2)
+                        _report(tally, pending, level, L, e2, C, cw, d2)
         if level < L:
             groups, total, n_pruned, kept = _settle(
                 pending, q_pow, tally, level, L, level_factor, kept)
@@ -615,13 +642,21 @@ def stopping_tree_masses(
     never assumes they sum to 1, so monomial weights work too.  Children
     lighter than ``_BIRTH_FLOOR`` are frontier.  An A past ``_DEPTH_CAP``
     raises ValueError.
+
+    The same run prices the bad words under the truncated law mu_A, which
+    moves the tail onto letter A (its weight rounded down); mu's weight
+    alone prunes and caps.  The count algebra has no such column: a count
+    keyed on (n, e) cannot tell how many of a word's letters are A.
     """
     _check_bounds(L, A, pmf_vec)
+    weights = np.stack((pmf_vec[: A + 1],) * 2, axis=1).astype(float)
+    top, tail_mass = float(weights[A, 0]), float(tail_mass)
+    weights[A, 1] = top + tail_mass
+    if Fraction(weights[A, 1]) > Fraction(top) + Fraction(tail_mass):
+        weights[A, 1] = math.nextafter(weights[A, 1], 0.0)
     tally = _MassTally()
-    peak, _pruned = _stopping_tree(
-        [float(w) for w in pmf_vec[: A + 1]], [0] * (A + 1),
-        float(tail_mass), 0, L, A, tally, q_ref=1.0, level_factor=1.0,
-    )
+    peak, _pruned = _stopping_tree(weights, [0] * (A + 1), tail_mass, 0, L,
+                                   A, tally, q_ref=1.0, level_factor=1.0)
     return tally.split(L, peak)
 
 
@@ -676,7 +711,7 @@ class _GoodEdges(NamedTuple):
             raise ValueError(f"closed graph edge of kind {kind!r}")
         if kind == GOOD:
             self.src.extend(e.tolist())
-            self.letter.extend(w.tolist())
+            self.letter.extend(w[:, 0].tolist())
 
 
 @functools.cache
@@ -685,7 +720,7 @@ def _closed_graph(letters: tuple) -> _ClosedGraph:
 
     States are keyed by (depth, row bytes).  Children are built and handed
     on by the level loop's own steps (``_children``, ``_report``), with the
-    parent's state id as the exponent, the letter as the weight and no
+    parent's state id as the exponent, the letter as the one weight and no
     length bound (``_GoodEdges`` ignores n).  A state is no deeper than the
     largest letter, so the closure is finite; its size depends on the
     letters only, not on their weights.
@@ -696,12 +731,12 @@ def _closed_graph(letters: tuple) -> _ClosedGraph:
     pending: dict = {}
     for a in letters:  # the empty word's children
         _report(good, pending, 1, math.inf, np.zeros(1, dtype=np.int64),
-                _root_row(a), np.array([a]), a)
+                _root_row(a), np.full((1, 1), a), a)
     while pending:
         new: dict = defaultdict(list)  # depth -> [(id, row)] of new states
         for d, (rows, ws, es) in sorted(pending.items()):
-            for row, a, s in zip(np.concatenate(rows), np.concatenate(ws),
-                                 np.concatenate(es)):
+            for row, a, s in zip(np.concatenate(rows),
+                                 np.concatenate(ws)[:, 0], np.concatenate(es)):
                 key = (d, row.tobytes())
                 if key not in ids:
                     ids[key] = len(ids)
@@ -718,7 +753,7 @@ def _closed_graph(letters: tuple) -> _ClosedGraph:
                 d2 = max(a, d - 1)
                 _report(good, pending, 1, math.inf, at,
                         _children(P, V, _run_plan(d2, a, d)),
-                        np.full(len(at), a), d2)
+                        np.full((len(at), 1), a), d2)
     columns = [np.array(x, dtype=np.int64) for x in (
         src, dst, letter, good.src, good.letter)]
     for column in columns:  # cached and shared: read only
@@ -849,7 +884,7 @@ class _CountTally:
 
     def add(self, kind: str, n: int, e: np.ndarray, w: np.ndarray) -> None:
         table = self.tables[kind]
-        table[n] += np.bincount(e, weights=w, minlength=table.shape[1])
+        table[n] += np.bincount(e, weights=w[:, 0], minlength=table.shape[1])
 
 
 def stopping_tree_counts(
@@ -874,7 +909,7 @@ def stopping_tree_counts(
         )
     tally = _CountTally(L, L * (A - 1) + A)
     _peak, pruned_states = _stopping_tree(
-        [1.0] * (A + 1), list(range(-1, A)), 1.0, A, L, A, tally,
+        np.ones((A + 1, 1)), list(range(-1, A)), 1.0, A, L, A, tally,
         q_ref=1.0 - reference_p, level_factor=reference_p,
     )
     return CountTables(**tally.tables, pruned_states=pruned_states)

@@ -5,7 +5,7 @@ The front speed of the infinite-bin process under letter law mu equals the
 total mu-weight of minimal good words, and one minus the weight of minimal
 bad words.  Truncated enumeration therefore yields two-sided brackets whose
 width is at most the unresolved (frontier) mass — see
-:mod:`infinitebin.enumeration` for the engine and its accounting.  Two
+:mod:`infinitebin.enumeration` for the engine and its accounting.  Three
 bounds that need no further enumeration tighten the ends where the
 alphabet tail is heavy (low p):
 
@@ -16,6 +16,10 @@ alphabet tail is heavy (low p):
   minimal good words w price v(nu) from below at mu(w) (1 - t)^(-|w|).
   A is min(max_letter, 16): no word with a letter past the enumeration's
   depth cap of 16 is expanded, so those letters are alphabet tail;
+- a truncated-law upper bound by the same ordering: mu_A moves mu([A, inf))
+  onto letter A, whose smaller letters keep a run ahead, so v(mu) <=
+  v(mu_A) <= 1 - the mu_A weight of the minimal bad words, which the same
+  run prices at mu_A (``curve``'s count tables cannot, so it goes without);
 - for Geometric(p) letters, whose speed is the longest-path growth rate
   C(p), Newman's first-moment bound (Random Structures Algorithms 3, 1992):
   P(L_n >= k) <= C(n, k+1) p^k gives C(p) <= c*(p), the root in (p, 1) of
@@ -27,7 +31,10 @@ which the speed is an absorption probability (Kemeny & Snell, Finite
 Markov Chains, 1960), and outward-rounded sweeps bracket it to about
 1e-14, wider where they stop at their cap of 10,000 first, as near a point
 mass at a letter >= 2 (see :func:`~infinitebin.enumeration.closed_ends`).
-Both ends are intersected with the enumeration's.
+Both ends are intersected with the enumeration's.  With mass past A the
+closed graphs of nu and mu_A would bracket the speed too, with no length
+bound; they are not built here, since the support bound to close them at
+trades build time against width per law, which these ends do not settle.
 """
 
 from __future__ import annotations
@@ -61,10 +68,11 @@ class SpeedBracket:
     bound on the same words and, for a law on {1..5} with no mass past
     the alphabet, the closed state graph's lower end; ``lower_from`` says
     which (``"good"``, ``"lazy"`` or ``"closed"``).  ``upper`` is the best
-    of one minus ``bad_mass``, that of minimal bad words, for Geometric
-    laws the first-moment bound, and the closed graph's upper end;
-    ``upper_from`` says which (``"bad"``, ``"first_moment"`` or
-    ``"closed"``).  These bounds are described in
+    of one minus ``bad_mass``, that of minimal bad words, one minus their
+    weight under the truncated law, for Geometric laws the first-moment
+    bound, and the closed graph's upper end; ``upper_from`` says which
+    (``"bad"``, ``"truncated"``, ``"first_moment"`` or ``"closed"``).
+    These bounds are described in
     :mod:`infinitebin.series`.  The masses and frontier fields are always
     the enumeration's, whichever bound sets an end.  ``good_mass +
     bad_mass + frontier_mass`` is 1, and ``frontier_tail``,
@@ -154,17 +162,21 @@ def _first_moment_bound(p: float) -> float:
             lo = c
 
 
-def _ends(good: float, bad: float, good_by_len, tail: float,
-          p: float | None = None, closed: tuple | None = None) -> tuple:
+def _ends(good: float, bad: float, bad_truncated: float, good_by_len,
+          tail: float, p: float | None = None,
+          closed: tuple | None = None) -> tuple:
     """Certified (lower, upper, lower_from, upper_from), clamped into [0, 1].
 
-    ``good_by_len[n]`` is the good mass of words of length n and ``tail``
+    ``bad_truncated`` is the bad words' mass under the truncated law,
+    ``good_by_len[n]`` the good mass of words of length n and ``tail``
     the letter law's mass past the alphabet bound (the lazy-law bound
-    needs 0 < tail < 1); ``p`` is given for Geometric(p) letters only, and
-    ``closed`` for laws whose state graph closes (see ``_closes``).
+    needs 0 < tail < 1, the truncated-law one 0 < tail); ``p`` is given
+    for Geometric(p) letters only, and ``closed`` for laws whose state
+    graph closes (see ``_closes``).
     The lazy factors round down and c*(p) up, and the lazy terms
     total at most 1 - tail, so the rounding bound of the good mass covers
-    the lazy bound too.
+    the lazy bound too; the truncated law's weights round down, its bad
+    terms total at most 1 and so are covered by the same bound.
     """
     lower, lower_from = good, "good"
     if 0.0 < tail < 1.0:
@@ -175,6 +187,8 @@ def _ends(good: float, bad: float, good_by_len, tail: float,
         if lazy > lower:
             lower, lower_from = lazy, "lazy"
     upper, upper_from = 1.0 - bad, "bad"
+    if 0.0 < tail and 1.0 - bad_truncated < upper:
+        upper, upper_from = 1.0 - bad_truncated, "truncated"
     if p is not None:
         c_star = _first_moment_bound(p)
         if c_star < upper:
@@ -209,7 +223,8 @@ def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
     closed = (closed_ends(mu.pmf_vector(mu.support_max))
               if _closes(mu, tail) else None)
     lower, upper, lower_from, upper_from = _ends(
-        split.good, split.bad, split.good_by_len, tail, p, closed)
+        split.good, split.bad, split.bad_truncated, split.good_by_len, tail,
+        p, closed)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -244,7 +259,8 @@ def enumerate_minimal(
     children below the birth floor.  Every cut weight is frontier mass;
     the fixed bounds are listed in :mod:`infinitebin.enumeration`.
     The good mass by word length gives the lazy-law bound, which raises
-    ``lower`` when mu has mass past A; for Geometric(p) laws the
+    ``lower`` when mu has mass past A, and the bad mass at the truncated
+    law its upper twin, which lowers ``upper``; for Geometric(p) laws the
     first-moment bound may lower ``upper``; and for a law on {1..5} with
     no mass past A the closed state graph brackets the speed itself (see
     :class:`SpeedBracket`).
@@ -321,7 +337,10 @@ def curve(
         good, bad, frontier = tables.evaluate(p)
         q = 1.0 - p
         good_by_len = np.power(p, n_range) * (tables.good @ np.power(q, e_range))
-        lower, upper, _, _ = _ends(good, bad, good_by_len.tolist(), q ** A, p)
+        # counts cannot tell how many of a word's letters are A, so they
+        # price no truncated law: bad in its place keeps upper at 1 - bad
+        lower, upper, _, _ = _ends(good, bad, bad, good_by_len.tolist(),
+                                   q ** A, p)
         rows.append(CurveRow(
             p=p, lower=lower, upper=upper,
             good_mass=good, bad_mass=bad, frontier_mass=frontier,

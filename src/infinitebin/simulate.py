@@ -306,9 +306,10 @@ def perfect_samples(
     return tuple(drawn)
 
 
-def _front_sum(mu: MoveDistribution, bins: tuple, memo: dict) -> float:
+def _front_sum(cdf: list, bins: tuple, memo: dict) -> float:
     """E[sum of mu([1, c_t]) over t < len(bins)] for the front bin count c_t
-    after t fresh letters, from rightmost bin counts ``bins`` (front first).
+    after t fresh letters, from rightmost bin counts ``bins`` (front first),
+    with ``cdf[k]`` = mu([1, k]) for k up to sum(bins).
 
     c_t depends on bins 0..t only, so the sum is exact whatever lies below
     ``bins``.  A letter falls in one of three classes: the front bin (the
@@ -317,22 +318,23 @@ def _front_sum(mu: MoveDistribution, bins: tuple, memo: dict) -> float:
     moves ``bins`` as the tracker's fold (:func:`words._fold_determined`)
     moves its window on one letter, and the next state keeps the bins the
     remaining letters can reach, one fewer: that drops whatever the
-    deepest class changed.  ``memo`` maps states to sums; calls may share it.
+    deepest class changed, so no later state holds more balls.  ``memo``
+    maps states to sums; calls of one law may share it.
     """
     total = memo.get(bins)
     if total is not None:
         return total
-    total = mu.cdf(bins[0])
+    total = cdf[bins[0]]
     keep = len(bins) - 1
     if keep:
         ranks = list(itertools.accumulate(bins + (1,)))
         below = 0.0
         for k in ranks:
-            upto = mu.cdf(k) if k < ranks[-1] else 1.0
+            upto = cdf[k] if k < ranks[-1] else 1.0
             if upto > below:
                 moved = _fold_determined((k,), list(reversed(bins)))
                 nxt = _scenery(moved, keep)
-                total += (upto - below) * _front_sum(mu, nxt, memo)
+                total += (upto - below) * _front_sum(cdf, nxt, memo)
             below = upto
     memo[bins] = total
     return total
@@ -357,8 +359,10 @@ def front_hit_rate(mu: MoveDistribution, samples) -> tuple:
     if not samples:
         raise ValueError("need at least one perfect sample")
     m = min(_LOOKAHEAD, min(len(s.scenery) for s in samples))
+    top = max(sum(s.scenery[:m]) for s in samples)
+    cdf = [mu.cdf(k) for k in range(top + 1)]  # read once per rank
     memo: dict = {}
-    return _mean_stderr([_front_sum(mu, s.scenery[:m], memo) / m
+    return _mean_stderr([_front_sum(cdf, s.scenery[:m], memo) / m
                          for s in samples])
 
 

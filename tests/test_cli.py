@@ -119,7 +119,7 @@ def test_speed_record_params_are_the_bracket_fields(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec, max_letter, lower_from, upper_from", [
     ("geom:0.1", "6", "lazy", "first_moment"),
-    ("geom:0.7", "6", "lazy", "bad"),
+    ("geom:0.7", "6", "lazy", "truncated"),
     ("unif:7", "7", "good", "bad"),
     ("unif:2", "2", "closed", "closed"),
 ])
@@ -540,12 +540,14 @@ def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # stationary replica statistics, or in the gates, shows here.  The
     # report's brackets also pin the engine at its defaults and at the
     # earlier default state cap of 50,000 with no width budget.  Both
-    # digests moved when the stationary leg went to depth-4 samples, and
-    # again when unif:2 and unif:3 took their ends from the closed graph.
+    # digests moved when the stationary leg went to depth-4 samples, again
+    # when unif:2 and unif:3 took their ends from the closed graph, and
+    # again when the geom brackets took their upper ends from the
+    # truncated law.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "be8232c34a25ec0bb900c6ef628d16fc2cb6b0f9db559449a3abbc01084a5a7a"),
-        (50_000, "e0f513f4c44741a38ea584b1bcf5a1d51d5cbd77b55e8b2e98fcf47c5767ac32"),
+        (None, "f20b5aef1c0606db5cf8b7bfcd8bfa194a1b81946ed9f228e6f074fc819c57ac"),
+        (50_000, "7df82665d4c1662a46d46568eca1cb4ace5d748036d7501012154a6e664f5b0a"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)

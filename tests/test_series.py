@@ -51,15 +51,23 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
     pruning or a birth floor, so each minimal word is visited once and
     handed to ``emit(word, verdict, weight)`` in deterministic order: the
     word (1,) first, then depth-first over first letters A down to 2, each
-    later letter prepended in increasing order.  ``peak_states`` is the
-    number of nodes expanded.  Exponential in L: the tests call it at
-    L <= 9.
+    later letter prepended in increasing order.  Each bad word is priced
+    at the truncated law mu_A as well, letter by letter.  ``peak_states``
+    is the number of nodes expanded.  Exponential in L: the tests call it
+    at L <= 9.
     """
     enumeration._check_bounds(L, A, pmf_vec)
     tally = enumeration._MassTally()
+    # mu_A moves the tail onto letter A, rounded down
+    trunc = [float(w) for w in pmf_vec[: A + 1]]
+    exact = Fraction(trunc[A]) + Fraction(float(tail_mass))
+    trunc[A] = float(exact)
+    if Fraction(trunc[A]) > exact:
+        trunc[A] = math.nextafter(trunc[A], 0.0)
 
-    def add(kind, n, w):  # one word's weight, as a one-row piece
-        tally.add(kind, n, np.zeros(1, dtype=np.uint16), np.full(1, w))
+    def add(kind, n, w, w_trunc=0.0):  # one word's weights, as one row
+        tally.add(kind, n, np.zeros(1, dtype=np.uint16),
+                  np.array([[w, w_trunc]]))
 
     add("tail", 0, float(tail_mass))
     expanded = 0
@@ -101,7 +109,7 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
                 continue
             if not true:
                 emit(cword, BAD, cw)
-                add(BAD, len(cword), cw)
+                add(BAD, len(cword), cw, math.prod(trunc[b] for b in cword))
                 continue
             while d2 > 1:
                 half = 1 << (d2 - 2)
@@ -194,6 +202,9 @@ def test_walk_and_lumped_engines_agree_exactly():
         lumped_by_len, walk_by_len = (s.good_by_len for s in splits)
         assert len(lumped_by_len) == len(walk_by_len) == L + 1
         assert lumped_by_len == pytest.approx(walk_by_len, abs=1e-13)
+        # the bad words priced at the truncated law, word by word
+        assert splits[0].bad_truncated == pytest.approx(
+            splits[1].bad_truncated, abs=1e-13)
         for split in splits:
             assert math.fsum(split.good_by_len) == pytest.approx(split.good,
                                                                  abs=1e-15)
@@ -238,66 +249,68 @@ def _count_tables_digest(tables) -> str:
 # length bound stopped being settled.  The two after them pin the
 # defaults, and the last two the root letters' own cases.
 # Three fields moved by one ulp when the tally came to keep one float piece
-# per reporting call rather than one per letter.
+# per reporting call rather than one per letter.  The last field, the bad
+# weight under the truncated law, was appended to pins that did not move.
 NO_BUDGET = {"_PRUNE_SHARE": 0.0}
 PINNED_MASSES = [
     # pruning at _MAX_STATES = 300
     ((0.5, 7, 7, {"_MAX_STATES": 300, **NO_BUDGET}),
      ("0x1.23c59fa000000p-1", "0x1.9c91bb1700000p-2", "0x1.be305a9000000p-6",
       "0x1.de8cb8c120000p-7", "0x1.8d98f196e0000p-7", "0x0.0p+0",
-      "0x1.03b0ac8000000p-11", 1014)),
+      "0x1.03b0ac8000000p-11", 1014, "0x1.a8c77d8600000p-2")),
     # birth floor
     ((0.8, 10, 10, {"_MAX_STATES": 50_000, **NO_BUDGET}),
      ("0x1.a5c2db1aef619p-1", "0x1.68f3cd08482dep-3", "0x1.8d17f497e820dp-20",
       "0x1.127f0f7a1c347p-23", "0x1.6ac812365603bp-20",
-      "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287)),
+      "0x1.c93a5a5e4513ap-46", "0x0.0p+0", 10287, "0x1.68f3dd77bac3fp-3")),
     # at the depth cap, the largest alphabet
     ((0.3, 3, 16, NO_BUDGET),
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40868p-2", "0x1.aa9a1a0c91aa9p-3",
       "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4fep-3", "0x0.0p+0",
-      "0x0.0p+0", 120)),
+      "0x0.0p+0", 120, "0x1.e7af8df273f9dp-2")),
     # pruning at a cap of 50,000
     ((0.5, 8, 8, {"_MAX_STATES": 50_000, **NO_BUDGET}),
      ("0x1.2571d7d5f12c0p-1", "0x1.a5767e049690dp-2", "0x1.f4ba49f0e2e54p-7",
       "0x1.e507f8f146f80p-8", "0x1.02364d783f686p-7", "0x1.c600000000000p-56",
-      "0x0.0p+0", 29390)),
+      "0x0.0p+0", 29390, "0x1.abc88c1caca00p-2")),
     # pruning at the default cap, at the benchmark's bracket bounds
     ((0.5, 10, 10, NO_BUDGET),
      ("0x1.270e472c49dcap-1", "0x1.ace60c33205d7p-2", "0x1.3f595d12fa574p-8",
       "0x1.eab9c3bce7f34p-10", "0x1.88158934b4016p-9", "0x0.0p+0",
-      "0x1.404f12ccb36cap-17", 51046)),
+      "0x1.404f12ccb36cap-17", 51046, "0x1.ae85d753243abp-2")),
     # the width budget and the default cap
     ((0.5, 10, 10, {}),
      ("0x1.270dafdcdba88p-1", "0x1.ace13661e43c7p-2", "0x1.40da79191ca89p-8",
       "0x1.eab4c1ee2558ep-10", "0x1.86c3c8f0e6e3ap-9", "0x0.0p+0",
-      "0x1.65b2128ff0402p-15", 35296)),
+      "0x1.65b2128ff0402p-15", 35296, "0x1.ae7e62e530d69p-2")),
     ((0.8, 10, 10, {}),
      ("0x1.a5c2dae7a77dcp-1", "0x1.68f3cafbe6503p-3", "0x1.92caf771809cep-20",
       "0x1.127f0ec58f713p-23", "0x1.69f1e171abaddp-20", "0x0.0p+0",
-      "0x1.a24d09c8c03c0p-26", 2233)),
+      "0x1.a24d09c8c03c0p-26", 2233, "0x1.68f3db57881dap-3")),
     # the root letters: letter 1 below the birth floor is good, the other
     # letters below it are capped
     ((1e-20, 3, 4, {}),
      ("0x1.79ca10c924223p-67", "0x0.0p+0", "0x1.0000000000000p+0",
       "0x1.0000000000000p+0", "0x0.0p+0", "0x1.1b578c96db19ap-65",
-      "0x0.0p+0", 0)),
+      "0x0.0p+0", 0, "0x0.0p+0")),
     # the root letters at L = 1: every letter past 1 is live
     ((0.5, 1, 4, {}),
      ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1",
       "0x1.0000000000000p-4", "0x1.c000000000000p-2", "0x0.0p+0",
-      "0x0.0p+0", 0)),
+      "0x0.0p+0", 0, "0x0.0p+0")),
 ]
 
 # Exact outputs of the explicit word walk, recorded the same way.
 PINNED_WALK = [
     ((Uniform(3), 7, 3),
      ("0x1.ef60ce0472b6dp-2", "0x1.db3e9fe5c7944p-2", "0x1.ab0490ae2da6bp-5",
-      "0x0.0p+0", "0x1.ab0490ae2da6bp-5", "0x0.0p+0", "0x0.0p+0", 106)),
+      "0x0.0p+0", "0x1.ab0490ae2da6bp-5", "0x0.0p+0", "0x0.0p+0", 106,
+      "0x1.db3e9fe5c7944p-2")),
     # at the depth cap
     ((Geometric(0.3), 3, 16),
      ("0x1.4762c41a76a3cp-2", "0x1.e3502edf40869p-2", "0x1.aa9a1a0c91aa9p-3",
       "0x1.afcc84f66b555p-8", "0x1.9d1bb5e4de4fep-3", "0x0.0p+0",
-      "0x0.0p+0", 135)),
+      "0x0.0p+0", 135, "0x1.e7af8df273f9ep-2")),
 ]
 
 
@@ -672,11 +685,17 @@ def test_curve_rows_and_exact_endpoint():
 
 
 def test_curve_matches_direct_enumeration_when_exact():
+    # a count table cannot tell how many of a word's letters are A, so the
+    # curve has no truncated-law end: its upper end is the speed bracket's
+    # without it
     with patched(**EXACT):
         for row in curve([0.3, 0.7], 6, 6):
             bracket = enumerate_minimal(Geometric(row.p), 6, 6)
             assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
-            assert row.upper == pytest.approx(bracket.upper, abs=1e-11)
+            assert bracket.upper_from == "truncated"
+            assert bracket.upper < row.upper == pytest.approx(
+                min(1.0 - bracket.bad_mass, _first_moment_bound(row.p)),
+                abs=1e-11)
 
 
 def test_counts_in_rationals_are_an_exact_oracle_for_masses():
@@ -1061,6 +1080,10 @@ EXACT_SPEEDS = [
      Fraction(6, 11)),
 ]
 
+#: The exact speed of unif:5, from a dense rational solve over its 349
+#: live states (200 s).
+UNIF5_SPEED = Fraction(255180, 725281)
+
 
 @pytest.mark.parametrize("mu, law, speed", EXACT_SPEEDS,
                          ids=[mu.describe() for mu, _, _ in EXACT_SPEEDS])
@@ -1097,13 +1120,12 @@ def test_closed_ends_need_a_closing_law():
     assert not series._closes(Geometric(0.5), 0.0)
     bracket = enumerate_minimal(Uniform(5), 6, 4)
     assert bracket.frontier_tail > 0.0
-    assert (bracket.lower_from, bracket.upper_from) == ("lazy", "bad")
+    assert (bracket.lower_from, bracket.upper_from) == ("lazy", "truncated")
     closed = enumerate_minimal(Uniform(5), 6, 5)
     assert (closed.lower_from, closed.upper_from) == ("closed", "closed")
     assert 0.0 < closed.width < 1e-14
-    # the exact speed of unif:5, from a dense rational solve (200 s)
     slack = Fraction(closed.rounding_bound)
-    assert Fraction(closed.lower) - slack <= Fraction(255180, 725281) \
+    assert Fraction(closed.lower) - slack <= UNIF5_SPEED \
         <= Fraction(closed.upper) + slack
 
 
@@ -1139,3 +1161,79 @@ def test_closed_ends_hold_at_every_sweep():
         with pytest.raises(ValueError, match="closed graph edge"):
             enumeration._GoodEdges([], []).add(kind, 1, np.zeros(1),
                                                np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# the truncated law: mu's mass past A moved onto letter A
+# ---------------------------------------------------------------------------
+
+
+def truncated(law: dict, A: int) -> dict:
+    """mu_A of a law given as letter -> weight: the weight past A on A."""
+    out = {a: w for a, w in law.items() if a < A}
+    out[A] = sum(w for a, w in law.items() if a >= A)
+    return out
+
+
+@pytest.mark.parametrize("mu, A, speed", [
+    (Uniform(5), 3, UNIF5_SPEED),
+    (Uniform(5), 4, UNIF5_SPEED),
+    (FiniteSupport([0.2, 0.3, 0.5]), 2, None),
+], ids=["unif:5-A3", "unif:5-A4", "finite:0.2,0.3,0.5-A2"])
+def test_truncated_law_upper_end_holds_the_exact_speed(mu, A, speed):
+    # v(mu) <= v(mu_A) <= 1 - the mu_A weight of the bad words found, with
+    # both speeds solved in rationals on the closed graphs of {1..5} and
+    # {1..A} (the floats' own weights, as the engine reads them)
+    law = {a: Fraction(mu.pmf(a)) for a in range(1, mu.support_max + 1)}
+    if speed is None:
+        speed = exact_closed_speed(law)
+    truncated_speed = exact_closed_speed(truncated(law, A))
+    assert speed < truncated_speed
+    for L in (2, 6, 10):
+        bracket = enumerate_minimal(mu, L, A)
+        assert bracket.upper_from == "truncated", L
+        assert bracket.upper < 1.0 - bracket.bad_mass
+        slack = Fraction(bracket.rounding_bound)
+        assert Fraction(bracket.lower) - slack <= speed, L
+        assert truncated_speed <= Fraction(bracket.upper) + slack, L
+
+
+def test_truncated_laws_are_never_slower():
+    # v(mu) <= v(mu_A), the ordering the upper end rests on, for random
+    # laws on {1..5} and every A below 5, read through the closed ends
+    gen = np.random.default_rng(37)
+    for _ in range(50):
+        pmf = np.zeros(6)
+        pmf[1:] = gen.random(5)
+        pmf /= pmf.sum()
+        lower = enumeration.closed_ends(pmf)[0]
+        for A in range(1, 5):
+            pmf_A = pmf[: A + 1].copy()
+            pmf_A[A] = pmf[A:].sum()
+            assert lower <= enumeration.closed_ends(pmf_A)[1], (pmf, A)
+
+
+def test_truncated_law_weight_rounds_down(monkeypatch):
+    # mu(A) + t, rounded down, never above the exact sum; the laws here
+    # include sums that round to nearest upwards
+    seen, stepped = [], 0
+    real = enumeration._stopping_tree
+
+    def spy(weights, *args, **kwargs):
+        seen.append(weights.copy())
+        return real(weights, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_stopping_tree", spy)
+    for p in (0.1, 0.3, 0.7, 0.123456789):
+        mu = Geometric(p)
+        for A in range(2, 9):
+            seen.clear()
+            stopping_tree_masses(mu.pmf_vector(A), mu.tail(A), 1, A)
+            (weights,) = seen
+            exact = Fraction(mu.pmf(A)) + Fraction(mu.tail(A))
+            top = weights[A, 1]
+            assert Fraction(top) <= exact < Fraction(math.nextafter(top, 1.0))
+            stepped += top < mu.pmf(A) + mu.tail(A)
+            # every other weight is mu's own
+            assert weights[:A, 1].tolist() == weights[:A, 0].tolist()
+    assert stepped  # some sum was rounded up, and stepped back down

@@ -35,7 +35,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: All seven subcommands: classify; point masses; the bracket engine (at
 #: p = 0.8 as verify runs it, and at the defaults L = A = 12, where the
 #: state cap sets the cost; at p = 0.3 and at A = 6, where the alphabet
-#: tail is heaviest and the truncated law narrows the bracket most); the
+#: tail is heaviest and the truncated law narrows the bracket most; at
+#: p = 0.1, where the truncated law's closed graph sweeps longest, and at
+#: p = 0.05, where c*(p) < 1/5 leaves that graph unswept); the
 #: curve (once pruned across about 90
 #: exponents, and a count pass at A = 16 building tables up to the depth
 #: cap); the birth floor on letters stacked at that cap; an alphabet of
@@ -59,6 +61,8 @@ PANEL = (
     "speed geom:0.8 --len 10 --max-letter 10",
     "speed geom:0.5 --len 12 --max-letter 12",
     "speed geom:0.3 --len 10 --max-letter 10",
+    "speed geom:0.1 --len 10 --max-letter 10",
+    "speed geom:0.05 --len 10 --max-letter 10",
     "speed geom:0.5 --len 8 --max-letter 6",
     "speed dirac:1 --len 4",
     "speed dirac:2 --len 4",

@@ -643,21 +643,31 @@ def stopping_tree_masses(
     lighter than ``_BIRTH_FLOOR`` are frontier.  An A past ``_DEPTH_CAP``
     raises ValueError.
 
-    The same run prices the bad words under the truncated law mu_A, which
-    moves the tail onto letter A (its weight rounded down); mu's weight
-    alone prunes and caps.  The count algebra has no such column: a count
-    keyed on (n, e) cannot tell how many of a word's letters are A.
+    The same run prices the bad words under the truncated law mu_A', which
+    moves the tail onto A', the largest letter <= A with weight (rounded
+    down), so the loop prepends it; mu's weight alone prunes and caps.  The
+    count algebra has no such column: a count keyed on (n, e) cannot tell
+    how many of a word's letters are A'.
     """
     _check_bounds(L, A, pmf_vec)
     weights = np.stack((pmf_vec[: A + 1],) * 2, axis=1).astype(float)
-    top, tail_mass = float(weights[A, 0]), float(tail_mass)
-    weights[A, 1] = top + tail_mass
-    if Fraction(weights[A, 1]) > Fraction(top) + Fraction(tail_mass):
-        weights[A, 1] = math.nextafter(weights[A, 1], 0.0)
+    tail_mass = float(tail_mass)
+    top = max(np.flatnonzero(weights[:, 0] > 0.0), default=0)  # A' or row 0
+    weights[top, 1] = _rounded(
+        Fraction(weights[top, 0]) + Fraction(tail_mass), up=False)
     tally = _MassTally()
     peak, _pruned = _stopping_tree(weights, [0] * (A + 1), tail_mass, 0, L,
                                    A, tally, q_ref=1.0, level_factor=1.0)
     return tally.split(L, peak)
+
+
+def _rounded(exact: Fraction, up: bool) -> float:
+    """The float next to ``exact`` on the side ``up`` asks for: the nearest
+    float, stepped once where it lies on the other side."""
+    f = float(exact)
+    if f < exact if up else f > exact:
+        f = math.nextafter(f, math.inf if up else 0.0)
+    return f
 
 
 def mass_rounding_bound(L: int, A: int) -> float:
@@ -795,9 +805,10 @@ def _sweeps(graph: _ClosedGraph, w: np.ndarray, g: np.ndarray,
     return float(x[0])
 
 
-def closed_ends(pmf_vec: np.ndarray) -> tuple:
-    """Certified (lower, upper) speed bounds from the closed state graph of
-    the letters with positive weight in ``pmf_vec`` (index 0 unused).
+def closed_ends(pmf_vec: np.ndarray, ends: tuple = (False, True)) -> tuple:
+    """Certified speed bounds from the closed state graph of the letters
+    with positive weight in ``pmf_vec`` (index 0 unused), one per entry of
+    ``ends``: the lower end for False, the upper for True.
 
     The caller keeps the letters few: the closure of {1..5} has 349 live
     states, {1..6} over 5,000.  The ends are the limits, as L grows, of the
@@ -811,7 +822,7 @@ def closed_ends(pmf_vec: np.ndarray) -> tuple:
     w = pmf_vec[graph.letter]
     g = np.bincount(graph.good_src, pmf_vec[graph.good_letter],
                     minlength=graph.states)
-    return _sweeps(graph, w, g, False), _sweeps(graph, w, g, True)
+    return tuple(_sweeps(graph, w, g, upper) for upper in ends)
 
 
 # ---------------------------------------------------------------------------

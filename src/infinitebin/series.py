@@ -17,7 +17,8 @@ alphabet tail is heavy (low p):
   A is min(max_letter, 16): no word with a letter past the enumeration's
   depth cap of 16 is expanded, so those letters are alphabet tail;
 - a truncated-law upper bound by the same ordering: mu_A moves mu([A, inf))
-  onto letter A, whose smaller letters keep a run ahead, so v(mu) <=
+  onto letter A (onto the largest letter below it with weight, where A
+  has none), whose smaller letters keep a run ahead, so v(mu) <=
   v(mu_A) <= 1 - the mu_A weight of the minimal bad words, which the same
   run prices at mu_A (``curve``'s count tables cannot, so it goes without);
 - for Geometric(p) letters, whose speed is the longest-path growth rate
@@ -31,10 +32,9 @@ which the speed is an absorption probability (Kemeny & Snell, Finite
 Markov Chains, 1960), and outward-rounded sweeps bracket it to about
 1e-14, wider where they stop at their cap of 10,000 first, as near a point
 mass at a letter >= 2 (see :func:`~infinitebin.enumeration.closed_ends`).
-Both ends are intersected with the enumeration's.  With mass past A the
-closed graphs of nu and mu_A would bracket the speed too, with no length
-bound; they are not built here, since the support bound to close them at
-trades build time against width per law, which these ends do not settle.
+A Geometric law never closes, but its lazy and truncated laws on {1..5}
+do, by the orderings above at A = 5, so their graphs bracket C(p) with no
+length bound.  All closed ends are intersected with the enumeration's.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from infinitebin.distributions import Geometric, MoveDistribution, Uniform
 from infinitebin.enumeration import (
     MassSplit,
     _alphabet,
+    _rounded,
     closed_ends,
     count_rounding_bound,
     mass_rounding_bound,
@@ -65,19 +66,18 @@ class SpeedBracket:
     The true speed lies in [lower, upper] up to ``rounding_bound`` of
     floating-point slack.  ``lower`` is the best of ``good_mass``, the
     accumulated weight of enumerated minimal good words, the lazy-law
-    bound on the same words and, for a law on {1..5} with no mass past
-    the alphabet, the closed state graph's lower end; ``lower_from`` says
-    which (``"good"``, ``"lazy"`` or ``"closed"``).  ``upper`` is the best
-    of one minus ``bad_mass``, that of minimal bad words, one minus their
-    weight under the truncated law, for Geometric laws the first-moment
-    bound, and the closed graph's upper end; ``upper_from`` says which
-    (``"bad"``, ``"truncated"``, ``"first_moment"`` or ``"closed"``).
-    These bounds are described in
-    :mod:`infinitebin.series`.  The masses and frontier fields are always
-    the enumeration's, whichever bound sets an end.  ``good_mass +
-    bad_mass + frontier_mass`` is 1, and ``frontier_tail``,
-    ``frontier_live``, ``frontier_capped`` and ``pruned_mass`` split
-    ``frontier_mass`` by where it came from (see
+    bound on the same words and the closed graphs' (``_closed_ends``);
+    ``lower_from`` says which (``"good"``, ``"lazy"``, ``"closed"`` or
+    ``"closed_lazy"``).  ``upper`` is the best of one minus ``bad_mass``,
+    that of minimal bad words, one minus their weight under the truncated
+    law, for Geometric laws the first-moment bound, and the closed
+    graphs'; ``upper_from`` says which (``"bad"``, ``"truncated"``,
+    ``"first_moment"``, ``"closed"`` or ``"closed_truncated"``).  These
+    bounds are described in :mod:`infinitebin.series`.  The masses and
+    frontier fields are always the enumeration's, whichever bound sets an
+    end.  ``good_mass + bad_mass + frontier_mass`` is 1, and
+    ``frontier_tail``, ``frontier_live``, ``frontier_capped`` and
+    ``pruned_mass`` split ``frontier_mass`` by where it came from (see
     :class:`~infinitebin.enumeration.MassSplit`); ``pruned_mass`` is the
     weight the state cap and the width budget dropped below the length
     bound.  ``peak_states`` is the most live states on one level below the
@@ -129,8 +129,7 @@ def _lazy_factors(tail: float, n_max: int) -> list:
     factors = []
     exact = keep
     while len(factors) <= n_max and exact <= top:
-        f = float(exact)
-        factors.append(math.nextafter(f, 0.0) if f > exact else f)
+        factors.append(_rounded(exact, up=False))
         exact /= keep
     return factors + [sys.float_info.max] * (n_max + 1 - len(factors))
 
@@ -163,16 +162,15 @@ def _first_moment_bound(p: float) -> float:
 
 
 def _ends(good: float, bad: float, bad_truncated: float, good_by_len,
-          tail: float, p: float | None = None,
-          closed: tuple | None = None) -> tuple:
-    """Certified (lower, upper, lower_from, upper_from), clamped into [0, 1].
+          tail: float, p: float | None = None) -> tuple:
+    """The level loop's certified (lower, upper, lower_from, upper_from),
+    clamped into [0, 1]; ``_bracket`` intersects them with closed ends.
 
     ``bad_truncated`` is the bad words' mass under the truncated law,
     ``good_by_len[n]`` the good mass of words of length n and ``tail``
     the letter law's mass past the alphabet bound (the lazy-law bound
     needs 0 < tail < 1, the truncated-law one 0 < tail); ``p`` is given
-    for Geometric(p) letters only, and ``closed`` for laws whose state
-    graph closes (see ``_closes``).
+    for Geometric(p) letters only.
     The lazy factors round down and c*(p) up, and the lazy terms
     total at most 1 - tail, so the rounding bound of the good mass covers
     the lazy bound too; the truncated law's weights round down, its bad
@@ -193,19 +191,15 @@ def _ends(good: float, bad: float, bad_truncated: float, good_by_len,
         c_star = _first_moment_bound(p)
         if c_star < upper:
             upper, upper_from = c_star, "first_moment"
-    if closed is not None:
-        if closed[0] > lower:
-            lower, lower_from = closed[0], "closed"
-        if closed[1] < upper:
-            upper, upper_from = closed[1], "closed"
     lower = min(max(lower, 0.0), 1.0)
     return lower, min(max(upper, lower), 1.0), lower_from, upper_from
 
 
-#: Largest letter of a law whose closed state graph ``_bracket`` builds:
-#: the closure of {1..5} has 349 live states, built in 12 ms and swept to
-#: both ends in 11 ms; that of {1..6} has 5,109, in 0.06 s and 0.21 s
-#: (2 vCPU Xeon).
+#: Largest letter of a law whose closed state graph ``_bracket`` builds,
+#: and the k of a Geometric law's lazy and truncated laws on {1..k}: the
+#: closure of {1..5} has 349 live states, built in 12 ms and swept to both
+#: ends in 11 ms; that of {1..6} has 5,109, in 0.06 s and 0.21 s (2 vCPU
+#: Xeon), which would add about 80 ms to every Geometric bracket.
 _CLOSED_MAX_LETTER = 5
 
 
@@ -217,14 +211,48 @@ def _closes(mu: MoveDistribution, tail: float) -> bool:
         and mu.support_max <= _CLOSED_MAX_LETTER
 
 
+def _closed_ends(mu: MoveDistribution, tail: float, upper: float) -> list:
+    """(lower, upper, name) ends from closed state graphs.
+
+    A law that closes (``_closes``) gets its own graph's, ``closed``.  A
+    Geometric law, t = mu((k, inf)) at k = ``_CLOSED_MAX_LETTER``, gets
+    ``closed_lazy``, (1 - t) v(nu) with nu = mu conditioned on [1, k], and
+    ``closed_truncated``, v(mu_k) with mu([k, inf)) moved onto k: each law
+    sweeps the one end it gives.  A sweep is a polynomial in the weights
+    with nonnegative coefficients, so nu's weights and the product round
+    down and mu_k(k) up.  v(mu_k) >= v(delta_k) = 1/k by the same
+    ordering, so mu_k is skipped where ``upper``, the end in hand, is <=
+    1/k.  Swept, not solved by ROADMAP item 16's residual bound: the tests
+    pin sweeps from 0 and 1.
+    """
+    if _closes(mu, tail):
+        return [(*closed_ends(mu.pmf_vector(mu.support_max)), "closed")]
+    if not isinstance(mu, Geometric):
+        return []  # unif:10's closed lazy end, 1.76/10, would leave the
+        # band that acceptance criterion 7 freezes
+    k = _CLOSED_MAX_LETTER
+    pmf, t = mu.pmf_vector(k), Fraction(mu.tail(k))
+    nu = [_rounded(Fraction(w) / (1 - t), up=False) for w in pmf]
+    (lazy,) = closed_ends(np.array(nu), (False,))
+    ends = [(_rounded((1 - t) * Fraction(lazy), up=False), 1.0, "closed_lazy")]
+    if upper > 1 / k:
+        pmf[k] = _rounded(Fraction(pmf[k]) + t, up=True)
+        ends.append((0.0, *closed_ends(pmf, (True,)), "closed_truncated"))
+    return ends
+
+
 def _bracket(split: MassSplit, tail: float, mu: MoveDistribution,
              L: int, A: int) -> SpeedBracket:
     p = mu.p if isinstance(mu, Geometric) else None
-    closed = (closed_ends(mu.pmf_vector(mu.support_max))
-              if _closes(mu, tail) else None)
     lower, upper, lower_from, upper_from = _ends(
         split.good, split.bad, split.bad_truncated, split.good_by_len, tail,
-        p, closed)
+        p)
+    for closed_lower, closed_upper, name in _closed_ends(mu, tail, upper):
+        if closed_lower > lower:
+            lower, lower_from = closed_lower, name
+        if closed_upper < upper:
+            upper, upper_from = closed_upper, name
+    upper = max(upper, lower)
     return SpeedBracket(
         lower=lower,
         upper=upper,
@@ -260,9 +288,10 @@ def enumerate_minimal(
     the fixed bounds are listed in :mod:`infinitebin.enumeration`.
     The good mass by word length gives the lazy-law bound, which raises
     ``lower`` when mu has mass past A, and the bad mass at the truncated
-    law its upper twin, which lowers ``upper``; for Geometric(p) laws the
-    first-moment bound may lower ``upper``; and for a law on {1..5} with
-    no mass past A the closed state graph brackets the speed itself (see
+    law its upper twin, which lowers ``upper``; for a law on {1..5} with
+    no mass past A the closed state graph brackets the speed itself; and
+    for Geometric(p) laws the first-moment bound and the closed graphs of
+    the lazy and truncated laws on {1..5} may tighten either end (see
     :class:`SpeedBracket`).
     A point mass at a letter >= 2 raises ValueError.
     """
@@ -338,7 +367,9 @@ def curve(
         q = 1.0 - p
         good_by_len = np.power(p, n_range) * (tables.good @ np.power(q, e_range))
         # counts cannot tell how many of a word's letters are A, so they
-        # price no truncated law: bad in its place keeps upper at 1 - bad
+        # price no truncated law: bad in its place keeps upper at 1 - bad;
+        # no closed ends, whose 1-18 ms per point would add over a fifth to
+        # a 9-point curve's CPU (ROADMAP item 18)
         lower, upper, _, _ = _ends(good, bad, bad, good_by_len.tolist(),
                                    q ** A, p)
         rows.append(CurveRow(

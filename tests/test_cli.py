@@ -118,8 +118,9 @@ def test_speed_record_params_are_the_bracket_fields(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec, max_letter, lower_from, upper_from", [
-    ("geom:0.1", "6", "lazy", "first_moment"),
-    ("geom:0.7", "6", "lazy", "truncated"),
+    ("geom:0.05", "6", "closed_lazy", "first_moment"),
+    ("geom:0.7", "6", "closed_lazy", "closed_truncated"),
+    ("unif:7", "6", "lazy", "truncated"),
     ("unif:7", "7", "good", "bad"),
     ("unif:2", "2", "closed", "closed"),
 ])
@@ -538,16 +539,18 @@ def test_begraph_trajectory_record(tmp_path, capsys):
 def test_verify_report_is_pinned(tmp_path, capsys, monkeypatch):
     # SHA-256 of the whole --out report: any change in the forward or
     # stationary replica statistics, or in the gates, shows here.  The
-    # report's brackets also pin the engine at its defaults and at the
+    # report's brackets are run at the engine's defaults and at the
     # earlier default state cap of 50,000 with no width budget.  Both
     # digests moved when the stationary leg went to depth-4 samples, again
-    # when unif:2 and unif:3 took their ends from the closed graph, and
-    # again when the geom brackets took their upper ends from the
-    # truncated law.
+    # when unif:2 and unif:3 took their ends from the closed graph, again
+    # when the geom brackets took their upper ends from the truncated law,
+    # and again when they took both ends from the closed graphs of their
+    # lazy and truncated laws; since then no end of the report's brackets
+    # comes from the level loop, so the state cap leaves it unchanged.
     path = tmp_path / "verify.json"
     for cap, digest in [
-        (None, "f20b5aef1c0606db5cf8b7bfcd8bfa194a1b81946ed9f228e6f074fc819c57ac"),
-        (50_000, "7df82665d4c1662a46d46568eca1cb4ace5d748036d7501012154a6e664f5b0a"),
+        (None, "1ac9cd1b17bf1fac1224208df10759dd864b73bba92982920c59f30a816e7bff"),
+        (50_000, "1ac9cd1b17bf1fac1224208df10759dd864b73bba92982920c59f30a816e7bff"),
     ]:
         if cap is not None:
             monkeypatch.setattr(enumeration, "_MAX_STATES", cap)

@@ -58,12 +58,14 @@ def walk_minimal_words(pmf_vec, tail_mass, L, A, emit):
     """
     enumeration._check_bounds(L, A, pmf_vec)
     tally = enumeration._MassTally()
-    # mu_A moves the tail onto letter A, rounded down
+    # mu_A' moves the tail onto A', the largest letter <= A with weight,
+    # rounded down
     trunc = [float(w) for w in pmf_vec[: A + 1]]
-    exact = Fraction(trunc[A]) + Fraction(float(tail_mass))
-    trunc[A] = float(exact)
-    if Fraction(trunc[A]) > exact:
-        trunc[A] = math.nextafter(trunc[A], 0.0)
+    top = max((a for a in range(1, A + 1) if trunc[a] > 0.0), default=0)
+    exact = Fraction(trunc[top]) + Fraction(float(tail_mass))
+    trunc[top] = float(exact)
+    if Fraction(trunc[top]) > exact:
+        trunc[top] = math.nextafter(trunc[top], 0.0)
 
     def add(kind, n, w, w_trunc=0.0):  # one word's weights, as one row
         tally.add(kind, n, np.zeros(1, dtype=np.uint16),
@@ -140,7 +142,8 @@ def test_geometric_one_bracket_is_exact_unit():
 
 
 def test_bracket_invariants_and_identity():
-    bracket = enumerate_minimal(Geometric(0.6), 8, 8)
+    # a law past {1..5} with mass past A: the level loop sets both ends
+    bracket = enumerate_minimal(Uniform(7), 8, 6)
     assert 0.0 <= bracket.lower <= bracket.upper <= 1.0
     total = bracket.good_mass + bracket.bad_mass + bracket.frontier_mass
     assert abs(total - 1.0) <= 1e-9
@@ -149,8 +152,8 @@ def test_bracket_invariants_and_identity():
     assert raw_width == pytest.approx(bracket.frontier_mass, abs=1e-12)
     assert bracket.lower_from == "lazy"
     assert bracket.width < bracket.frontier_mass
-    assert bracket.params["L"] == 8 and bracket.params["A"] == 8
-    assert bracket.rounding_bound == mass_rounding_bound(8, 8)
+    assert bracket.params["L"] == 8 and bracket.params["A"] == 6
+    assert bracket.rounding_bound == mass_rounding_bound(8, 6)
 
 
 @pytest.mark.parametrize("mu, L, A", [
@@ -182,15 +185,17 @@ def test_brackets_nest_as_bounds_grow():
 
 
 def test_walk_and_lumped_engines_agree_exactly():
-    # the zero-weight letter 2 is skipped at birth and on every prepend
+    # the zero-weight letter 2 is skipped at birth and on every prepend;
+    # the last law has no weight at A = 3, so its tail moves onto 2
     for mu, L, A in [(Uniform(2), 9, 2), (Uniform(3), 7, 3), (Geometric(0.5), 6, 4),
-                     (FiniteSupport([0.5, 0.0, 0.5]), 7, 3)]:
+                     (FiniteSupport([0.5, 0.0, 0.5]), 7, 3),
+                     (FiniteSupport([0.4, 0.1, 0.0, 0.5]), 7, 3)]:
         walk = walk_bracket(mu, L, A)
         with patched(**EXACT):
             lumped = enumerate_minimal(mu, L, A)
         assert walk.lower == pytest.approx(lumped.lower, abs=1e-13)
         assert walk.upper == pytest.approx(lumped.upper, abs=1e-13)
-        # all but the Geometric law close, so their ends come from the one
+        # the laws with no tail close, so their ends come from the one
         # closed graph: the masses are each engine's own
         assert walk.good_mass == pytest.approx(lumped.good_mass, abs=1e-13)
         assert walk.bad_mass == pytest.approx(lumped.bad_mass, abs=1e-13)
@@ -688,14 +693,20 @@ def test_curve_matches_direct_enumeration_when_exact():
     # a count table cannot tell how many of a word's letters are A, so the
     # curve has no truncated-law end: its upper end is the speed bracket's
     # without it
+    # without it, and without the closed ends the curve does not build
     with patched(**EXACT):
         for row in curve([0.3, 0.7], 6, 6):
-            bracket = enumerate_minimal(Geometric(row.p), 6, 6)
-            assert row.lower == pytest.approx(bracket.lower, abs=1e-11)
-            assert bracket.upper_from == "truncated"
-            assert bracket.upper < row.upper == pytest.approx(
-                min(1.0 - bracket.bad_mass, _first_moment_bound(row.p)),
-                abs=1e-11)
+            mu = Geometric(row.p)
+            split = stopping_tree_masses(mu.pmf_vector(6), mu.tail(6), 6, 6)
+            lower, upper, _, upper_from = series._ends(
+                split.good, split.bad, split.bad_truncated,
+                split.good_by_len, mu.tail(6), row.p)
+            assert row.lower == pytest.approx(lower, abs=1e-11)
+            assert upper_from == "truncated"
+            assert upper < row.upper == pytest.approx(
+                min(1.0 - split.bad, _first_moment_bound(row.p)), abs=1e-11)
+            bracket = enumerate_minimal(mu, 6, 6)
+            assert row.lower <= bracket.lower <= bracket.upper < row.upper
 
 
 def test_counts_in_rationals_are_an_exact_oracle_for_masses():
@@ -1169,9 +1180,11 @@ def test_closed_ends_hold_at_every_sweep():
 
 
 def truncated(law: dict, A: int) -> dict:
-    """mu_A of a law given as letter -> weight: the weight past A on A."""
-    out = {a: w for a, w in law.items() if a < A}
-    out[A] = sum(w for a, w in law.items() if a >= A)
+    """mu_A' of a law given as letter -> weight: the weight past A on A',
+    the largest letter <= A with weight."""
+    top = max(a for a, w in law.items() if a <= A and w)
+    out = {a: w for a, w in law.items() if a < top}
+    out[top] = sum(w for a, w in law.items() if a >= top)
     return out
 
 
@@ -1179,12 +1192,16 @@ def truncated(law: dict, A: int) -> dict:
     (Uniform(5), 3, UNIF5_SPEED),
     (Uniform(5), 4, UNIF5_SPEED),
     (FiniteSupport([0.2, 0.3, 0.5]), 2, None),
-], ids=["unif:5-A3", "unif:5-A4", "finite:0.2,0.3,0.5-A2"])
+    (FiniteSupport([0.4, 0.1, 0.0, 0.5]), 3, None),
+], ids=["unif:5-A3", "unif:5-A4", "finite:0.2,0.3,0.5-A2",
+        "finite:0.4,0.1,0,0.5-A3"])
 def test_truncated_law_upper_end_holds_the_exact_speed(mu, A, speed):
-    # v(mu) <= v(mu_A) <= 1 - the mu_A weight of the bad words found, with
-    # both speeds solved in rationals on the closed graphs of {1..5} and
-    # {1..A} (the floats' own weights, as the engine reads them)
-    law = {a: Fraction(mu.pmf(a)) for a in range(1, mu.support_max + 1)}
+    # v(mu) <= v(mu_A') <= 1 - the mu_A' weight of the bad words found,
+    # with both speeds solved in rationals on the closed graphs of mu's
+    # support and of {1..A'} (the floats' own weights, as the engine reads
+    # them); the last law has no weight at A = 3, so A' = 2
+    law = {a: Fraction(mu.pmf(a)) for a in range(1, mu.support_max + 1)
+           if mu.pmf(a)}
     if speed is None:
         speed = exact_closed_speed(law)
     truncated_speed = exact_closed_speed(truncated(law, A))
@@ -1237,3 +1254,78 @@ def test_truncated_law_weight_rounds_down(monkeypatch):
             # every other weight is mu's own
             assert weights[:A, 1].tolist() == weights[:A, 0].tolist()
     assert stepped  # some sum was rounded up, and stepped back down
+
+
+# ---------------------------------------------------------------------------
+# Geometric laws through the closed graphs of their lazy and truncated laws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_closed_geometric_ends_hold_the_exact_speeds(monkeypatch, p):
+    # at k = 4 the graph has 46 states, so both laws solve in rationals,
+    # from the floats' own weights: (1 - t) v(nu_4) and v(mu_4) bound v(mu)
+    monkeypatch.setattr(series, "_CLOSED_MAX_LETTER", 4)
+    mu = Geometric(p)
+    t = Fraction(mu.tail(4))
+    law = {a: Fraction(mu.pmf(a)) for a in range(1, 5)}
+    nu = {a: w / (1 - t) for a, w in law.items()}
+    mu_4 = {**law, 4: law[4] + t}
+    (lower, _, lower_from), (_, upper, upper_from) = series._closed_ends(
+        mu, mu.tail(4), 1.0)
+    assert (lower_from, upper_from) == ("closed_lazy", "closed_truncated")
+    lazy = (1 - t) * exact_closed_speed(nu)
+    truncated_speed = exact_closed_speed(mu_4)
+    assert Fraction(lower) <= lazy < truncated_speed <= Fraction(upper)
+    assert upper - lower < float(truncated_speed - lazy) + 1e-13
+    bracket = enumerate_minimal(mu, 6, 6)
+    assert bracket.lower >= lower and bracket.upper <= upper
+
+
+def test_closed_geometric_weights_round_outward(monkeypatch):
+    # nu's weights and the lazy product round down, mu_5(5) = mu(5) + t up;
+    # the laws here include quotients and sums that round the wrong way
+    seen, stepped = [], [0, 0]
+    real = series.closed_ends
+
+    def spy(pmf_vec, ends):
+        seen.append((pmf_vec.copy(), real(pmf_vec, ends)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(series, "closed_ends", spy)
+    for p in (0.2, 0.3, 0.5, 0.7, 0.123456789):
+        mu = Geometric(p)
+        seen.clear()
+        ends = series._closed_ends(mu, mu.tail(5), 1.0)
+        (lower, _, _), (_, upper, _) = ends
+        (nu, (lazy,)), (mu_5, (swept,)) = seen
+        t = Fraction(mu.tail(5))
+        for a in range(1, 6):
+            exact = Fraction(mu.pmf(a)) / (1 - t)
+            assert Fraction(nu[a]) <= exact < Fraction(math.nextafter(nu[a], 1))
+            stepped[0] += nu[a] < mu.pmf(a) / (1.0 - mu.tail(5))
+        exact = Fraction(mu.pmf(5)) + t
+        assert Fraction(math.nextafter(mu_5[5], 0)) < exact <= Fraction(mu_5[5])
+        stepped[1] += mu_5[5] > mu.pmf(5) + mu.tail(5)
+        assert mu_5[:5].tolist() == mu.pmf_vector(4).tolist()
+        assert Fraction(lower) <= (1 - t) * Fraction(lazy) and upper == swept
+    assert all(stepped)  # some weight was rounded to nearest past its side
+
+
+def test_truncated_law_end_skipped_below_one_over_k(monkeypatch):
+    # v(mu_5) >= v(delta_5) = 1/5, so mu_5 is not swept where the end in
+    # hand, c*(0.05) = 0.127, is already lower: one sweep, nu's lower end
+    calls = []
+    real = enumeration._sweeps
+
+    def count(graph, w, g, upper):
+        calls.append(upper)
+        return real(graph, w, g, upper)
+
+    monkeypatch.setattr(enumeration, "_sweeps", count)
+    low = enumerate_minimal(Geometric(0.05), 6, 6)
+    assert calls == [False]
+    assert (low.lower_from, low.upper_from) == ("closed_lazy", "first_moment")
+    calls.clear()
+    enumerate_minimal(Geometric(0.1), 6, 6)  # c*(0.1) = 0.239 > 1/5
+    assert calls == [False, True]
